@@ -50,10 +50,7 @@ from .filterdesign import (
     DesignSpec,
     FilterSet,
     VerificationReport,
-    constraint_matrix,
     design_filters,
-    sma_product,
-    solve_phi,
     variance_inflation,
     verify_filter_set,
 )
@@ -84,10 +81,7 @@ __all__ = [
     "DesignSpec",
     "FilterSet",
     "VerificationReport",
-    "constraint_matrix",
     "design_filters",
-    "sma_product",
-    "solve_phi",
     "variance_inflation",
     "verify_filter_set",
     # series

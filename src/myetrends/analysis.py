@@ -28,7 +28,7 @@ noise inflation empirically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -38,7 +38,7 @@ from scipy.special import ndtri
 from .exceptions import DomainError, MissingDataError
 from .filterdesign import DesignSpec, FilterSet
 from .myeseries import IMPUTED, MyeSeries, RegionPair, render_value, sma_of_base
-from .ratpoly import RatPoly
+from .ratpoly import ONE, RatPoly
 
 __all__ = [
     "MODES",
@@ -340,15 +340,35 @@ def _resolve_reference_period(series: MyeSeries, wanted: int, fs: FilterSet) -> 
     )
 
 
+def _sides(
+    spec: ComparisonSpec, fs: Optional[FilterSet]
+) -> tuple[tuple[int, RatPoly], tuple[int, RatPoly]]:
+    """Each side's period and weights: ``((ka, wa), (kb, wb))``.
+
+    Every comparison is a weighted average of one period's values ending at
+    ``t0`` on each side. The raw modes weight the ``t0`` value alone; proper
+    mode uses the designed filter of that side's period.
+    """
+    ka, kb = spec.reference_period, spec.other_period
+    if spec.mode != "proper":
+        return (ka, ONE), (kb, ONE)
+    if fs is None:
+        raise ValueError("proper mode requires a designed filter set")
+    for k in (ka, kb):
+        if k not in fs.psi:
+            raise ValueError(f"filter set {fs.spec} has no period {k}")
+    return (ka, fs.psi[ka]), (kb, fs.psi[kb])
+
+
 def compare(
     pair: RegionPair, spec: ComparisonSpec, fs: Optional[FilterSet] = None
 ) -> ComparisonResult:
     """Carry out one comparison between two regions.
 
-    Inapt and untimely modes read raw observations at ``spec.t0``. Proper
-    mode filters both sides with ``fs`` (required): region A with its
-    reference period's filter, falling back to the shortest period A
-    actually has; region B with the other period's filter.
+    Inapt and untimely modes read raw observations at ``spec.t0`` (a unit
+    filter). Proper mode filters both sides with ``fs`` (required): region
+    A with its reference period's filter, falling back to the shortest
+    period A actually has; region B with the other period's filter.
 
     Raises
     ------
@@ -360,25 +380,13 @@ def compare(
         Proper mode without ``fs``, or a period missing from ``fs``.
     """
     t0 = spec.t0
-    if spec.mode == "inapt":
-        ra, kb = spec.reference_period, spec.other_period
-        va = pair.a.value(ra, t0)
-        vb = pair.b.value(kb, t0)
-    elif spec.mode == "untimely":
-        ra = kb = spec.other_period
-        va = pair.a.value(ra, t0)
-        vb = pair.b.value(kb, t0)
-    else:
-        if fs is None:
-            raise ValueError("proper-mode comparison requires a designed filter set")
-        if spec.other_period not in fs.psi:
-            raise ValueError(
-                f"filter set {fs.spec} has no period {spec.other_period}"
-            )
-        ra = _resolve_reference_period(pair.a, spec.reference_period, fs)
-        kb = spec.other_period
-        va = apply_filter(fs.psi[ra], pair.a, ra, t0)
-        vb = apply_filter(fs.psi[kb], pair.b, kb, t0)
+    sides = spec
+    if spec.mode == "proper" and fs is not None:
+        ref = _resolve_reference_period(pair.a, spec.reference_period, fs)
+        sides = replace(spec, reference_period=ref)
+    (ka, wa), (kb, wb) = _sides(sides, fs)
+    va = apply_filter(wa, pair.a, ka, t0)
+    vb = apply_filter(wb, pair.b, kb, t0)
     if va == 0:
         raise DomainError(
             f"reference value for {pair.a.name} at {t0} is zero; "
@@ -389,7 +397,7 @@ def compare(
         value_a=va,
         value_b=vb,
         discrepancy=vb / va - 1.0,
-        reference_period_used=ra,
+        reference_period_used=ka,
         other_period_used=kb,
     )
 
@@ -414,29 +422,15 @@ def _window_mean_mu(trend: tuple[Fraction, ...], k: int, t: int) -> Fraction:
     return sum((_mu(trend, t - i) for i in range(k)), Fraction(0)) / k
 
 
-def _side_periods(spec) -> tuple[int, int]:
-    if spec.mode == "untimely":
-        return spec.other_period, spec.other_period
-    return spec.reference_period, spec.other_period
-
-
 def _deterministic_sides(
-    trend: tuple[Fraction, ...],
-    mode: str,
-    t0: int,
-    ra: int,
-    kb: int,
-    fs: Optional[FilterSet],
+    trend: tuple[Fraction, ...], spec: ComparisonSpec, fs: Optional[FilterSet]
 ) -> tuple[Fraction, Fraction]:
     """Noise-free comparison sides under the trend, in exact arithmetic."""
-    if mode == "proper":
-        assert fs is not None
-        wa, wb = fs.psi[ra].coeffs, fs.psi[kb].coeffs
-    else:
-        wa = wb = (Fraction(1),)
-    a = sum((w * _window_mean_mu(trend, ra, t0 - j) for j, w in enumerate(wa)), Fraction(0))
-    b = sum((w * _window_mean_mu(trend, kb, t0 - j) for j, w in enumerate(wb)), Fraction(0))
-    return a, b
+    t0 = spec.t0
+    return tuple(
+        sum((c * _window_mean_mu(trend, k, t0 - j) for j, c in enumerate(w.coeffs)), Fraction(0))
+        for k, w in _sides(spec, fs)
+    )
 
 
 def expected_bias(
@@ -459,16 +453,9 @@ def expected_bias(
     is optional; when given, the zero arises from the exact filter algebra
     rather than by fiat.
     """
-    coeffs = _as_fractions(trend)
-    if spec.mode == "inapt" and spec.reference_period == 1:
-        # present trend value minus the lagged window average
-        a = _mu(coeffs, spec.t0)
-        b = _window_mean_mu(coeffs, spec.other_period, spec.t0)
-        return float(a - b)
     if spec.mode == "proper" and fs is None:
         return 0.0
-    ra, kb = _side_periods(spec)
-    a, b = _deterministic_sides(coeffs, spec.mode, spec.t0, ra, kb, fs)
+    a, b = _deterministic_sides(_as_fractions(trend), spec, fs)
     return float(a - b)
 
 
@@ -488,16 +475,16 @@ class SimulationSpec:
     ``seed`` fixes the stream completely: replicate ``r`` draws from a
     counter-derived substream at offset ``r``, so results do not depend on
     batch sizes or execution order.
+
+    ``mode``, ``t0`` and the two periods are held, and validated, as the
+    :class:`ComparisonSpec` that :meth:`comparison_spec` returns.
     """
 
     trend: tuple[Fraction, ...]
     noise_sd: dict[int, float]
-    mode: str
-    t0: int
+    comparison: ComparisonSpec
     replicates: int
     seed: int
-    reference_period: int = 1
-    other_period: int = 3
 
     def __init__(
         self,
@@ -515,27 +502,27 @@ class SimulationSpec:
         for k, sd in dict(noise_sd).items():
             k = int(k)
             sd = float(sd)
-            if sd < 0:
-                raise ValueError(f"noise sd for period {k} must be >= 0, got {sd}")
+            if not math.isfinite(sd) or sd < 0:
+                raise ValueError(f"noise sd for period {k} must be >= 0 and finite, got {sd}")
             sds[k] = sd
         object.__setattr__(self, "noise_sd", sds)
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "t0", int(t0))
+        object.__setattr__(
+            self, "comparison", ComparisonSpec(mode, t0, reference_period, other_period)
+        )
         if not isinstance(replicates, int) or replicates < 1:
             raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
         object.__setattr__(self, "replicates", replicates)
         if not isinstance(seed, int) or not (0 <= seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "reference_period", int(reference_period))
-        object.__setattr__(self, "other_period", int(other_period))
-        # reuse the comparison-mode validation
-        ComparisonSpec(mode, int(t0), int(reference_period), int(other_period))
 
     def comparison_spec(self) -> ComparisonSpec:
-        return ComparisonSpec(self.mode, self.t0, self.reference_period, self.other_period)
+        return self.comparison
+
+    mode = property(lambda self: self.comparison.mode)
+    t0 = property(lambda self: self.comparison.t0)
+    reference_period = property(lambda self: self.comparison.reference_period)
+    other_period = property(lambda self: self.comparison.other_period)
 
 
 @dataclass(frozen=True)
@@ -553,17 +540,7 @@ class SimulationSummary:
     var_b: float
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "bias": self.bias,
-            "std_error": self.std_error,
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "var_a": self.var_a,
-            "var_b": self.var_b,
-        }
+        return asdict(self)
 
 
 # Replicates per generation batch. Fixed so that accumulation order, and
@@ -602,23 +579,14 @@ def simulate_bias(
         the design's variance_inflation).
     """
     cspec = spec.comparison_spec()
-    ra, kb = _side_periods(spec)
-    if spec.mode == "proper":
-        if fs is None:
-            raise ValueError("proper-mode simulation requires a designed filter set")
-        for k in (ra, kb):
-            if k not in fs.psi:
-                raise ValueError(f"filter set {fs.spec} has no period {k}")
-        wa = np.array(fs.psi[ra].as_floats(), dtype=np.float64)
-        wb = np.array(fs.psi[kb].as_floats(), dtype=np.float64)
-    else:
-        wa = np.ones(1)
-        wb = np.ones(1)
+    (ka, pa), (kb, pb) = _sides(cspec, fs)
+    wa = np.array(pa.as_floats())
+    wb = np.array(pb.as_floats())
 
-    det_a, det_b = _deterministic_sides(spec.trend, spec.mode, spec.t0, ra, kb, fs)
+    det_a, det_b = _deterministic_sides(spec.trend, cspec, fs)
     det_diff = det_a - det_b
 
-    sd_a = spec.noise_sd.get(ra, 0.0)
+    sd_a = spec.noise_sd.get(ka, 0.0)
     sd_b = spec.noise_sd.get(kb, 0.0)
     n_a, n_b = len(wa), len(wb)
     draws = n_a + n_b
@@ -649,8 +617,10 @@ def simulate_bias(
 
     def _sample_var(s: float, ss: float) -> float:
         if total < 2:
-            return 0.0
-        return max(0.0, (ss - total * (s / total) ** 2) / (total - 1))
+            return math.nan if math.isnan(s) or math.isnan(ss) else 0.0
+        v = (ss - total * (s / total) ** 2) / (total - 1)
+        # clamp round-off below zero as max(0.0, v) would, but keep a NaN
+        return v if v > 0.0 or math.isnan(v) else 0.0
 
     var_d = _sample_var(sum_d, sumsq_d)
     return SimulationSummary(

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .analysis import (
+    MODES,
     ComparisonSpec,
     SimulationSpec,
     compare,
@@ -34,7 +35,7 @@ from .analysis import (
 )
 from .datasets import STANDARD_TARGETS, load_sample, sample_names
 from .exceptions import MyeTrendsError
-from .filterdesign import DesignSpec, design_filters, variance_inflation, verify_filter_set
+from .filterdesign import DesignSpec, FilterSet, design_filters, variance_inflation, verify_filter_set
 from .myeseries import (
     RegionPair,
     display_decimals,
@@ -236,17 +237,11 @@ def cmd_compat(parser, args) -> int:
     return 0
 
 
-def _mode_reference(mode: str, reference: Optional[int], other: int) -> int:
-    if reference is not None:
-        return reference
-    return other if mode == "untimely" else 1
-
-
-def cmd_compare(parser, args) -> int:
-    series_a = _load_series_arg(args.input_a)
-    series_b = _load_series_arg(args.input_b)
-    pair = RegionPair(series_a, series_b)
-    ref = _mode_reference(args.mode, args.reference_period, args.other_period)
+def _comparison_from_args(parser, args) -> tuple[ComparisonSpec, Optional[FilterSet]]:
+    """The comparison the flags describe, and the filter family proper mode needs."""
+    ref = args.reference_period
+    if ref is None:
+        ref = args.other_period if args.mode == "untimely" else 1
     try:
         cspec = ComparisonSpec(args.mode, args.t0, ref, args.other_period)
     except ValueError as exc:
@@ -255,7 +250,14 @@ def cmd_compare(parser, args) -> int:
     if args.mode == "proper":
         periods = args.periods if args.periods else tuple(sorted({1, ref, args.other_period}))
         fs = design_filters(_design_from_args(parser, args.degree, periods))
-    result = compare(pair, cspec, fs)
+    return cspec, fs
+
+
+def cmd_compare(parser, args) -> int:
+    cspec, fs = _comparison_from_args(parser, args)
+    series_a = _load_series_arg(args.input_a)
+    series_b = _load_series_arg(args.input_b)
+    result = compare(RegionPair(series_a, series_b), cspec, fs)
     if _resolve_format(args) == "json":
         _emit(_dump_json(result.to_dict()), args.out)
     else:
@@ -271,29 +273,25 @@ def cmd_compare(parser, args) -> int:
 
 
 def cmd_simulate(parser, args) -> int:
-    ref = _mode_reference(args.mode, args.reference_period, args.other_period)
+    cspec, fs = _comparison_from_args(parser, args)
     noise = args.noise
     if isinstance(noise, float):
-        noise = {k: noise for k in {ref, args.other_period}}
+        noise = {k: noise for k in {cspec.reference_period, cspec.other_period}}
     try:
         sspec = SimulationSpec(
             trend=args.trend,
             noise_sd=noise,
-            mode=args.mode,
-            t0=args.t0,
+            mode=cspec.mode,
+            t0=cspec.t0,
             replicates=args.replicates,
             seed=args.seed,
-            reference_period=ref,
-            other_period=args.other_period,
+            reference_period=cspec.reference_period,
+            other_period=cspec.other_period,
         )
     except ValueError as exc:
         parser.error(str(exc))
-    fs = None
-    if args.mode == "proper":
-        periods = args.periods if args.periods else tuple(sorted({1, ref, args.other_period}))
-        fs = design_filters(_design_from_args(parser, args.degree, periods))
     summary = simulate_bias(sspec, fs)
-    analytic = expected_bias(sspec.trend, sspec.comparison_spec(), fs)
+    analytic = expected_bias(sspec.trend, cspec, fs)
     if _resolve_format(args) == "json":
         payload = summary.to_dict()
         payload["expected_bias"] = analytic
@@ -465,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two regions' estimates at one end year")
     p.add_argument("--in-a", dest="input_a", required=True, help="region A CSV (reference side)")
     p.add_argument("--in-b", dest="input_b", required=True, help="region B CSV")
-    p.add_argument("--mode", choices=("inapt", "untimely", "proper"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--t0", type=int, required=True)
     p.add_argument("--reference-period", type=int, default=None, help="region A period (default: 1, or the other period for untimely)")
     p.add_argument("--other-period", type=int, default=3, help="region B period (default 3)")
@@ -477,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo comparison-bias experiment")
     p.add_argument("--trend", type=_parse_trend, required=True, help="trend coefficients a0,a1,... (fractions allowed)")
     p.add_argument("--noise", type=_parse_noise, default=0.0, help="noise sd: one number for all periods, or PERIOD:SD pairs")
-    p.add_argument("--mode", choices=("inapt", "untimely", "proper"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--t0", type=int, required=True)
     p.add_argument("--reference-period", type=int, default=None)
     p.add_argument("--other-period", type=int, default=3)

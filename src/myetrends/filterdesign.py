@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .exceptions import DesignInfeasibleError
 from .ratpoly import ONE, RatPoly, sma
@@ -149,29 +149,25 @@ def _poly_from_strings(items: Sequence[str]) -> RatPoly:
 
 def sma_product(periods: Iterable[int]) -> RatPoly:
     """Product of the rolling-average polynomials for the given periods."""
-    out = ONE
-    for k in periods:
-        out = out * sma(k)
-    return out
+    return math.prod((sma(k) for k in periods), start=ONE)
 
 
-def constraint_matrix(spec: DesignSpec) -> RationalMatrix:
+def constraint_matrix(spec: DesignSpec, theta: Optional[RatPoly] = None) -> RationalMatrix:
     """Exact matrix of the design constraints for ``spec``.
 
     Row ``j`` (0-based) holds the ``j``-th derivative at ``z = 1`` of
     ``z**c * theta`` for column ``c``, where ``theta`` is the product of all
-    the periods' averaging polynomials. Solving against the unit vector
-    ``(1, 0, ..., 0)`` enforces weight sum 1 and vanishing derivatives
-    through order ``spec.degree`` on ``phi * theta``.
+    the periods' averaging polynomials (pass it if already computed).
+    Solving against the unit vector ``(1, 0, ..., 0)`` enforces weight sum
+    1 and vanishing derivatives through order ``spec.degree`` on
+    ``phi * theta``.
     """
-    return _constraint_matrix_from(sma_product(spec.periods), spec.degree)
-
-
-def _constraint_matrix_from(theta: RatPoly, degree: int) -> RationalMatrix:
+    if theta is None:
+        theta = sma_product(spec.periods)
     # By the product rule, the j-th derivative of z**c * theta at z = 1 is
     # sum_i C(j, i) * perm(c, i) * theta^(j-i)(1); precomputing theta's
     # derivatives makes each entry a short integer-weighted sum.
-    size = degree + 1
+    size = spec.degree + 1
     derivs = [theta.derivative_at_one(j) for j in range(size)]
     return [
         [
@@ -239,20 +235,15 @@ def design_filters(spec: DesignSpec) -> FilterSet:
             stacklevel=2,
         )
     averages = {k: sma(k) for k in spec.periods}
-    theta = ONE
-    for k in spec.periods:
-        theta = theta * averages[k]
+    theta = math.prod(averages.values(), start=ONE)
     try:
-        phi = solve_phi(_constraint_matrix_from(theta, spec.degree))
+        phi = solve_phi(constraint_matrix(spec, theta))
     except DesignInfeasibleError as exc:
         raise DesignInfeasibleError(f"design infeasible for {spec}: {exc}") from exc
-    psi: dict[int, RatPoly] = {}
-    for k in spec.periods:
-        others = ONE
-        for m in spec.periods:
-            if m != k:
-                others = others * averages[m]
-        psi[k] = phi * others
+    psi = {
+        k: phi * math.prod((a for m, a in averages.items() if m != k), start=ONE)
+        for k in spec.periods
+    }
     common = phi * theta
     return FilterSet(spec=spec, phi=phi, psi=psi, common=common)
 

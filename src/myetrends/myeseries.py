@@ -204,12 +204,13 @@ def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
     value``; ``provenance`` is optional and defaults to published. All rows
     must agree on variable and unit, and no ``(period, end_year)`` key may
     repeat. Two-digit end years are accepted as shorthand and normalized
-    to four digits (00-68 map to 2000-2068, 69-99 to 1969-1999). Parse
+    to four digits (00-68 map to 2000-2068, 69-99 to 1969-1999). A file's
+    UTF-8 byte-order mark, as spreadsheets export it, is skipped. Parse
     failures raise :class:`CsvError` naming the 1-based line.
     """
     if hasattr(source, "read"):
         return _load_csv_stream(source, name=getattr(source, "name", "<stream>"))
-    with open(source, "r", encoding="utf-8", newline="") as fh:
+    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
         return _load_csv_stream(fh, name=str(source))
 
 

@@ -429,6 +429,11 @@ class TestExpectedBias:
     def test_proper_without_filter_set(self):
         assert expected_bias((1, 2, 3), ComparisonSpec("proper", 50, 1, 5)) == 0.0
 
+    def test_undesigned_period_names_it(self):
+        # the same message as compare and simulate_bias, not a bare KeyError
+        with pytest.raises(ValueError, match="no period 7"):
+            expected_bias((0, 1), ComparisonSpec("proper", 50, 1, 7), LINEAR)
+
     def test_constant_trend_unbiased_everywhere(self):
         for mode, ref, other in (("inapt", 1, 5), ("untimely", 3, 3), ("proper", 1, 3)):
             spec = ComparisonSpec(mode, 50, ref, other)

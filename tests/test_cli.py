@@ -206,6 +206,13 @@ class TestCompare:
                   "--mode", "inapt", "--t0", "2007", "--reference-period", "3"])
         assert exc.value.code == 2
 
+    def test_flags_checked_before_inputs_load(self, tmp_path):
+        missing = str(tmp_path / "absent.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--in-a", missing, "--in-b", missing,
+                  "--mode", "inapt", "--t0", "2007", "--reference-period", "3"])
+        assert exc.value.code == 2
+
     def test_proper_design_missing_period_is_usage_error(self, capsys, filled):
         code, out, err = run(capsys, [
             "compare", "--in-a", filled, "--in-b", filled,

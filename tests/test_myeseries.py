@@ -188,6 +188,14 @@ class TestWriteCsv:
         write_csv(s, target)
         assert load_csv(target) == s
 
+    def test_round_trip_with_byte_order_mark(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 BOM
+        s = load_sample("income")
+        target = tmp_path / "bom.csv"
+        target.write_bytes(write_csv(s).encode("utf-8-sig"))
+        assert target.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_csv(target) == s
+
     def test_write_to_stream(self):
         buf = io.StringIO()
         text = write_csv(tiny_series(), buf)

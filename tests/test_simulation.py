@@ -42,6 +42,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="must be >= 0"):
             make_spec(noise_sd={1: -0.1})
 
+    @pytest.mark.parametrize("sd", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sd_rejected(self, sd):
+        with pytest.raises(ValueError, match="finite"):
+            make_spec(noise_sd={1: sd})
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_nan_draws_are_not_reported_as_zero_variance(self, replicates):
+        spec = make_spec(replicates=replicates)
+        s = simulate_bias(spec, quantile=lambda u: np.full_like(u, np.nan))
+        assert all(math.isnan(v) for v in (s.bias, s.std_error, s.var_a, s.var_b))
+
+    @pytest.mark.parametrize("field", ["t0", "reference_period", "other_period"])
+    def test_non_integer_year_or_period_rejected(self, field):
+        # 2010.7 and 1.9 were truncated to 2010 and 1
+        bad = {"t0": 2010.7, "reference_period": 1.9, "other_period": 3.5}[field]
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_spec(**{field: bad})
+
     def test_seed_range(self):
         with pytest.raises(ValueError, match="seed"):
             make_spec(seed=-1)
