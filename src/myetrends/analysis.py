@@ -23,6 +23,9 @@ estimate against the k-year average of single-year estimates, its summary
 ``C`` (the max absolute NSR over time), analytic expected comparison bias
 under a polynomial trend, and a seeded Monte Carlo that measures bias and
 noise inflation empirically.
+
+Only the Monte Carlo (:func:`simulate_bias`) uses NumPy and SciPy, and it
+imports them when it runs, so everything else here loads without them.
 """
 
 from __future__ import annotations
@@ -30,15 +33,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
-
-import numpy as np
-from scipy.special import ndtri
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .exceptions import DomainError, MissingDataError
 from .filterdesign import DesignSpec, FilterSet
 from .myeseries import IMPUTED, MyeSeries, RegionPair, render_value, sma_of_base
 from .ratpoly import ONE, RatPoly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MODES",
@@ -549,6 +552,8 @@ _BATCH = 1 << 16
 
 
 def _gaussian_quantile(u: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtri
+
     return ndtri(u)
 
 
@@ -578,6 +583,8 @@ def simulate_bias(
         variances of the two sides (for checking noise inflation against
         the design's variance_inflation).
     """
+    import numpy as np
+
     cspec = spec.comparison_spec()
     (ka, pa), (kb, pb) = _sides(cspec, fs)
     wa = np.array(pa.as_floats())
@@ -618,7 +625,8 @@ def simulate_bias(
     def _sample_var(s: float, ss: float) -> float:
         if total < 2:
             return math.nan if math.isnan(s) or math.isnan(ss) else 0.0
-        v = (ss - total * (s / total) ** 2) / (total - 1)
+        m = s / total
+        v = (ss - total * (m * m)) / (total - 1)
         # clamp round-off below zero as max(0.0, v) would, but keep a NaN
         return v if v > 0.0 or math.isnan(v) else 0.0
 

@@ -218,6 +218,9 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
     reader = csv.DictReader(fh)
     if reader.fieldnames is None:
         raise CsvError(f"{name}: empty file, expected a header row")
+    if reader.fieldnames:
+        # a stream opened as utf-8, not utf-8-sig, keeps the BOM in the first name
+        reader.fieldnames[0] = reader.fieldnames[0].removeprefix("\ufeff")
     fields = [f.strip() for f in reader.fieldnames]
     missing = [c for c in _CSV_COLUMNS[:-1] if c not in fields]
     if missing:

@@ -44,7 +44,9 @@ class RatPoly:
     (4 + z + z^2 - 3z^3)/3
     """
 
-    __slots__ = ("_coeffs",)
+    # _floats is filled by the first as_floats() call, so exact arithmetic
+    # that never meets float data pays nothing for it
+    __slots__ = ("_coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[CoefficientLike] = ()) -> None:
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
@@ -151,7 +153,11 @@ class RatPoly:
 
     def as_floats(self) -> tuple[float, ...]:
         """Coefficients converted to floats, for applying to float data."""
-        return tuple(float(c) for c in self._coeffs)
+        try:
+            return self._floats
+        except AttributeError:
+            self._floats = tuple(float(c) for c in self._coeffs)
+            return self._floats
 
     def __str__(self) -> str:
         """Render over a common denominator, e.g. ``(4 + z + z^2 - 3z^3)/3``."""

@@ -274,6 +274,14 @@ class TestSimulate:
                   "--t0", "1", "--replicates", "-3"])
         assert exc.value.code == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_noise_runs_to_completion(self, capsys):
+        # squaring a side's mean raised OverflowError past about 1e154
+        code, out, _ = run(capsys, ["simulate", "--trend", "0,1", "--noise", "1e200",
+                                    "--mode", "inapt", "--t0", "2010", "--replicates", "10"])
+        assert code == 0
+        assert "std error" in out
+
 
 class TestDemo:
     def test_all_rows_reproduce(self, capsys):
@@ -358,3 +366,59 @@ class TestFormatsAndPlumbing:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             assert proc.returncode == 0, f"{cmd}: {proc.stderr}"
             assert "all checks passed" in proc.stdout
+
+
+class TestImportGuard:
+    """Only ``simulate`` loads NumPy and SciPy.
+
+    Each case runs in a fresh interpreter and checks which modules it loaded,
+    not how long that took, so a busy machine cannot make it fail.
+    """
+
+    PROBE = (
+        "import json, sys\n"
+        "{body}\n"
+        "heavy = sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy')))\n"
+        "print(json.dumps([code, heavy]))\n"
+    )
+    MAIN = "from myetrends.cli import main\ncode = main(sys.argv[1:])"
+
+    def probe(self, body, *argv):
+        """Exit code of ``body`` and the NumPy/SciPy modules loaded by then."""
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(body=body), *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+    @pytest.mark.parametrize("module", ["myetrends", "myetrends.cli"])
+    def test_import(self, module):
+        assert self.probe(f"import {module}\ncode = 0") == (0, [])
+
+    @pytest.mark.parametrize(
+        "command", ["design", "impute", "trends", "compat", "compare", "demo"]
+    )
+    def test_non_simulate_command(self, command, tmp_path):
+        filled = tmp_path / "income.csv"
+        assert main(["impute", *INCOME_ARGS, "--out", str(filled)]) == 0
+        f = str(filled)
+        argv = {
+            "design": ["design", "--degree", "1", "--periods", "1,3,5"],
+            "impute": ["impute", *INCOME_ARGS],
+            "trends": ["trends", "--in", f, "--t0", "2007"],
+            "compat": ["compat", "--in", f],
+            "compare": ["compare", "--in-a", f, "--in-b", f, "--mode", "proper",
+                        "--t0", "2007", "--other-period", "5"],
+            "demo": ["demo"],
+        }[command]
+        out = tmp_path / "out"
+        assert self.probe(self.MAIN, *argv, "--out", str(out)) == (0, [])
+        assert out.read_text()
+
+    def test_simulate_loads_them(self, tmp_path):
+        argv = ["simulate", "--trend", "0,1", "--noise", "1", "--mode", "inapt",
+                "--t0", "10", "--replicates", "10", "--out", str(tmp_path / "out")]
+        code, heavy = self.probe(self.MAIN, *argv)
+        assert code == 0
+        assert {"numpy", "scipy.special"} <= set(heavy)

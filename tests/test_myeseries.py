@@ -196,6 +196,13 @@ class TestWriteCsv:
         assert target.read_bytes().startswith(b"\xef\xbb\xbf")
         assert load_csv(target) == s
 
+    def test_byte_order_mark_in_text_stream(self):
+        # a file opened as utf-8, not utf-8-sig, keeps the BOM in the text
+        s = load_sample("income")
+        text = write_csv(s).encode("utf-8-sig").decode("utf-8")
+        assert text.startswith("\ufeff")
+        assert load_csv(io.StringIO(text)) == s
+
     def test_write_to_stream(self):
         buf = io.StringIO()
         text = write_csv(tiny_series(), buf)

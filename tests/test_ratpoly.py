@@ -173,3 +173,8 @@ class TestRendering:
 
     def test_as_floats(self):
         assert RatPoly([F(1, 2), 3]).as_floats() == (0.5, 3.0)
+
+    def test_as_floats_computed_once(self):
+        p = RatPoly([F(1, 3), F(-2, 7)])
+        assert p.as_floats() is p.as_floats()
+        assert p.as_floats() == (float(F(1, 3)), float(F(-2, 7)))

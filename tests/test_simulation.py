@@ -9,6 +9,7 @@ import pytest
 from myetrends.analysis import (
     ComparisonSpec,
     SimulationSpec,
+    SimulationSummary,
     expected_bias,
     simulate_bias,
 )
@@ -52,6 +53,12 @@ class TestSpecValidation:
         spec = make_spec(replicates=replicates)
         s = simulate_bias(spec, quantile=lambda u: np.full_like(u, np.nan))
         assert all(math.isnan(v) for v in (s.bias, s.std_error, s.var_a, s.var_b))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_noise_returns_a_summary(self):
+        # squaring a side's mean raised OverflowError past about 1e154
+        spec = SimulationSpec((0, 1), {1: 1e200, 3: 1e200}, "inapt", 2010, 10, 1, 1, 3)
+        assert isinstance(simulate_bias(spec), SimulationSummary)
 
     @pytest.mark.parametrize("field", ["t0", "reference_period", "other_period"])
     def test_non_integer_year_or_period_rejected(self, field):
