@@ -625,8 +625,11 @@ def simulate_bias(
     def _sample_var(s: float, ss: float) -> float:
         if total < 2:
             return math.nan if math.isnan(s) or math.isnan(ss) else 0.0
-        m = s / total
-        v = (ss - total * (m * m)) / (total - 1)
+        try:
+            sq = (s / total) ** 2
+        except OverflowError:
+            sq = math.inf
+        v = (ss - total * sq) / (total - 1)
         # clamp round-off below zero as max(0.0, v) would, but keep a NaN
         return v if v > 0.0 or math.isnan(v) else 0.0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -215,12 +216,13 @@ def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
 
 
 def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
-    reader = csv.DictReader(fh)
+    # a stream opened as utf-8, not utf-8-sig, keeps the BOM: drop it before
+    # csv reads the header, so a quoted first name still parses as quoted
+    lines = iter(fh)
+    first = next(lines, "").removeprefix("\ufeff")
+    reader = csv.DictReader(itertools.chain([first] if first else [], lines))
     if reader.fieldnames is None:
         raise CsvError(f"{name}: empty file, expected a header row")
-    if reader.fieldnames:
-        # a stream opened as utf-8, not utf-8-sig, keeps the BOM in the first name
-        reader.fieldnames[0] = reader.fieldnames[0].removeprefix("\ufeff")
     fields = [f.strip() for f in reader.fieldnames]
     missing = [c for c in _CSV_COLUMNS[:-1] if c not in fields]
     if missing:

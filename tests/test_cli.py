@@ -276,7 +276,7 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_noise_runs_to_completion(self, capsys):
-        # squaring a side's mean raised OverflowError past about 1e154
+        # float ** raises on overflow where * gives inf
         code, out, _ = run(capsys, ["simulate", "--trend", "0,1", "--noise", "1e200",
                                     "--mode", "inapt", "--t0", "2010", "--replicates", "10"])
         assert code == 0

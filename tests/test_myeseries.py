@@ -1,5 +1,6 @@
 """Series storage, CSV interchange, imputation, and rendering."""
 
+import csv
 import io
 import math
 
@@ -202,6 +203,19 @@ class TestWriteCsv:
         text = write_csv(s).encode("utf-8-sig").decode("utf-8")
         assert text.startswith("\ufeff")
         assert load_csv(io.StringIO(text)) == s
+
+    def test_byte_order_mark_before_quoted_header_in_text_stream(self, tmp_path):
+        # spreadsheets that quote all text write the BOM before the first quote
+        buf = io.StringIO()
+        csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC).writerows(
+            [["variable", "unit", "period", "end_year", "value"],
+             ["x", "count", 1, 2005, 3.5], ["x", "count", 1, 2006, 4.0]])
+        target = tmp_path / "quoted.csv"
+        target.write_text(buf.getvalue(), encoding="utf-8-sig")
+        from_path = load_csv(target)
+        with open(target, encoding="utf-8", newline="") as fh:
+            assert load_csv(fh) == from_path
+        assert len(from_path) == 2
 
     def test_write_to_stream(self):
         buf = io.StringIO()

@@ -56,9 +56,20 @@ class TestSpecValidation:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_noise_returns_a_summary(self):
-        # squaring a side's mean raised OverflowError past about 1e154
+        # float ** raises on overflow where * gives inf
         spec = SimulationSpec((0, 1), {1: 1e200, 3: 1e200}, "inapt", 2010, 10, 1, 1, 3)
         assert isinstance(simulate_bias(spec), SimulationSummary)
+
+    @pytest.mark.parametrize("args, field, bits", [
+        (((-4, 2), {1: 0.0006827959543858031, 3: 2.740005230098117, 5: 0.716306221723573},
+          "inapt", 2010, 3, 2153398158, 1, 3), "var_b", "0x1.1fe7be8f9b01ep+0"),
+        (((1, 0), {1: 0.1863882636950322, 3: 0.6740548335929393, 5: 0.35257274777545766},
+          "inapt", 2010, 4, 913514179, 1, 3), "std_error", "0x1.21ab40f22d95fp-3"),
+    ])
+    def test_variance_squares_the_mean_with_pow(self, args, field, bits):
+        # on these specs (s / total) ** 2 and the correctly rounded
+        # (s / total) * (s / total) differ by an ulp; the summary keeps pow's
+        assert getattr(simulate_bias(SimulationSpec(*args)), field).hex() == bits
 
     @pytest.mark.parametrize("field", ["t0", "reference_period", "other_period"])
     def test_non_integer_year_or_period_rejected(self, field):
