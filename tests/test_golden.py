@@ -13,9 +13,14 @@ quadratic {1,3,5} families, and the bundled samples (imputed, as
 published, and without their 1y values so that proper mode falls back to
 another reference period), plus two longer synthetic regions whose trends
 differ, so that every quadratic filter window is complete.
+
+A last digest covers the command line: the stdout bytes and exit code of
+every subcommand, in text and in JSON where it has both.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction as F
 
@@ -160,3 +165,72 @@ PAYLOADS = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name):
     assert _digest(PAYLOADS[name]()) == GOLDEN[name]
+
+
+# Every subcommand, run in process. Each case is an argv template, in which
+# ``{dir}`` names a directory holding the imputed bundled samples, and
+# ``json`` says whether to run it under both ``--format text`` and
+# ``--format json`` or without ``--format`` (impute writes CSV only).
+CLI_CASES = (
+    (["design", "--degree", "0", "--periods", "1,3,5"], True),
+    (["design", "--degree", "1", "--periods", "1,3,5"], True),
+    (["design", "--degree", "2", "--periods", "1,3,5"], True),
+    (["impute", "--in", "income", "--targets", "3:2006,5:2006,5:2007"], False),
+    (["impute", "--in", "divorce", "--targets", "3:2006,5:2006,5:2007"], False),
+    (["impute", "--in", "age", "--targets", "3:2006,5:2006,5:2007"], False),
+    (["trends", "--in", "{dir}/income.csv", "--t0", "2007"], True),
+    (["trends", "--in", "{dir}/age.csv", "--t0", "2007", "--periods", "1,3"], True),
+    (["compat", "--in", "{dir}/divorce.csv"], True),
+    (["compat", "--in", "{dir}/divorce.csv", "--exclude-imputed"], True),
+    (["compat", "--in", "{dir}/divorce.csv", "--log-base", "e"], True),
+    (["compat", "--in", "{dir}/divorce.csv", "--exclude-imputed", "--log-base", "e"], True),
+    (["compat", "--in", "{dir}/income.csv", "--periods", "3"], True),
+    (["compare", "--in-a", "{dir}/divorce.csv", "--in-b", "{dir}/divorce.csv",
+      "--mode", "inapt", "--t0", "2007", "--other-period", "3"], True),
+    (["compare", "--in-a", "income", "--in-b", "{dir}/income.csv",
+      "--mode", "inapt", "--t0", "2006", "--other-period", "5"], True),
+    (["compare", "--in-a", "{dir}/age.csv", "--in-b", "age",
+      "--mode", "untimely", "--t0", "2005", "--other-period", "3"], True),
+    (["compare", "--in-a", "{dir}/divorce.csv", "--in-b", "{dir}/divorce.csv",
+      "--mode", "proper", "--t0", "2007", "--other-period", "5", "--periods", "1,3,5"], True),
+    (["compare", "--in-a", "{dir}/income.csv", "--in-b", "{dir}/income.csv",
+      "--mode", "proper", "--t0", "2007", "--reference-period", "3", "--other-period", "5",
+      "--degree", "0", "--periods", "3,5"], True),
+    (["simulate", "--trend", "0,1", "--noise", "1", "--mode", "inapt", "--t0", "2010",
+      "--other-period", "5", "--replicates", "1000", "--seed", "3"], True),
+    (["simulate", "--trend", "1,2,3", "--noise", "3:1.5", "--mode", "untimely",
+      "--t0", "2010", "--other-period", "3", "--replicates", "500", "--seed", "4"], True),
+    (["simulate", "--trend", "0,1", "--noise", "1:1,5:0.5", "--mode", "proper",
+      "--t0", "2015", "--other-period", "5", "--replicates", "70000", "--seed", "7"], True),
+    (["simulate", "--trend", "2,1/2,-1", "--noise", "0.5", "--mode", "proper",
+      "--t0", "2015", "--reference-period", "3", "--other-period", "5",
+      "--degree", "2", "--periods", "1,3,5", "--replicates", "2000", "--seed", "9"], True),
+    (["demo"], True),
+)
+
+
+def cli_payload(workdir) -> list:
+    from myetrends.cli import main
+
+    for name in sample_names():
+        assert main(["impute", "--in", name, "--targets", "3:2006,5:2006,5:2007",
+                     "-o", f"{workdir}/{name}.csv"]) == 0
+    out = []
+    for template, both in CLI_CASES:
+        argv = [arg.replace("{dir}", str(workdir)) for arg in template]
+        for extra in ((["--format", "text"], ["--format", "json"]) if both else ([],)):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv + extra)
+            stdout = buf.getvalue().encode("utf-8")
+            out.append([template + extra, code, hashlib.sha256(stdout).hexdigest()])
+    return out
+
+
+GOLDEN_CLI = "743ab06d26281e4972d2454365593e5079958e7a1b54dc73dd555aa008f435ba"
+
+
+def test_cli_output_digest(tmp_path, monkeypatch):
+    # stdout bytes of every subcommand, text and JSON where it has both
+    monkeypatch.delenv("MYETRENDS_FORMAT", raising=False)
+    assert _digest(cli_payload(tmp_path)) == GOLDEN_CLI
