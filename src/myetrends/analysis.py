@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequenc
 from .exceptions import DomainError, MissingDataError
 from .filterdesign import DesignSpec, FilterSet
 from .myeseries import IMPUTED, MyeSeries, RegionPair, render_value, sma_of_base
-from .ratpoly import ONE, RatPoly
+from .ratpoly import ONE, RatPoly, sma
 
 if TYPE_CHECKING:
     import numpy as np
@@ -378,7 +378,8 @@ def compare(
     MissingDataError
         A needed observation or filter window is absent.
     DomainError
-        Region A's value is zero, so the relative discrepancy is undefined.
+        Region A's value is zero, so the relative discrepancy is undefined,
+        or the discrepancy overflows to a non-finite float.
     ValueError
         Proper mode without ``fs``, or a period missing from ``fs``.
     """
@@ -395,11 +396,17 @@ def compare(
             f"reference value for {pair.a.name} at {t0} is zero; "
             "relative discrepancy is undefined"
         )
+    discrepancy = vb / va - 1.0
+    if not math.isfinite(discrepancy):
+        raise DomainError(
+            f"discrepancy of {vb!r} against {va!r} at {t0} is {discrepancy}, "
+            "not a finite number"
+        )
     return ComparisonResult(
         spec=spec,
         value_a=va,
         value_b=vb,
-        discrepancy=vb / va - 1.0,
+        discrepancy=discrepancy,
         reference_period_used=ka,
         other_period_used=kb,
     )
@@ -409,31 +416,20 @@ def compare(
 # expected bias under a polynomial trend
 
 
-def _as_fractions(trend: TrendCoefficients) -> tuple[Fraction, ...]:
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in trend)
-
-
-def _mu(trend: tuple[Fraction, ...], t: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(trend):
-        acc = acc * t + c
-    return acc
-
-
-def _window_mean_mu(trend: tuple[Fraction, ...], k: int, t: int) -> Fraction:
-    """The k-year average of the trend ending at t, exactly."""
-    return sum((_mu(trend, t - i) for i in range(k)), Fraction(0)) / k
+def _weighted_trend(trend: RatPoly, weights: RatPoly, t: int) -> Fraction:
+    """``sum_j weights_j * trend(t - j)``, exactly."""
+    return sum((c * trend.evaluate(t - j) for j, c in enumerate(weights.coeffs)), Fraction(0))
 
 
 def _deterministic_sides(
-    trend: tuple[Fraction, ...], spec: ComparisonSpec, fs: Optional[FilterSet]
+    trend: RatPoly, spec: ComparisonSpec, fs: Optional[FilterSet]
 ) -> tuple[Fraction, Fraction]:
-    """Noise-free comparison sides under the trend, in exact arithmetic."""
-    t0 = spec.t0
-    return tuple(
-        sum((c * _window_mean_mu(trend, k, t0 - j) for j, c in enumerate(w.coeffs)), Fraction(0))
-        for k, w in _sides(spec, fs)
-    )
+    """Noise-free comparison sides under the trend, in exact arithmetic.
+
+    A side weights the trend by its composite ``w * sma(k)``; in proper mode
+    both composites are ``fs.common``, so the two sides are equal.
+    """
+    return tuple(_weighted_trend(trend, w * sma(k), spec.t0) for k, w in _sides(spec, fs))
 
 
 def expected_bias(
@@ -458,7 +454,7 @@ def expected_bias(
     """
     if spec.mode == "proper" and fs is None:
         return 0.0
-    a, b = _deterministic_sides(_as_fractions(trend), spec, fs)
+    a, b = _deterministic_sides(RatPoly(trend), spec, fs)
     return float(a - b)
 
 
@@ -500,7 +496,7 @@ class SimulationSpec:
         reference_period: int = 1,
         other_period: int = 3,
     ) -> None:
-        object.__setattr__(self, "trend", _as_fractions(trend))
+        object.__setattr__(self, "trend", tuple(map(Fraction, trend)))
         sds = {}
         for k, sd in dict(noise_sd).items():
             k = int(k)
@@ -590,7 +586,7 @@ def simulate_bias(
     wa = np.array(pa.as_floats())
     wb = np.array(pb.as_floats())
 
-    det_a, det_b = _deterministic_sides(spec.trend, cspec, fs)
+    det_a, det_b = _deterministic_sides(RatPoly(spec.trend), cspec, fs)
     det_diff = det_a - det_b
 
     sd_a = spec.noise_sd.get(ka, 0.0)
@@ -669,7 +665,7 @@ def synthetic_series(
     The 1y sub-series starts ``max(periods) - 1`` years early so every
     k-year value has a complete single-year window for diagnostics.
     """
-    coeffs = _as_fractions(trend)
+    poly = RatPoly(trend)
     ks = sorted(set(periods))
     if not ks:
         raise ValueError("periods must be nonempty")
@@ -677,11 +673,8 @@ def synthetic_series(
         raise ValueError(f"end_year {end_year} precedes start_year {start_year}")
     pad = max(ks) - 1
     obs: dict[tuple[int, int], float] = {}
-    for t in range(start_year - pad, end_year + 1):
-        obs[(1, t)] = float(_mu(coeffs, t))
-    for k in ks:
-        if k == 1:
-            continue
-        for t in range(start_year, end_year + 1):
-            obs[(k, t)] = float(_window_mean_mu(coeffs, k, t))
+    for k in sorted({1, *ks}):
+        w = sma(k)
+        for t in range(start_year - (pad if k == 1 else 0), end_year + 1):
+            obs[(k, t)] = float(_weighted_trend(poly, w, t))
     return MyeSeries(name, unit, obs)

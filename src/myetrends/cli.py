@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -48,23 +49,33 @@ from .myeseries import (
 _FORMATS = ("text", "json")
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _resolve_format(args: argparse.Namespace) -> str:
     if args.format:
         return args.format
     env = os.environ.get("MYETRENDS_FORMAT", "").strip().lower()
     return env if env in _FORMATS else "text"
+
+
+def _finite_or_null(value):
+    """``value`` with every NaN or infinity replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _report(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """Write a command's result: ``payload`` as JSON, or ``lines`` as text."""
+    if _resolve_format(args) == "json":
+        text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    else:
+        text = "\n".join(lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +145,16 @@ def _add_format_and_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--out", default=None, help="write output to this file instead of stdout")
 
 
+def _add_comparison_args(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_comparison_from_args` reads."""
+    p.add_argument("--mode", choices=MODES, required=True)
+    p.add_argument("--t0", type=int, required=True, help="end year of the comparison")
+    p.add_argument("--reference-period", type=int, default=None, help="region A period (default: 1, or the other period for untimely)")
+    p.add_argument("--other-period", type=int, default=3, help="region B period (default 3)")
+    p.add_argument("--degree", type=int, default=1, help="proper mode: trend degree (default 1)")
+    p.add_argument("--periods", type=_parse_periods, default=None, help="proper mode: design periods (default: the periods involved)")
+
+
 def _load_series_arg(path: str):
     """A CLI input is a CSV path, or the name of a bundled sample."""
     if path in sample_names():
@@ -156,38 +177,24 @@ def cmd_design(parser, args) -> int:
     spec = _design_from_args(parser, args.degree, args.periods)
     fs = design_filters(spec)
     report = verify_filter_set(fs)
-    if _resolve_format(args) == "json":
-        payload = {
-            "filters": fs.to_dict(),
-            "verification": {
-                "passed": report.passed,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "residual": c.residual}
-                    for c in report.checks
-                ],
-            },
-        }
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [f"design: {fs.spec}"]
-        lines.append(f"phi    : {fs.phi}")
-        for k in fs.spec.periods:
-            lines.append(f"psi[{k}] : {fs.psi[k]}")
-        lines.append(f"common : {fs.common}")
-        for k in fs.spec.periods:
-            vif = variance_inflation(fs.psi[k])
-            lines.append(f"variance inflation psi[{k}]: {vif} ({float(vif):.2f})")
-        lines.append("verification:")
-        lines.append(str(report))
-        lines.append("all checks passed" if report.passed else "VERIFICATION FAILED")
-        _emit("\n".join(lines) + "\n", args.out)
+    checks = [{"name": c.name, "passed": c.passed, "residual": c.residual} for c in report.checks]
+    payload = {"filters": fs.to_dict(), "verification": {"passed": report.passed, "checks": checks}}
+    lines = [f"design: {fs.spec}", f"phi    : {fs.phi}"]
+    lines += [f"psi[{k}] : {fs.psi[k]}" for k in fs.spec.periods]
+    lines.append(f"common : {fs.common}")
+    for k in fs.spec.periods:
+        vif = variance_inflation(fs.psi[k])
+        lines.append(f"variance inflation psi[{k}]: {vif} ({float(vif):.2f})")
+    lines += ["verification:", str(report)]
+    lines.append("all checks passed" if report.passed else "VERIFICATION FAILED")
+    _report(args, payload, lines)
     return 0 if report.passed else 1
 
 
 def cmd_impute(parser, args) -> int:
     series = _load_series_arg(args.input)
     filled = impute_random_walk(series, args.targets)
-    _emit(write_csv(filled), args.out)
+    write_csv(filled, args.out or sys.stdout)
     return 0
 
 
@@ -198,20 +205,15 @@ def cmd_trends(parser, args) -> int:
     fs = design_filters(spec)
     te = trend_estimates(series, fs, args.t0)
     dec = display_decimals(series.unit)
-    if _resolve_format(args) == "json":
-        payload = te.to_dict()
-        payload["series"] = series.name
-        payload["unit"] = series.unit
-        payload["rendered"] = {str(k): render_value(v, dec) for k, v in te.values.items()}
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [
-            f"trend estimates for {series.name} at {te.at} "
-            f"(degree {spec.degree}, periods {','.join(map(str, spec.periods))})"
-        ]
-        for k in spec.periods:
-            lines.append(f"  {k}y: {render_value(te.values[k], dec)}")
-        _emit("\n".join(lines) + "\n", args.out)
+    rendered = {k: render_value(v, dec) for k, v in te.values.items()}
+    payload = {**te.to_dict(), "series": series.name, "unit": series.unit,
+               "rendered": {str(k): v for k, v in rendered.items()}}
+    lines = [
+        f"trend estimates for {series.name} at {te.at} "
+        f"(degree {spec.degree}, periods {','.join(map(str, spec.periods))})"
+    ]
+    lines += [f"  {k}y: {rendered[k]}" for k in spec.periods]
+    _report(args, payload, lines)
     return 0
 
 
@@ -223,17 +225,12 @@ def cmd_compat(parser, args) -> int:
     report = compatibility(
         series, periods, log_base=args.log_base, include_imputed=not args.exclude_imputed
     )
-    if _resolve_format(args) == "json":
-        _emit(_dump_json(report.to_dict()), args.out)
-    else:
-        scope = "imputed excluded" if args.exclude_imputed else "imputed included"
-        lines = [f"compatibility for {series.name} (log base {report.log_base}, {scope})"]
-        for k, entry in sorted(report.entries.items()):
-            years = sorted(entry.nsr)
-            lines.append(
-                f"  C({k}y) = {render_value(entry.c, 3)}  over {years[0]}-{years[-1]}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    scope = "imputed excluded" if args.exclude_imputed else "imputed included"
+    lines = [f"compatibility for {series.name} (log base {report.log_base}, {scope})"]
+    for k, entry in sorted(report.entries.items()):
+        years = sorted(entry.nsr)
+        lines.append(f"  C({k}y) = {render_value(entry.c, 3)}  over {years[0]}-{years[-1]}")
+    _report(args, report.to_dict(), lines)
     return 0
 
 
@@ -258,17 +255,13 @@ def cmd_compare(parser, args) -> int:
     series_a = _load_series_arg(args.input_a)
     series_b = _load_series_arg(args.input_b)
     result = compare(RegionPair(series_a, series_b), cspec, fs)
-    if _resolve_format(args) == "json":
-        _emit(_dump_json(result.to_dict()), args.out)
-    else:
-        dec = display_decimals(series_a.unit)
-        _emit(
-            f"{args.mode} comparison of {series_a.name} at {args.t0}: "
-            f"a({result.reference_period_used}y) = {render_value(result.value_a, dec)}, "
-            f"b({result.other_period_used}y) = {render_value(result.value_b, dec)}, "
-            f"discrepancy = {result.percent()}%\n",
-            args.out,
-        )
+    dec = display_decimals(series_a.unit)
+    _report(args, result.to_dict(), [
+        f"{args.mode} comparison of {series_a.name} at {args.t0}: "
+        f"a({result.reference_period_used}y) = {render_value(result.value_a, dec)}, "
+        f"b({result.other_period_used}y) = {render_value(result.value_b, dec)}, "
+        f"discrepancy = {result.percent()}%"
+    ])
     return 0
 
 
@@ -292,19 +285,13 @@ def cmd_simulate(parser, args) -> int:
         parser.error(str(exc))
     summary = simulate_bias(sspec, fs)
     analytic = expected_bias(sspec.trend, cspec, fs)
-    if _resolve_format(args) == "json":
-        payload = summary.to_dict()
-        payload["expected_bias"] = analytic
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [
-            f"simulated {args.mode} comparison, {summary.replicates} replicates, seed {summary.seed}",
-            f"  bias          : {summary.bias!r}",
-            f"  expected bias : {analytic!r}",
-            f"  std error     : {summary.std_error!r}",
-            f"  var(a), var(b): {summary.var_a!r}, {summary.var_b!r}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    _report(args, {**summary.to_dict(), "expected_bias": analytic}, [
+        f"simulated {args.mode} comparison, {summary.replicates} replicates, seed {summary.seed}",
+        f"  bias          : {summary.bias!r}",
+        f"  expected bias : {analytic!r}",
+        f"  std error     : {summary.std_error!r}",
+        f"  var(a), var(b): {summary.var_a!r}, {summary.var_b!r}",
+    ])
     return 0
 
 
@@ -390,33 +377,22 @@ def demo_rows() -> list[dict]:
 def cmd_demo(parser, args) -> int:
     rows = demo_rows()
     failed = [r for r in rows if not r["pass"]]
-    if _resolve_format(args) == "json":
-        payload = {
-            "rows": rows,
-            "total": len(rows),
-            "failed": len(failed),
-            "passed": not failed,
-        }
-        _emit(_dump_json(payload), args.out)
-    else:
-        lines = [
-            "reference reproduction from bundled data",
-            "(proper-mode percentages use trend values at printed precision)",
-            "",
-            f"{'variable':<9} {'quantity':<28} {'computed':>10} {'expected':>10}  result",
-        ]
-        for r in rows:
-            flag = "ok" if r["pass"] else "FAIL"
-            lines.append(
-                f"{r['variable']:<9} {r['quantity']:<28} "
-                f"{r['computed']:>10} {r['expected']:>10}  {flag}"
-            )
-        lines.append("")
+    payload = {"rows": rows, "total": len(rows), "failed": len(failed), "passed": not failed}
+    lines = [
+        "reference reproduction from bundled data",
+        "(proper-mode percentages use trend values at printed precision)",
+        "",
+        f"{'variable':<9} {'quantity':<28} {'computed':>10} {'expected':>10}  result",
+    ]
+    for r in rows:
+        flag = "ok" if r["pass"] else "FAIL"
         lines.append(
-            f"{len(rows) - len(failed)}/{len(rows)} values reproduce"
-            + ("" if not failed else "  <-- MISMATCH")
+            f"{r['variable']:<9} {r['quantity']:<28} "
+            f"{r['computed']:>10} {r['expected']:>10}  {flag}"
         )
-        _emit("\n".join(lines) + "\n", args.out)
+    lines += ["", f"{len(rows) - len(failed)}/{len(rows)} values reproduce"
+              + ("" if not failed else "  <-- MISMATCH")]
+    _report(args, payload, lines)
     return 0 if not failed else 1
 
 
@@ -441,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impute", help="fill missing observations by random-walk forecasting")
     p.add_argument("--in", dest="input", required=True, help="input CSV path (or bundled sample name)")
     p.add_argument("--targets", type=_parse_targets, required=True, help="comma-separated PERIOD:ENDYEAR keys, e.g. 3:2006,5:2007")
-    _add_format_and_out(p)
+    p.add_argument("-o", "--out", default=None, help="write the CSV to this file instead of stdout")
     p.set_defaults(func=cmd_impute)
 
     p = sub.add_parser("trends", help="filtered trend estimates at one end year")
@@ -463,26 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare two regions' estimates at one end year")
     p.add_argument("--in-a", dest="input_a", required=True, help="region A CSV (reference side)")
     p.add_argument("--in-b", dest="input_b", required=True, help="region B CSV")
-    p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--t0", type=int, required=True)
-    p.add_argument("--reference-period", type=int, default=None, help="region A period (default: 1, or the other period for untimely)")
-    p.add_argument("--other-period", type=int, default=3, help="region B period (default 3)")
-    p.add_argument("--degree", type=int, default=1, help="proper mode: trend degree (default 1)")
-    p.add_argument("--periods", type=_parse_periods, default=None, help="proper mode: design periods (default: the periods involved)")
+    _add_comparison_args(p)
     _add_format_and_out(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="Monte Carlo comparison-bias experiment")
     p.add_argument("--trend", type=_parse_trend, required=True, help="trend coefficients a0,a1,... (fractions allowed)")
     p.add_argument("--noise", type=_parse_noise, default=0.0, help="noise sd: one number for all periods, or PERIOD:SD pairs")
-    p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--t0", type=int, required=True)
-    p.add_argument("--reference-period", type=int, default=None)
-    p.add_argument("--other-period", type=int, default=3)
     p.add_argument("--replicates", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=1, help="proper mode: trend degree (default 1)")
-    p.add_argument("--periods", type=_parse_periods, default=None, help="proper mode: design periods")
+    _add_comparison_args(p)
     _add_format_and_out(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -498,10 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except MyeTrendsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MyeTrendsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -223,7 +223,8 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
     reader = csv.DictReader(itertools.chain([first] if first else [], lines))
     if reader.fieldnames is None:
         raise CsvError(f"{name}: empty file, expected a header row")
-    fields = [f.strip() for f in reader.fieldnames]
+    # rows are read by these names, so strip them where they are looked up
+    reader.fieldnames = fields = [f.strip() for f in reader.fieldnames]
     missing = [c for c in _CSV_COLUMNS[:-1] if c not in fields]
     if missing:
         raise CsvError(f"{name}: header lacks required columns {missing}")

@@ -382,6 +382,12 @@ class TestCompare:
         with pytest.raises(DomainError, match="zero"):
             compare(pair, ComparisonSpec("inapt", 2000, 1, 3))
 
+    def test_overflowing_discrepancy_rejected(self):
+        a = MyeSeries("x", "count", {(1, 2000): 1e-300})
+        b = MyeSeries("x", "count", {(3, 2000): 1e300})
+        with pytest.raises(DomainError, match="not a finite number"):
+            compare(RegionPair(a, b), ComparisonSpec("inapt", 2000, 1, 3))
+
     def test_missing_observation_propagates(self):
         pair = RegionPair(full_sample("income"), full_sample("income"))
         with pytest.raises(MissingDataError):

@@ -84,6 +84,12 @@ class TestImpute:
         assert code == 1
         assert "error:" in err
 
+    def test_format_flag_rejected(self):
+        # impute writes CSV whatever the format, so it takes no --format
+        with pytest.raises(SystemExit) as exc:
+            main(["impute", *INCOME_ARGS, "--format", "json"])
+        assert exc.value.code == 2
+
     def test_malformed_targets_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["impute", "--in", "income", "--targets", "3-2006"])
@@ -213,6 +219,19 @@ class TestCompare:
                   "--mode", "inapt", "--t0", "2007", "--reference-period", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_discrepancy_exits_one(self, capsys, tmp_path, fmt):
+        paths = []
+        for name, row in (("a", "1,2000,1e-300"), ("b", "3,2000,1e300")):
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text(f"variable,unit,period,end_year,value\nx,count,{row}\n")
+        code, out, err = run(capsys, [
+            "compare", "--in-a", str(paths[0]), "--in-b", str(paths[1]),
+            "--mode", "inapt", "--t0", "2000", "--format", fmt,
+        ])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not a finite number" in err
+
     def test_proper_design_missing_period_is_usage_error(self, capsys, filled):
         code, out, err = run(capsys, [
             "compare", "--in-a", filled, "--in-b", filled,
@@ -281,6 +300,21 @@ class TestSimulate:
                                     "--mode", "inapt", "--t0", "2010", "--replicates", "10"])
         assert code == 0
         assert "std error" in out
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_json_is_strict(self, capsys):
+        # NaN and infinities go out as null, which every JSON parser accepts
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, out, _ = run(capsys, ["simulate", "--trend", "0,1", "--noise", "1e200",
+                                    "--mode", "inapt", "--t0", "2010", "--replicates", "10",
+                                    "--format", "json"])
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["var_a"] is None
+        assert payload["expected_bias"] == 1.0
 
 
 class TestDemo:

@@ -128,6 +128,12 @@ class TestLoadCsv:
         s = load_csv(io.StringIO(text))
         assert s.years(1) == (1999, 2000, 2007)
 
+    def test_whitespace_around_header_names(self):
+        text = " variable, unit,period,end_year,value , provenance\nx,count,1,2000,5,imputed\n"
+        s = load_csv(io.StringIO(text))
+        assert (s.name, s.unit, s.value(1, 2000)) == ("x", "count", 5.0)
+        assert s.provenance(1, 2000) == "imputed"
+
     def test_empty_file(self):
         with pytest.raises(CsvError, match="empty"):
             load_csv(io.StringIO(""))
