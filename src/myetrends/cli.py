@@ -6,9 +6,11 @@ diagnostics), ``compare`` (cross-region discrepancy), ``simulate`` (seeded
 Monte Carlo bias), and ``demo`` (reproduce the bundled-data reference
 results end to end).
 
-Exit codes: 0 success, 1 data or computation error, 2 usage error. Output
-format is ``--format``, else the MYETRENDS_FORMAT environment variable,
-else text; JSON output is key-sorted so identical runs are byte-identical.
+Exit codes: 0 success, 1 data or computation error, 2 usage error.
+``impute`` writes CSV; every other subcommand's output format is
+``--format``, else the MYETRENDS_FORMAT environment variable, else text.
+JSON output is key-sorted so identical runs are byte-identical, and writes
+NaN and infinities as null.
 The parsed argument namespace is the whole configuration; flags are
 validated before any computation starts.
 """

@@ -223,7 +223,7 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
     reader = csv.DictReader(itertools.chain([first] if first else [], lines))
     if reader.fieldnames is None:
         raise CsvError(f"{name}: empty file, expected a header row")
-    # rows are read by these names, so strip them where they are looked up
+    # rows are looked up by these names, so they must be the stripped ones
     reader.fieldnames = fields = [f.strip() for f in reader.fieldnames]
     missing = [c for c in _CSV_COLUMNS[:-1] if c not in fields]
     if missing:

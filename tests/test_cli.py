@@ -221,12 +221,11 @@ class TestCompare:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_overflowing_discrepancy_exits_one(self, capsys, tmp_path, fmt):
-        paths = []
-        for name, row in (("a", "1,2000,1e-300"), ("b", "3,2000,1e300")):
-            paths.append(tmp_path / f"{name}.csv")
-            paths[-1].write_text(f"variable,unit,period,end_year,value\nx,count,{row}\n")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("variable,unit,period,end_year,value\nx,count,1,2000,1e-300\n")
+        b.write_text("variable,unit,period,end_year,value\nx,count,3,2000,1e300\n")
         code, out, err = run(capsys, [
-            "compare", "--in-a", str(paths[0]), "--in-b", str(paths[1]),
+            "compare", "--in-a", str(a), "--in-b", str(b),
             "--mode", "inapt", "--t0", "2000", "--format", fmt,
         ])
         assert code == 1 and out == ""
