@@ -14,6 +14,11 @@ published, and without their 1y values so that proper mode falls back to
 another reference period), plus two longer synthetic regions whose trends
 differ, so that every quadratic filter window is complete.
 
+Another simulation digest covers specs whose noise falls on one side only
+or on neither (absent, ``0.0`` or ``-0.0``), in every mode and with
+both families, at 1, 65535, 65536, 65537 and 131073 replicates, including
+trends that are zero at ``t0`` and a subnormal noise sd.
+
 A last digest covers the command line: the stdout bytes and exit code of
 every subcommand, in text and in JSON where it has both.
 """
@@ -64,6 +69,28 @@ SIMULATIONS = (
     ((0, 1), {}, "proper", 2015, 65535, 12, 5, 1, "linear"),
 )
 
+# (mode, reference, other, family, trend, t0); each is run under every
+# entry of SIDED_NOISE, whose keys "a" and "b" stand for that spec's
+# reference and other period
+SIDED_CASES = (
+    ("inapt", 1, 3, None, (0, 1), 2010),
+    ("inapt", 1, 5, None, (5, -2, "1/3"), 2010),
+    ("untimely", 3, 3, None, (1, 2, 3), 2010),
+    ("untimely", 5, 5, None, (-2010, 1), 2010),
+    ("proper", 1, 5, "linear", (0, 1), 2015),
+    ("proper", 3, 5, "quadratic", (2, "1/2", -1), 2015),
+    ("proper", 5, 1, "quadratic", (-2015, 1), 2015),
+    ("proper", 1, 3, "linear", (0,), 2015),
+)
+SIDED_NOISE = (
+    {"a": 1.5},
+    {"b": 0.75},
+    {},
+    {"a": 0.0, "b": -0.0, 7: 2.0},
+    {"b": 5e-324},
+)
+SIDED_REPLICATES = (1, 65535, 65536, 65537, 131073)
+
 COMPARISONS = (
     ("inapt", 1, 3), ("inapt", 1, 5),
     ("untimely", 3, 3), ("untimely", 5, 5),
@@ -100,6 +127,19 @@ def simulation_payload() -> list:
         spec = SimulationSpec(trend, noise, mode, t0, reps, seed, ref, other)
         summary = simulate_bias(spec, FAMILIES.get(family))
         out.append([mode, reps, seed, ref, other, family, summary.to_dict()])
+    return out
+
+
+def sided_simulation_payload() -> list:
+    out = []
+    for i, (mode, ref, other, family, trend, t0) in enumerate(SIDED_CASES):
+        for j, noise in enumerate(SIDED_NOISE):
+            sds = {{"a": ref, "b": other}.get(k, k): sd for k, sd in noise.items()}
+            reps = SIDED_REPLICATES[(i + j) % len(SIDED_REPLICATES)]
+            spec = SimulationSpec(trend, sds, mode, t0, reps, 100 + i, ref, other)
+            summary = simulate_bias(spec, FAMILIES.get(family))
+            out.append([mode, ref, other, family, sorted(sds.items()), reps,
+                        summary.to_dict()])
     return out
 
 
@@ -151,12 +191,14 @@ def compare_payload() -> list:
 
 GOLDEN = {
     "simulate_bias": "e7e6bfe85948dae608cdad746a9088528db97de6f3dde9fdf71f98d6554856a1",
+    "simulate_bias_sided": "165d866e19cd6e95ceb51db6e19fc7c131fd73edda09f132974a459928c3079a",
     "expected_bias": "839a21a7b29979a2653be6a777f14b3dba3df13384ee17afe3bf4ac7cd1aa368",
     "compare": "62638d34bef92784ad127abf24104d5f66a69553fcddfc8068ae7904bc7e04f3",
 }
 
 PAYLOADS = {
     "simulate_bias": simulation_payload,
+    "simulate_bias_sided": sided_simulation_payload,
     "expected_bias": expected_bias_payload,
     "compare": compare_payload,
 }
