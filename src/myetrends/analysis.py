@@ -82,6 +82,8 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, t: int) -> fl
     ------
     MissingDataError
         Listing every absent ``(period, year)`` the window needs.
+    DomainError
+        If the weighted sum leaves the float range.
     """
     n = weights.degree + 1
     missing = [(period, t - j) for j in range(n) if not series.has(period, t - j)]
@@ -90,7 +92,13 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, t: int) -> fl
             f"{series.name}: filter window needs missing observations {missing}"
         )
     ws = weights.as_floats()
-    return math.fsum(w * series.value(period, t - j) for j, w in enumerate(ws))
+    try:
+        total = math.fsum(w * series.value(period, t - j) for j, w in enumerate(ws))
+    except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"{series.name}: {period}y filter ending {t} overflows the float range")
+    return total
 
 
 @dataclass(frozen=True)
@@ -567,9 +575,13 @@ def simulate_bias(
 
     ``quantile`` maps uniforms in (0, 1) to draws of a mean-zero,
     unit-scale distribution (inverse CDF); the default is standard normal.
-    Each replicate consumes a fixed number of uniforms from its own
-    counter-derived substream, so any two runs with the same spec agree
-    byte for byte regardless of batching or parallel scheduling.
+    Each replicate owns a fixed run of Philox words, one per weight of
+    either side, at a counter offset set by its index alone, so any two
+    runs with the same spec agree byte for byte regardless of batching or
+    parallel scheduling. Only a side whose noise sd is nonzero maps its
+    words to uniforms and passes them through ``quantile``; a silent side
+    contributes exact zeros and moves no other draw, and with both sides
+    silent no words are generated at all.
 
     Returns
     -------
@@ -591,22 +603,27 @@ def simulate_bias(
 
     sd_a = spec.noise_sd.get(ka, 0.0)
     sd_b = spec.noise_sd.get(kb, 0.0)
-    n_a, n_b = len(wa), len(wb)
-    draws = n_a + n_b
+    n_a = len(wa)
+    draws = n_a + len(wb)
     blocks_per_rep = max(1, -(-draws // 4))  # Philox emits 4 words per block
+
+    def side_noise(words: np.ndarray, w: np.ndarray, sd: float) -> np.ndarray:
+        """One side's noise per replicate, from its columns of words."""
+        if sd == 0.0:
+            return np.zeros(len(words))
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return (np.asarray(quantile(u), dtype=np.float64) @ w) * sd
 
     total = spec.replicates
     sum_d = sumsq_d = 0.0
     sum_a = sumsq_a = 0.0
     sum_b = sumsq_b = 0.0
-    for start in range(0, total, _BATCH):
+    for start in range(0, total, _BATCH) if sd_a or sd_b else ():
         m = min(_BATCH, total - start)
         bitgen = np.random.Philox(key=spec.seed, counter=start * blocks_per_rep)
         raw = bitgen.random_raw(m * blocks_per_rep * 4).reshape(m, blocks_per_rep * 4)
-        u = ((raw[:, :draws] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        z = np.asarray(quantile(u), dtype=np.float64)
-        noise_a = (z[:, :n_a] @ wa) * sd_a
-        noise_b = (z[:, n_a:draws] @ wb) * sd_b
+        noise_a = side_noise(raw[:, :n_a], wa, sd_a)
+        noise_b = side_noise(raw[:, n_a:draws], wb, sd_b)
         d = noise_a - noise_b
         sum_d += float(d.sum())
         sumsq_d += float((d * d).sum())

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import IO, Iterable, Mapping, Sequence, Union
 
-from .exceptions import CsvError, DataError, ImputationError, MissingDataError
+from .exceptions import CsvError, DataError, DomainError, ImputationError, MissingDataError
 
 __all__ = [
     "PUBLISHED",
@@ -311,6 +311,8 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     ------
     MissingDataError
         Listing the years whose 1y values are absent.
+    DomainError
+        If the window's sum leaves the float range.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -321,7 +323,16 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
             f"{series.name}: 1y values missing for years {gaps} "
             f"(window of {period} ending {end_year})"
         )
-    return math.fsum(series.value(1, t) for t in window) / period
+    try:
+        total = math.fsum(series.value(1, t) for t in window)
+    except (OverflowError, ValueError):  # a partial sum past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(
+            f"{series.name}: sum of the 1y values in the window of {period} "
+            f"ending {end_year} overflows the float range"
+        )
+    return total / period
 
 
 def impute_random_walk(

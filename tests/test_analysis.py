@@ -140,6 +140,16 @@ class TestApplyFilter:
         expect = apply_filter(LINEAR.psi[5], full, 5, 2007)
         assert apply_filter(LINEAR.psi[5], s, 5, 2007) == expect
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(1, 1), (2, -2), (2,)],
+        ids=["overflowing-sum", "inf-minus-inf", "overflowing-product"],
+    )
+    def test_overflow_is_a_domain_error(self, weights):
+        s = MyeSeries("big", "count", {(3, 2001): 1.7e308, (3, 2002): 1.7e308})
+        with pytest.raises(DomainError, match="big: 3y filter ending 2002 overflows"):
+            apply_filter(RatPoly(weights), s, 3, 2002)
+
 
 class TestTrendEstimates:
     EXPECT = {

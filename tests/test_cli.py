@@ -241,6 +241,29 @@ class TestCompare:
         assert "usage error:" in err
 
 
+class TestFloatOverflow:
+    """Values near the float limit whose filtered or averaged sums overflow."""
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        rows = [f"big,count,{k},{t},1.7e308" for k in (1, 3, 5) for t in range(1980, 2003)]
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(["variable,unit,period,end_year,value", *rows]) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv,where", [
+        (["trends", "--t0", "2002", "--degree", "1", "--periods", "3,5"],
+         "big: 3y filter ending 2002"),
+        (["trends", "--t0", "2002", "--degree", "2", "--periods", "3,5"],
+         "big: 3y filter ending 2002"),
+        (["compat"], "big: sum of the 1y values in the window of 3 ending 1982"),
+    ], ids=["trends-degree-1", "trends-degree-2", "compat"])
+    def test_exits_one_naming_the_window(self, capsys, big, argv, where):
+        code, out, err = run(capsys, [*argv, "--in", big])
+        assert code == 1 and out == ""
+        assert err == f"error: {where} overflows the float range\n"
+
+
 class TestSimulate:
     ARGS = ["simulate", "--trend", "0,1", "--mode", "inapt",
             "--t0", "100", "--other-period", "5", "--replicates", "50"]

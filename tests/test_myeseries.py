@@ -12,6 +12,7 @@ from myetrends.datasets import STANDARD_TARGETS, load_sample, sample_names
 from myetrends.exceptions import (
     CsvError,
     DataError,
+    DomainError,
     ImputationError,
     MissingDataError,
 )
@@ -265,6 +266,11 @@ class TestSmaOfBase:
     def test_bad_period(self):
         with pytest.raises(ValueError):
             sma_of_base(load_sample("income"), 0, 2005)
+
+    def test_overflowing_sum_is_a_domain_error(self):
+        s = MyeSeries("big", "count", {(1, 2001): 1.7e308, (1, 2002): 1.7e308})
+        with pytest.raises(DomainError, match="big: .*window of 2 ending 2002 overflows"):
+            sma_of_base(s, 2, 2002)
 
 
 class TestImputation:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from myetrends.analysis import (
     ComparisonSpec,
@@ -14,6 +15,7 @@ from myetrends.analysis import (
     simulate_bias,
 )
 from myetrends.filterdesign import DesignSpec, design_filters
+from myetrends.ratpoly import RatPoly
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
 QUADRATIC = design_filters(DesignSpec((1, 3, 5), 2))
@@ -204,6 +206,52 @@ class TestQuantilePluggability:
         got = simulate_bias(spec, quantile=lambda u: 2.0 * u - 1.0)
         assert got.var_a == pytest.approx(1 / 3, rel=0.03)
         assert got.bias == pytest.approx(0.0, abs=5 * got.std_error)
+
+
+class TestQuantileInput:
+    """``quantile`` sees only the columns of sides whose noise sd is nonzero."""
+
+    @staticmethod
+    def counting():
+        widths = []
+
+        def quantile(u):
+            widths.append(u.shape)
+            return ndtri(u)
+
+        return widths, quantile
+
+    @pytest.mark.parametrize("noise", [{}, {1: 0.0, 3: -0.0, 5: 1.0}])
+    def test_zero_noise_never_calls_it(self, noise):
+        widths, quantile = self.counting()
+        spec = make_spec(noise_sd=noise, replicates=70_000)
+        assert simulate_bias(spec, quantile=quantile) == simulate_bias(spec)
+        assert widths == []
+
+    def test_one_noisy_side_passes_its_columns_only(self):
+        # psi[1] of the linear {1,3,5} family has 8 weights and psi[5] has 4:
+        # each replicate owns 12 words, of which the 1y side maps 8
+        assert (len(LINEAR.psi[1].coeffs), len(LINEAR.psi[5].coeffs)) == (8, 4)
+        widths, quantile = self.counting()
+        spec = make_spec(mode="proper", other_period=5, noise_sd={1: 2.0},
+                         replicates=70_000, seed=3)
+        assert simulate_bias(spec, LINEAR, quantile=quantile) == simulate_bias(spec, LINEAR)
+        assert widths == [(1 << 16, 8), (70_000 - (1 << 16), 8)]
+
+    @pytest.mark.parametrize("noise,silent", [({1: 1.0}, "b"), ({5: 1.0}, "a")])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_silent_side_is_exact(self, noise, silent, nan):
+        # inapt 1 vs 5: side a is the trend at t0, side b its 5-year mean
+        trend = RatPoly((F(1, 3), F(2, 7), F(-1, 11)))
+        det = {"a": trend.evaluate(2010), "b": sum(trend.evaluate(2010 - j) for j in range(5)) / 5}
+        spec = make_spec(trend=trend.coeffs, mode="inapt", other_period=5, t0=2010,
+                         noise_sd=noise, replicates=1000)
+        quantile = (lambda u: np.full_like(u, np.nan)) if nan else ndtri
+        s = simulate_bias(spec, quantile=quantile)
+        assert getattr(s, f"var_{silent}") == 0.0
+        assert getattr(s, f"mean_{silent}") == float(det[silent])
+        noisy = "a" if silent == "b" else "b"
+        assert math.isnan(getattr(s, f"var_{noisy}")) == nan
 
 
 class TestGaussianStatistics:
