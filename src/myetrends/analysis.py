@@ -638,6 +638,9 @@ def simulate_bias(
     def _sample_var(s: float, ss: float) -> float:
         if total < 2:
             return math.nan if math.isnan(s) or math.isnan(ss) else 0.0
+        if ss == math.inf and not math.isnan(s):
+            # the squared sums overflowed, where ss - total * sq reads inf - inf
+            return math.inf
         try:
             sq = (s / total) ** 2
         except OverflowError:

@@ -12,7 +12,11 @@ class MyeTrendsError(Exception):
 
 
 class DesignInfeasibleError(MyeTrendsError):
-    """The filter design constraint system has no solution."""
+    """The filter design constraint system has no solution.
+
+    Design no longer raises it: the constraints have a solution for every
+    period set and degree. The class stays for code that catches it.
+    """
 
 
 class DataError(MyeTrendsError):

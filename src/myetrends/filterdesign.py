@@ -11,13 +11,17 @@ trend degree ``d``, one concurrent filter per period such that
 * that shared composite reproduces any polynomial trend of degree at most
   ``d`` exactly.
 
-The construction solves a small linear system over the rationals: writing
-``theta`` for the product of all the rolling-average polynomials, find the
-shortest ``phi`` with ``phi * theta`` having weight sum 1 and vanishing
-derivatives at ``z = 1`` through order ``d``. The filter for period ``k`` is
-then ``phi`` times the product of the *other* periods' averaging
-polynomials, and the shared composite is ``phi * theta``. All arithmetic is
-exact, and :func:`verify_filter_set` re-checks every property from scratch.
+Writing ``theta`` for the product of all the rolling-average polynomials,
+the construction needs the shortest ``phi`` with ``phi * theta`` having
+weight sum 1 and vanishing derivatives at ``z = 1`` through order ``d``,
+that is, ``phi * theta - 1`` divisible by ``(z - 1)**(d + 1)``. Every
+average has weight sum 1, so ``theta(1) = 1`` and ``phi`` is the power-series
+inverse of ``theta`` about ``z = 1``, cut after the ``d``-th power of
+``1 - z``: only polynomial algebra, and a solution for every period set and
+degree. The filter for period ``k`` is then ``phi`` times the product of the
+*other* periods' averaging polynomials, and the shared composite is
+``phi * theta``. All arithmetic is exact, and :func:`verify_filter_set`
+re-checks every property from scratch.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exceptions import DesignInfeasibleError
 from .ratpoly import ONE, RatPoly, sma
 
 __all__ = [
@@ -37,15 +40,10 @@ __all__ = [
     "FilterSet",
     "VerificationCheck",
     "VerificationReport",
-    "sma_product",
-    "constraint_matrix",
-    "solve_phi",
     "design_filters",
     "verify_filter_set",
     "variance_inflation",
 ]
-
-RationalMatrix = list[list[Fraction]]
 
 # Above this trend degree the design is exact but numerically extreme once
 # coefficients are floated, and rarely of practical use.
@@ -94,7 +92,8 @@ class FilterSet:
     spec : DesignSpec
         The request this family answers.
     phi : RatPoly
-        The shared correction polynomial from the constraint solve.
+        The shared correction polynomial: the inverse of the averages'
+        product about ``z = 1``, cut after the trend degree.
     psi : dict
         Per-period concurrent filters, keyed by period. ``psi[k]`` applies
         to the ``k``-period rolling-average series.
@@ -147,78 +146,22 @@ def _poly_from_strings(items: Sequence[str]) -> RatPoly:
     return RatPoly([Fraction(s) for s in items])
 
 
-def sma_product(periods: Iterable[int]) -> RatPoly:
-    """Product of the rolling-average polynomials for the given periods."""
-    return math.prod((sma(k) for k in periods), start=ONE)
+def _series_inverse(theta: RatPoly, degree: int) -> RatPoly:
+    """The polynomial of degree <= ``degree`` that inverts ``theta`` near ``z = 1``.
 
-
-def constraint_matrix(spec: DesignSpec, theta: Optional[RatPoly] = None) -> RationalMatrix:
-    """Exact matrix of the design constraints for ``spec``.
-
-    Row ``j`` (0-based) holds the ``j``-th derivative at ``z = 1`` of
-    ``z**c * theta`` for column ``c``, where ``theta`` is the product of all
-    the periods' averaging polynomials (pass it if already computed).
-    Solving against the unit vector ``(1, 0, ..., 0)`` enforces weight sum
-    1 and vanishing derivatives through order ``spec.degree`` on
-    ``phi * theta``.
+    With ``w = 1 - z``, ``theta(1 - w) = sum a_i w**i`` has ``a_0 = theta(1)
+    = 1``, so its power-series inverse ``sum b_n w**n`` follows from ``b_0 =
+    1`` and ``b_n = -sum_{i=1..n} a_i b_{n-i}``. Cutting it after
+    ``w**degree`` and expanding ``(1 - z)**n`` binomially gives the result.
     """
-    if theta is None:
-        theta = sma_product(spec.periods)
-    # By the product rule, the j-th derivative of z**c * theta at z = 1 is
-    # sum_i C(j, i) * perm(c, i) * theta^(j-i)(1); precomputing theta's
-    # derivatives makes each entry a short integer-weighted sum.
-    size = spec.degree + 1
-    derivs = [theta.derivative_at_one(j) for j in range(size)]
-    return [
-        [
-            sum(
-                (math.comb(j, i) * math.perm(c, i)) * derivs[j - i]
-                for i in range(0, min(j, c) + 1)
-            )
-            for c in range(size)
-        ]
-        for j in range(size)
-    ]
-
-
-def solve_phi(matrix: RationalMatrix) -> RatPoly:
-    """Solve the constraint system for the correction polynomial.
-
-    Runs exact Gaussian elimination on ``matrix`` against the right-hand
-    side ``(1, 0, ..., 0)`` and returns the solution as a polynomial.
-
-    Raises
-    ------
-    DesignInfeasibleError
-        If the matrix is singular.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("constraint matrix must be square")
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(1 if i == 0 else 0)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise DesignInfeasibleError(
-                f"design infeasible: singular constraint matrix of size {n}"
-            )
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / aug[col][col]
-            if factor == 0:
-                continue
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    coeffs = [Fraction(0)] * n
-    for row in range(n - 1, -1, -1):
-        acc = aug[row][n]
-        for c in range(row + 1, n):
-            acc -= aug[row][c] * coeffs[c]
-        coeffs[row] = acc / aug[row][row]
-    return RatPoly(coeffs)
+    a = [(-1) ** i * theta.derivative_at_one(i) / math.factorial(i) for i in range(degree + 1)]
+    b = [Fraction(1)]
+    for n in range(1, degree + 1):
+        b.append(-sum(a[i] * b[n - i] for i in range(1, n + 1)))
+    return RatPoly(
+        (-1) ** m * sum(math.comb(n, m) * b[n] for n in range(m, degree + 1))
+        for m in range(degree + 1)
+    )
 
 
 def design_filters(spec: DesignSpec) -> FilterSet:
@@ -236,10 +179,7 @@ def design_filters(spec: DesignSpec) -> FilterSet:
         )
     averages = {k: sma(k) for k in spec.periods}
     theta = math.prod(averages.values(), start=ONE)
-    try:
-        phi = solve_phi(constraint_matrix(spec, theta))
-    except DesignInfeasibleError as exc:
-        raise DesignInfeasibleError(f"design infeasible for {spec}: {exc}") from exc
+    phi = _series_inverse(theta, spec.degree)
     psi = {
         k: phi * math.prod((a for m, a in averages.items() if m != k), start=ONE)
         for k in spec.periods

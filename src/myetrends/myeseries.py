@@ -24,7 +24,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .exceptions import CsvError, DataError, DomainError, ImputationError, MissingDataError
@@ -411,8 +411,11 @@ def render_value(x: float, decimals: int = 0) -> str:
 def _decimal_render(x: float, decimals: int) -> Decimal:
     if decimals < 0:
         raise ValueError(f"decimals must be >= 0, got {decimals}")
-    quantum = Decimal(1).scaleb(-decimals)
-    return Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP)
+    d = Decimal(repr(float(x)))
+    # digits before the point, the decimals and a carry, so quantize never
+    # runs out of the default context's 28 digits
+    ctx = Context(prec=max(d.adjusted(), 0) + decimals + 2)
+    return d.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP, context=ctx)
 
 
 def display_decimals(unit: str) -> int:

@@ -263,6 +263,13 @@ class TestFloatOverflow:
         assert code == 1 and out == ""
         assert err == f"error: {where} overflows the float range\n"
 
+    def test_renders_values_past_28_digits(self, capsys, big):
+        # degree 0 needs no sum that overflows, only long fixed-point output
+        code, out, err = run(capsys, ["trends", "--t0", "2002", "--degree", "0",
+                                      "--periods", "1,3,5", "--in", big])
+        assert code == 0 and err == ""
+        assert f"  1y: 17{'0' * 307}\n" in out
+
 
 class TestSimulate:
     ARGS = ["simulate", "--trend", "0,1", "--mode", "inapt",

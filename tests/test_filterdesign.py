@@ -1,7 +1,9 @@
-"""Filter family construction: frozen designs, invariants, and an
-independent symbolic-differentiation oracle for the constraint matrix."""
+"""Filter family construction: frozen designs, invariants, and independent
+sympy oracles for the design constraints."""
 
 import itertools
+import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -9,18 +11,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myetrends.exceptions import DesignInfeasibleError
 from myetrends.filterdesign import (
     DesignSpec,
     FilterSet,
-    constraint_matrix,
     design_filters,
-    solve_phi,
-    sma_product,
     variance_inflation,
     verify_filter_set,
 )
 from myetrends.ratpoly import RatPoly, sma
+
+Z = sympy.Symbol("z")
 
 
 def coeffs_over(p, den):
@@ -43,61 +43,116 @@ class TestDesignSpec:
             DesignSpec(periods, degree)
 
 
+def sympy_constraint_matrix(periods, degree):
+    """Row j, column c: the j-th derivative at z = 1 of z**c * theta, by sympy.
+
+    phi solves the design constraints exactly when this matrix times phi's
+    coefficients is (1, 0, ..., 0).
+    """
+    theta = sympy.prod([sum(Z**i for i in range(k)) / k for k in periods])
+    return [
+        [sympy.diff(Z**c * theta, Z, j).subs(Z, 1) for c in range(degree + 1)]
+        for j in range(degree + 1)
+    ]
+
+
+def solves_constraints(matrix, phi):
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in phi.coeffs]
+    cs += [0] * (len(matrix) - len(cs))
+    return [sum(a * b for a, b in zip(row, cs)) for row in matrix] == [1] + [0] * (
+        len(matrix) - 1
+    )
+
+
 class TestConstraintMatrix:
     def test_linear_example(self):
-        m = constraint_matrix(DesignSpec((1, 3, 5), 1))
-        assert m == [[F(1), F(1)], [F(3), F(4)]]
+        m = sympy_constraint_matrix((1, 3, 5), 1)
+        assert m == [[1, 1], [3, 4]]
+        assert solves_constraints(m, design_filters(DesignSpec((1, 3, 5), 1)).phi)
 
     def test_quadratic_example(self):
-        m = constraint_matrix(DesignSpec((1, 3, 5), 2))
+        m = sympy_constraint_matrix((1, 3, 5), 2)
         assert m == [
-            [F(1), F(1), F(1)],
-            [F(3), F(4), F(5)],
-            [F(26, 3), F(44, 3), F(68, 3)],
+            [1, 1, 1],
+            [3, 4, 5],
+            [sympy.Rational(26, 3), sympy.Rational(44, 3), sympy.Rational(68, 3)],
         ]
+        assert solves_constraints(m, design_filters(DesignSpec((1, 3, 5), 2)).phi)
 
     @pytest.mark.parametrize(
         "periods,degree",
         [((1, 3, 5), 3), ((3, 5), 2), ((2, 4), 2), ((1, 2, 3, 4), 2), ((7,), 4)],
     )
     def test_matches_symbolic_differentiation(self, periods, degree):
-        # Independent oracle: build theta in sympy, differentiate z**c * theta
-        # symbolically, evaluate at z = 1.
-        z = sympy.Symbol("z")
-        theta_sym = sympy.prod(
-            [sum(z**i for i in range(k)) / k for k in periods]
-        )
-        m = constraint_matrix(DesignSpec(periods, degree))
-        for row in range(degree + 1):
-            for col in range(degree + 1):
-                expected = sympy.diff(z**col * theta_sym, z, row).subs(z, 1)
-                expected = sympy.nsimplify(sympy.together(expected))
-                got = m[row][col]
-                assert sympy.Rational(got.numerator, got.denominator) == expected
+        # the exact derivatives the design and verifier take agree with
+        # sympy's, and the designed phi solves sympy's constraint system
+        m = sympy_constraint_matrix(periods, degree)
+        theta = math.prod((sma(k) for k in periods), start=RatPoly([1]))
+        for j in range(degree + 1):
+            for c in range(degree + 1):
+                got = theta.shift(c).derivative_at_one(j)
+                assert sympy.Rational(got.numerator, got.denominator) == m[j][c]
+        assert solves_constraints(m, design_filters(DesignSpec(periods, degree)).phi)
 
 
 class TestSolvePhi:
     def test_linear_solution(self):
-        phi = solve_phi(constraint_matrix(DesignSpec((1, 3, 5), 1)))
+        phi = design_filters(DesignSpec((1, 3, 5), 1)).phi
         assert phi == RatPoly([4, -3])
 
     def test_quadratic_solution(self):
-        phi = solve_phi(constraint_matrix(DesignSpec((1, 3, 5), 2)))
+        phi = design_filters(DesignSpec((1, 3, 5), 2)).phi
         assert coeffs_over(phi, 3) == (26, -37, 14)
 
-    def test_singular_matrix_raises(self):
-        singular = [[F(1), F(2)], [F(2), F(4)]]
-        with pytest.raises(DesignInfeasibleError, match="infeasible"):
-            solve_phi(singular)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            solve_phi([[F(1), F(2)]])
+# the prefixes (1,) ... (1, ..., 7), four more sets with 3 and 5, and three
+# without period 1
+ORACLE_PERIOD_SETS = [tuple(range(1, n + 1)) for n in range(1, 8)] + [
+    (3,),
+    (5,),
+    (1, 3),
+    (1, 3, 5),
+    (3, 5),
+    (2, 4),
+    (7,),
+]
 
-    def test_pivoting_handles_zero_leading_entry(self):
-        # solves [[0,1],[1,0]] x = (1,0) -> x = (0,1).
-        m = [[F(0), F(1)], [F(1), F(0)]]
-        assert solve_phi(m) == RatPoly([0, 1])
+
+class TestSeriesInverseOracle:
+    """phi is pinned by divisibility alone, checked in sympy.
+
+    A polynomial phi of degree <= d with (z - 1)**(d+1) dividing
+    phi * theta - 1 is unique, so this fixes every coefficient without
+    reading any intermediate of the design.
+    """
+
+    @pytest.mark.parametrize("periods", ORACLE_PERIOD_SETS, ids=str)
+    def test_phi_inverts_theta_to_order_d(self, periods):
+        theta = sympy.Poly(
+            sympy.prod([sum(Z**i for i in range(k)) / k for k in periods]), Z
+        )
+        for degree in range(9):
+            phi = design_filters(DesignSpec(periods, degree)).phi
+            assert phi.degree <= degree
+            phi_sym = sympy.Poly(
+                [sympy.Rational(c.numerator, c.denominator) for c in reversed(phi.coeffs)],
+                Z,
+            )
+            residual = phi_sym * theta - 1
+            assert residual.rem(sympy.Poly((Z - 1) ** (degree + 1), Z)).is_zero, (
+                f"{periods} d={degree}"
+            )
+
+    @given(
+        periods=st.sets(st.integers(min_value=1, max_value=9), min_size=1),
+        degree=st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_designs_verify(self, periods, degree):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fs = design_filters(DesignSpec(periods, degree))
+        assert verify_filter_set(fs).passed
 
 
 class TestDesignedFamilies:
@@ -251,11 +306,19 @@ class TestSerialization:
 
 
 class TestSmaProduct:
+    """theta, the product of every period's average, as the design builds it:
+    at degree 0, phi is 1 and the composite is theta itself."""
+
     def test_known_product(self):
-        assert coeffs_over(sma_product((3, 5)), 15) == (1, 2, 3, 3, 3, 2, 1)
+        common = design_filters(DesignSpec((3, 5), 0)).common
+        assert coeffs_over(common, 15) == (1, 2, 3, 3, 3, 2, 1)
 
     def test_period_one_is_neutral(self):
-        assert sma_product((1, 3, 5)) == sma_product((3, 5))
+        with_one = design_filters(DesignSpec((1, 3, 5), 0)).common
+        assert with_one == design_filters(DesignSpec((3, 5), 0)).common
 
     def test_empty_product_is_identity(self):
-        assert sma_product(()) == RatPoly([1])
+        # one period leaves no other averages to multiply, so psi is phi
+        for degree in range(4):
+            fs = design_filters(DesignSpec((7,), degree))
+            assert fs.psi[7] == fs.phi

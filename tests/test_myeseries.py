@@ -383,6 +383,18 @@ class TestRendering:
     def test_render_value(self, x, dec, text):
         assert render_value(x, dec) == text
 
+    @pytest.mark.parametrize(
+        "x,dec,text",
+        [
+            (1e28, 0, "1" + "0" * 28),
+            (1.7e308, 2, "17" + "0" * 307 + ".00"),
+            (-9.5e40, 0, "-95" + "0" * 39),
+        ],
+    )
+    def test_render_value_past_28_digits(self, x, dec, text):
+        # more digits than the default decimal context holds
+        assert render_value(x, dec) == text
+
     def test_round_half_away(self):
         assert round_half_away(41327.5) == 41328.0
         assert round_half_away(-41327.5) == -41328.0

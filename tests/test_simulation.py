@@ -62,6 +62,16 @@ class TestSpecValidation:
         spec = SimulationSpec((0, 1), {1: 1e200, 3: 1e200}, "inapt", 2010, 10, 1, 1, 3)
         assert isinstance(simulate_bias(spec), SimulationSummary)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowed_variances_are_infinite(self):
+        # what `simulate --trend 0,1 --noise 1e200 --mode inapt --t0 2010
+        # --replicates 10` runs: the squared noise sums overflow, and
+        # inf - inf used to read NaN
+        spec = SimulationSpec((0, 1), {1: 1e200, 3: 1e200}, "inapt", 2010, 10, 0, 1, 3)
+        s = simulate_bias(spec)
+        assert s.var_a == s.var_b == s.std_error == math.inf
+        assert math.isfinite(s.mean_a) and math.isfinite(s.mean_b)
+
     @pytest.mark.parametrize("args, field, bits", [
         (((-4, 2), {1: 0.0006827959543858031, 3: 2.740005230098117, 5: 0.716306221723573},
           "inapt", 2010, 3, 2153398158, 1, 3), "var_b", "0x1.1fe7be8f9b01ep+0"),
