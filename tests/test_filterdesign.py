@@ -43,13 +43,18 @@ class TestDesignSpec:
             DesignSpec(periods, degree)
 
 
+def sympy_theta(periods):
+    """The product of the periods' averaging polynomials, built in sympy."""
+    return sympy.prod([sum(Z**i for i in range(k)) / k for k in periods])
+
+
 def sympy_constraint_matrix(periods, degree):
     """Row j, column c: the j-th derivative at z = 1 of z**c * theta, by sympy.
 
     phi solves the design constraints exactly when this matrix times phi's
     coefficients is (1, 0, ..., 0).
     """
-    theta = sympy.prod([sum(Z**i for i in range(k)) / k for k in periods])
+    theta = sympy_theta(periods)
     return [
         [sympy.diff(Z**c * theta, Z, j).subs(Z, 1) for c in range(degree + 1)]
         for j in range(degree + 1)
@@ -128,9 +133,7 @@ class TestSeriesInverseOracle:
 
     @pytest.mark.parametrize("periods", ORACLE_PERIOD_SETS, ids=str)
     def test_phi_inverts_theta_to_order_d(self, periods):
-        theta = sympy.Poly(
-            sympy.prod([sum(Z**i for i in range(k)) / k for k in periods]), Z
-        )
+        theta = sympy.Poly(sympy_theta(periods), Z)
         for degree in range(9):
             phi = design_filters(DesignSpec(periods, degree)).phi
             assert phi.degree <= degree
