@@ -19,6 +19,13 @@ or on neither (absent, ``0.0`` or ``-0.0``), in every mode and with
 both families, at 1, 65535, 65536, 65537 and 131073 replicates, including
 trends that are zero at ``t0`` and a subnormal noise sd.
 
+The ``series_index`` digest covers long regions (220, 800 and 2,000 end
+years) with seeded interior 3y/5y gaps, a trailing 5y gap and some
+observations already imputed: ``periods()``, ``years(k)`` for present and
+absent periods, ``repr()``, ``impute_random_walk`` on targets given out of
+order, its error messages, and every proper and inapt ``compare`` between
+them.
+
 A last digest covers the command line: the stdout bytes and exit code of
 every subcommand, in text and in JSON where it has both.
 """
@@ -27,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -35,8 +43,11 @@ from myetrends import (
     STANDARD_TARGETS,
     ComparisonSpec,
     DesignSpec,
+    IMPUTED,
+    ImputationError,
     MyeSeries,
     MyeTrendsError,
+    ObservedValue,
     RegionPair,
     SimulationSpec,
     compare,
@@ -189,11 +200,93 @@ def compare_payload() -> list:
     return out
 
 
+def _long_region(n: int, periods, seed: int):
+    """A published random-walk region of ``n`` end years ending 2010, with
+    seeded interior 3y/5y gaps, a trailing 5y gap and some values marked
+    imputed; returns the series and its gaps, shuffled."""
+    rng = random.Random(seed)
+    first = 2010 - n + 1
+    obs = {}
+    for k in periods:
+        level = rng.uniform(50.0, 150.0)
+        for t in range(first - (4 if k == 1 else 0), 2011):
+            level += rng.uniform(-1.0, 1.0)
+            obs[(k, t)] = ObservedValue(level)
+    gaps = [(5, t) for t in range(2008, 2011)]
+    for k in (3, 5):
+        gaps += [(k, t) for t in range(first + 2, 2007) if rng.random() < 1 / 15]
+    for key in gaps:
+        del obs[key]
+    for key in list(obs):
+        if key[1] > first + 1 and key[1] < 2007 and rng.random() < 0.02:
+            obs[key] = ObservedValue(obs[key].value, IMPUTED)
+    rng.shuffle(gaps)
+    return MyeSeries("long", "count", obs), gaps
+
+
+def _imputation_errors(series: MyeSeries, gaps) -> list:
+    first = min(series.years(3))
+    published = next(key for key, ov in series.items() if ov.provenance != IMPUTED)
+    imputed = next(key for key, ov in series.items() if ov.provenance == IMPUTED)
+    cases = (
+        [published],
+        [imputed],
+        [gaps[0], gaps[0]],
+        [(3, first - 3)],
+        [(7, 2012)],
+        [(9, 2000)],
+        [(5, 2012)],
+    )
+    out = []
+    for targets in cases:
+        try:
+            out.append([targets, impute_random_walk(series, targets).value(*targets[-1])])
+        except ImputationError as exc:
+            out.append([targets, str(exc)])
+    return out
+
+
+def series_index_payload() -> list:
+    out = []
+    regions = {}
+    for n, periods, seed in ((220, (1, 3, 5), 1), (800, (3, 5), 2), (2000, (1, 3, 5), 3)):
+        raw, gaps = _long_region(n, periods, seed)
+        if n == 2000:
+            # a 7y period with one published value and one imputed after it
+            raw = raw.with_observations({(7, 1990): ObservedValue(80.0),
+                                         (7, 2000): ObservedValue(81.0, IMPUTED)})
+        filled = impute_random_walk(raw, gaps)
+        regions[f"raw{n}"], regions[f"filled{n}"] = raw, filled
+        for name, s in (("raw", raw), ("filled", filled)):
+            out.append([n, name, repr(s), s.periods(),
+                        {k: s.years(k) for k in range(0, 10)}])
+        out.append([n, "impute", gaps,
+                    [[k, t, ov.value, ov.provenance] for (k, t), ov in filled.items()]])
+        out.append([n, "errors", _imputation_errors(raw, gaps)])
+    pairs = (("filled220", "raw220"), ("filled800", "filled2000"),
+             ("filled2000", "filled800"), ("raw2000", "raw800"), ("filled2000", "raw2000"))
+    modes = [("inapt", 1, 3), ("inapt", 1, 5)]
+    modes += [("proper", ref, other) for ref, other in
+              ((1, 3), (1, 5), (3, 5), (5, 1), (3, 1))]
+    for a, b in pairs:
+        pair = RegionPair(regions[a], regions[b])
+        for mode, ref, other in modes:
+            for family in (("linear", "quadratic") if mode == "proper" else (None,)):
+                fs = FAMILIES.get(family)
+                for t0 in range(1180, 2013, 3):
+                    res = _outcome(compare, pair, ComparisonSpec(mode, t0, ref, other), fs)
+                    if not isinstance(res, dict):
+                        res = res.to_dict()
+                    out.append([a, b, mode, ref, other, family, t0, res])
+    return out
+
+
 GOLDEN = {
     "simulate_bias": "e7e6bfe85948dae608cdad746a9088528db97de6f3dde9fdf71f98d6554856a1",
     "simulate_bias_sided": "165d866e19cd6e95ceb51db6e19fc7c131fd73edda09f132974a459928c3079a",
     "expected_bias": "839a21a7b29979a2653be6a777f14b3dba3df13384ee17afe3bf4ac7cd1aa368",
     "compare": "62638d34bef92784ad127abf24104d5f66a69553fcddfc8068ae7904bc7e04f3",
+    "series_index": "63bb1c0bee1eb877323f7d720bfa2a8e49d4e82afd7794bede1fa451ce11ee89",
 }
 
 PAYLOADS = {
@@ -201,6 +294,7 @@ PAYLOADS = {
     "simulate_bias_sided": sided_simulation_payload,
     "expected_bias": expected_bias_payload,
     "compare": compare_payload,
+    "series_index": series_index_payload,
 }
 
 
