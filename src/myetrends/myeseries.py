@@ -18,6 +18,7 @@ written file loads back to an identical series.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -92,6 +93,10 @@ class MyeSeries:
     observations : mapping
         ``(period, end_year) -> ObservedValue`` (bare floats are accepted
         and wrapped as published values).
+
+    The series is immutable. Construction builds an index from each period
+    to its sorted end years, so :meth:`periods` and :meth:`years` are
+    lookups into it rather than scans of every observation.
     """
 
     def __init__(
@@ -122,6 +127,11 @@ class MyeSeries:
         self._name = name
         self._unit = unit
         self._obs = dict(sorted(obs.items()))
+        # keys are sorted, so periods arrive ascending and each one's years too
+        index: dict[int, list[int]] = {}
+        for k, t in self._obs:
+            index.setdefault(k, []).append(t)
+        self._years = {k: tuple(ts) for k, ts in index.items()}
 
     @property
     def name(self) -> str:
@@ -180,11 +190,11 @@ class MyeSeries:
 
     def periods(self) -> tuple[int, ...]:
         """Distinct window lengths present, ascending."""
-        return tuple(sorted({k for k, _ in self._obs}))
+        return tuple(self._years)
 
     def years(self, period: int) -> tuple[int, ...]:
         """End years available for one window length, ascending."""
-        return tuple(sorted(t for k, t in self._obs if k == period))
+        return self._years.get(period, ())
 
     def with_observations(
         self, extra: Mapping[tuple[int, int], ObservedValue]
@@ -365,6 +375,9 @@ def impute_random_walk(
         gap needs two published values before it).
     """
     filled: dict[tuple[int, int], ObservedValue] = {}
+    # published end years per period, built on the period's first target;
+    # values filled by this call never join it
+    anchors: dict[int, list[int]] = {}
     for key in targets:
         k, t = key
         if series.has(k, t) or key in filled:
@@ -372,22 +385,24 @@ def impute_random_walk(
             raise ImputationError(
                 f"{series.name}: target {k}y ending {t} already has a {prov} value"
             )
-        anchors = [
-            yr for yr in series.years(k) if series.provenance(k, yr) == PUBLISHED
-        ]
-        before = [yr for yr in anchors if yr < t]
-        after = [yr for yr in anchors if yr > t]
-        if before and after:
-            lo, hi = before[-1], after[0]
+        if k not in anchors:
+            anchors[k] = [
+                yr for yr in series.years(k) if series.provenance(k, yr) == PUBLISHED
+            ]
+        published = anchors[k]
+        # t is absent from the series, so published[:i] < t < published[i:]
+        i = bisect.bisect_left(published, t)
+        if 0 < i < len(published):
+            lo, hi = published[i - 1], published[i]
             value = (series.value(k, lo) + series.value(k, hi)) / 2.0
-        elif len(before) >= 2:
-            first, last = before[0], before[-1]
+        elif i >= 2:
+            first, last = published[0], published[i - 1]
             step = (series.value(k, last) - series.value(k, first)) / (last - first)
             value = series.value(k, last) + (t - last) * step
-        elif before:
+        elif i == 1:
             raise ImputationError(
                 f"{series.name}: cannot extrapolate {k}y ending {t}: only one "
-                f"published {k}y value (ending {before[-1]}) precedes it"
+                f"published {k}y value (ending {published[0]}) precedes it"
             )
         else:
             raise ImputationError(
