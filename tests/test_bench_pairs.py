@@ -1,0 +1,95 @@
+"""The pairs tool's statistics and argument checks, without running a benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+HIGHER = {"unit": "1/s", "better": "higher", "bound": 0.2}
+LOWER = {"unit": "ms", "better": "lower", "bound": 0.2}
+BASE = ["--parent", "HEAD~1", "--pr", "8"]
+
+
+def claim(spec, parent, change):
+    return bench_pairs.judge_claim(bench_pairs.summarize(spec, parent, change))
+
+
+class TestSummarize:
+    def test_ties_count_for_neither_side(self):
+        m = bench_pairs.summarize(HIGHER, [1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 3.0, 4.0])
+        assert m["change_better_pairs"] == "1/4"
+        m = bench_pairs.summarize(LOWER, [1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 3.0, 4.0])
+        assert m["change_better_pairs"] == "0/4"
+
+    def test_lower_is_better_counts_smaller_values(self):
+        m = bench_pairs.summarize(LOWER, [10.0] * 4, [9.0, 9.0, 11.0, 9.0])
+        assert m["change_better_pairs"] == "3/4"
+        assert m["median_change_pct"] == -10.0
+
+    def test_quartiles_and_spread(self):
+        m = bench_pairs.summarize(HIGHER, [float(i) for i in range(10)], [5.0] * 10)
+        assert m["parent"] == {"median": 4.5, "q1": 2.25, "q3": 6.75, "min": 0.0, "max": 9.0}
+        assert m["parent_quartile_spread"] == 4.5
+
+    @pytest.mark.parametrize("spec,median,within", [
+        (LOWER, 12.0, True), (LOWER, 12.5, False), (LOWER, 7.0, True),
+        (HIGHER, 8.0, True), (HIGHER, 7.5, False), (HIGHER, 13.0, True),
+    ])
+    def test_within_bound(self, spec, median, within):
+        # parent median 10 and bound 0.2: lower may rise to 12, higher may fall to 8
+        m = bench_pairs.summarize(spec, [10.0] * 3, [median] * 3)
+        assert m["within_bound"] is within
+
+
+class TestJudgeClaim:
+    def test_lower_is_better_flips_the_gain(self):
+        assert claim(LOWER, [10.0] * 10, [6.0] * 10)["median_gain"] == 4.0
+        assert claim(HIGHER, [10.0] * 10, [6.0] * 10)["median_gain"] == -4.0
+        assert claim(LOWER, [10.0] * 10, [6.0] * 10)["met"]
+        assert not claim(HIGHER, [10.0] * 10, [6.0] * 10)["met"]
+
+    def test_nine_of_ten_pairs_meet_the_claim(self):
+        result = claim(HIGHER, [10.0] * 10, [12.0] * 9 + [9.0])
+        assert result["change_better_pairs"] == "9/10"
+        assert result["met"]
+
+    def test_eight_of_ten_pairs_do_not(self):
+        result = claim(HIGHER, [10.0] * 10, [12.0] * 8 + [9.0] * 2)
+        assert result["change_better_pairs"] == "8/10"
+        assert result["median_gain"] == 2.0
+        assert not result["met"]
+
+    def test_gain_equal_to_the_quartile_spread_does_not_meet(self):
+        parent = [float(i) for i in range(10)]  # quartile spread 4.5
+        result = claim(HIGHER, parent, [v + 4.5 for v in parent])
+        assert result["change_better_pairs"] == "10/10"
+        assert result["median_gain"] == result["parent_quartile_spread"] == 4.5
+        assert not result["met"]
+        assert claim(HIGHER, parent, [v + 5.0 for v in parent])["met"]
+
+
+class TestParseArgs:
+    def test_defaults(self):
+        args = bench_pairs.parse_args(BASE + ["--claim", "series_audit:work_per_s"])
+        assert (args.pairs, args.seed, args.change) == (10, 841, "HEAD")
+        assert args.claim == "series_audit:work_per_s"
+
+    @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+    def test_rejects_fewer_than_two_pairs(self, pairs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_args(BASE + ["--pairs", pairs])
+        assert exc.value.code == 2
+        assert "--pairs must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("claim", ["series_audit", ":work_per_s", "series_audit:",
+                                       "series_audit:work_per_s:x", ""])
+    def test_rejects_a_claim_not_workload_colon_metric(self, claim, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_args(BASE + ["--claim", claim])
+        assert exc.value.code == 2
+        assert "--claim must be WORKLOAD:METRIC" in capsys.readouterr().err

@@ -51,7 +51,15 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--trace", action="append", default=[], metavar="WORKLOAD",
                    help="also take one traced run per side on this workload")
     p.add_argument("--note", action="append", default=[], help="free-text note; repeatable")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    # statistics.quantiles needs two runs a side; both checks fail before any export or run
+    if args.pairs < 2:
+        p.error(f"--pairs must be at least 2, got {args.pairs}")
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if not workload or not metric or ":" in metric:
+            p.error(f"--claim must be WORKLOAD:METRIC, got {args.claim!r}")
+    return args
 
 
 def git(*args: str, cwd: Path) -> str:
