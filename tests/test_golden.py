@@ -19,6 +19,12 @@ or on neither (absent, ``0.0`` or ``-0.0``), in every mode and with
 both families, at 1, 65535, 65536, 65537 and 131073 replicates, including
 trends that are zero at ``t0`` and a subnormal noise sd.
 
+The ``simulate_bias_chunks`` digest covers proper comparisons with the
+{1,3,5} families at degrees 0-12, whose replicates own 10 to 34 Philox
+words, with noise on both sides, on one side and on neither, and inapt
+1y-against-5y comparisons, at replicate counts on both sides of
+multiples of 8,192 and of the batch size (1 to 200,003).
+
 The ``series_index`` digest covers long regions (220, 800 and 2,000 end
 years) with seeded interior 3y/5y gaps, a trailing 5y gap and some
 observations already imputed: ``periods()``, ``years(k)`` for present and
@@ -35,6 +41,7 @@ import hashlib
 import io
 import json
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +109,11 @@ SIDED_NOISE = (
 )
 SIDED_REPLICATES = (1, 65535, 65536, 65537, 131073)
 
+CHUNK_REPLICATES = (1, 8191, 8192, 8193, 65535, 65536, 65537, 131073, 200003)
+# (reference, other) of the proper comparison at each degree, by degree mod 6
+CHUNK_SIDES = ((1, 5), (5, 3), (3, 1), (1, 3), (5, 1), (3, 5))
+CHUNK_NOISE = ({"a": 1.25, "b": 0.5}, {"a": 2.0}, {"b": 0.75}, {})
+
 COMPARISONS = (
     ("inapt", 1, 3), ("inapt", 1, 5),
     ("untimely", 3, 3), ("untimely", 5, 5),
@@ -151,6 +163,26 @@ def sided_simulation_payload() -> list:
             summary = simulate_bias(spec, FAMILIES.get(family))
             out.append([mode, ref, other, family, sorted(sds.items()), reps,
                         summary.to_dict()])
+    return out
+
+
+def chunk_simulation_payload() -> list:
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # extreme weights past degree 10
+        families = {d: design_filters(DesignSpec((1, 3, 5), d)) for d in range(13)}
+    for d, fs in families.items():
+        ref, other = CHUNK_SIDES[d % len(CHUNK_SIDES)]
+        for j, noise in enumerate(CHUNK_NOISE):
+            sds = {{"a": ref, "b": other}[k]: sd for k, sd in noise.items()}
+            reps = CHUNK_REPLICATES[(d + j) % len(CHUNK_REPLICATES)]
+            spec = SimulationSpec((3, "-1/2", "1/7"), sds, "proper", 2015, reps,
+                                  200 + 4 * d + j, ref, other)
+            out.append([d, ref, other, sorted(sds.items()), reps,
+                        simulate_bias(spec, fs).to_dict()])
+    for i, reps in enumerate(CHUNK_REPLICATES):
+        spec = SimulationSpec((0, 1), {1: 1.0, 5: 1.5}, "inapt", 2010, reps, 300 + i, 1, 5)
+        out.append(["inapt", reps, simulate_bias(spec).to_dict()])
     return out
 
 
@@ -283,6 +315,7 @@ def series_index_payload() -> list:
 
 GOLDEN = {
     "simulate_bias": "e7e6bfe85948dae608cdad746a9088528db97de6f3dde9fdf71f98d6554856a1",
+    "simulate_bias_chunks": "1bdbc7e2bbd4bf602e90037cabdbb74fc686a629c0530865a35df0c0e994d32f",
     "simulate_bias_sided": "165d866e19cd6e95ceb51db6e19fc7c131fd73edda09f132974a459928c3079a",
     "expected_bias": "839a21a7b29979a2653be6a777f14b3dba3df13384ee17afe3bf4ac7cd1aa368",
     "compare": "62638d34bef92784ad127abf24104d5f66a69553fcddfc8068ae7904bc7e04f3",
@@ -291,6 +324,7 @@ GOLDEN = {
 
 PAYLOADS = {
     "simulate_bias": simulation_payload,
+    "simulate_bias_chunks": chunk_simulation_payload,
     "simulate_bias_sided": sided_simulation_payload,
     "expected_bias": expected_bias_payload,
     "compare": compare_payload,
