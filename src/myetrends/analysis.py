@@ -85,15 +85,14 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, t: int) -> fl
     DomainError
         If the weighted sum leaves the float range.
     """
-    n = weights.degree + 1
-    missing = [(period, t - j) for j in range(n) if not series.has(period, t - j)]
-    if missing:
+    xs = [series.get(period, t - j) for j in range(weights.degree + 1)]
+    if None in xs:
+        missing = [(period, t - j) for j, x in enumerate(xs) if x is None]
         raise MissingDataError(
             f"{series.name}: filter window needs missing observations {missing}"
         )
-    ws = weights.as_floats()
     try:
-        total = math.fsum(w * series.value(period, t - j) for j, w in enumerate(ws))
+        total = math.fsum(w * x for w, x in zip(weights.as_floats(), xs))
     except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
         total = math.inf
     if not math.isfinite(total):

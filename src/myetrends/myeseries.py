@@ -327,14 +327,15 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     window = range(end_year - period + 1, end_year + 1)
-    gaps = [t for t in window if not series.has(1, t)]
-    if gaps:
+    xs = [series.get(1, t) for t in window]
+    if None in xs:
+        gaps = [t for t, x in zip(window, xs) if x is None]
         raise MissingDataError(
             f"{series.name}: 1y values missing for years {gaps} "
             f"(window of {period} ending {end_year})"
         )
     try:
-        total = math.fsum(series.value(1, t) for t in window)
+        total = math.fsum(xs)
     except (OverflowError, ValueError):  # a partial sum past the float range
         total = math.inf
     if not math.isfinite(total):

@@ -140,6 +140,30 @@ class TestApplyFilter:
         expect = apply_filter(LINEAR.psi[5], full, 5, 2007)
         assert apply_filter(LINEAR.psi[5], s, 5, 2007) == expect
 
+    def test_reads_each_window_key_once(self):
+        reads = []
+
+        class Counting(MyeSeries):
+            def get(self, period, end_year, default=None):
+                reads.append((period, end_year))
+                return super().get(period, end_year, default)
+
+            def has(self, period, end_year):
+                raise AssertionError("has() called")
+
+            value = has
+
+        s = Counting("income", "dollars", dict(full_sample("income").items()))
+        assert apply_filter(LINEAR.psi[5], s, 5, 2007) == apply_filter(
+            LINEAR.psi[5], full_sample("income"), 5, 2007)
+        assert reads == [(5, 2007), (5, 2006), (5, 2005), (5, 2004)]
+        reads.clear()
+        with pytest.raises(MissingDataError) as err:
+            apply_filter(LINEAR.psi[5], s, 5, 2005)
+        assert str(err.value) == (
+            "income: filter window needs missing observations [(5, 2002)]")
+        assert len(reads) == 4
+
     @pytest.mark.parametrize(
         "weights",
         [(1, 1), (2, -2), (2,)],
