@@ -31,6 +31,7 @@ imports them when it runs, so everything else here loads without them.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -552,12 +553,24 @@ class SimulationSummary:
 # Replicates per generation batch. Fixed so that accumulation order, and
 # therefore every output bit, is independent of the replicate count's size.
 _BATCH = 1 << 16
+# Rows per block within a batch, a divisor of _BATCH: each block's words,
+# uniforms and draws stay cache-sized, and since every block but the run's
+# last has a multiple of 4 rows, each row's weighted sum takes the same BLAS
+# kernel path as it would in one whole-batch product.
+_CHUNK = 1 << 13
 
 
 def _gaussian_quantile(u: np.ndarray) -> np.ndarray:
     from scipy.special import ndtri
 
-    return ndtri(u)
+    return ndtri(u, out=u)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate_bias(
@@ -582,6 +595,14 @@ def simulate_bias(
     contributes exact zeros and moves no other draw, and with both sides
     silent no words are generated at all.
 
+    Replicates run in fixed batches of 65,536, each generated in blocks of
+    8,192 rows. The batches run on a thread pool with one worker per CPU
+    the process may use (at most one per batch), and their partial sums are
+    added in batch order, so the worker count never changes a bit. So
+    ``quantile`` may be called concurrently from worker threads, on row
+    blocks, in no fixed order: it must be a thread-safe elementwise map.
+    The default computes in place, in a buffer it owns.
+
     Returns
     -------
     SimulationSummary
@@ -605,31 +626,52 @@ def simulate_bias(
     n_a = len(wa)
     draws = n_a + len(wb)
     blocks_per_rep = max(1, -(-draws // 4))  # Philox emits 4 words per block
-
-    def side_noise(words: np.ndarray, w: np.ndarray, sd: float) -> np.ndarray:
-        """One side's noise per replicate, from its columns of words."""
-        if sd == 0.0:
-            return np.zeros(len(words))
-        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return (np.asarray(quantile(u), dtype=np.float64) @ w) * sd
-
     total = spec.replicates
-    sum_d = sumsq_d = 0.0
-    sum_a = sumsq_a = 0.0
-    sum_b = sumsq_b = 0.0
-    for start in range(0, total, _BATCH) if sd_a or sd_b else ():
+
+    def side_noise(words: np.ndarray, w: np.ndarray, sd: float, out: np.ndarray) -> None:
+        """One side's noise per replicate, from its columns of shifted words."""
+        u = words + 0.5
+        u *= 2.0**-53
+        np.multiply(np.asarray(quantile(u), dtype=np.float64) @ w, sd, out=out)
+
+    def batch_sums(start: int) -> tuple[float, ...]:
+        """The six sums over one batch, for the noise generated in its blocks."""
         m = min(_BATCH, total - start)
-        bitgen = np.random.Philox(key=spec.seed, counter=start * blocks_per_rep)
-        raw = bitgen.random_raw(m * blocks_per_rep * 4).reshape(m, blocks_per_rep * 4)
-        noise_a = side_noise(raw[:, :n_a], wa, sd_a)
-        noise_b = side_noise(raw[:, n_a:draws], wb, sd_b)
+        noise_a = np.zeros(m)
+        noise_b = np.zeros(m)
+        for r0 in range(0, m, _CHUNK):
+            rows = slice(r0, min(r0 + _CHUNK, m))
+            bitgen = np.random.Philox(key=spec.seed, counter=(start + r0) * blocks_per_rep)
+            words = bitgen.random_raw((rows.stop - r0) * blocks_per_rep * 4)
+            words = words.reshape(-1, blocks_per_rep * 4)
+            words >>= np.uint64(11)
+            if sd_a:
+                side_noise(words[:, :n_a], wa, sd_a, noise_a[rows])
+            if sd_b:
+                side_noise(words[:, n_a:draws], wb, sd_b, noise_b[rows])
         d = noise_a - noise_b
-        sum_d += float(d.sum())
-        sumsq_d += float((d * d).sum())
-        sum_a += float(noise_a.sum())
-        sumsq_a += float((noise_a * noise_a).sum())
-        sum_b += float(noise_b.sum())
-        sumsq_b += float((noise_b * noise_b).sum())
+        return (
+            float(d.sum()),
+            float((d * d).sum()),
+            float(noise_a.sum()),
+            float((noise_a * noise_a).sum()),
+            float(noise_b.sum()),
+            float((noise_b * noise_b).sum()),
+        )
+
+    starts = range(0, total, _BATCH) if sd_a or sd_b else range(0)
+    workers = min(_usable_cpus(), len(starts))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            partials = list(pool.map(batch_sums, starts))
+    else:
+        partials = map(batch_sums, starts)
+    sums = [0.0] * 6
+    for part in partials:  # in batch order
+        sums = [s + p for s, p in zip(sums, part)]
+    sum_d, sumsq_d, sum_a, sumsq_a, sum_b, sumsq_b = sums
 
     mean_d = sum_d / total
     bias = float(det_diff) + mean_d

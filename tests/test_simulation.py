@@ -1,6 +1,9 @@
 """Monte Carlo bias simulation: reproducibility, exactness, and statistics."""
 
+import concurrent.futures
 import math
+import os
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -246,7 +249,9 @@ class TestQuantileInput:
         spec = make_spec(mode="proper", other_period=5, noise_sd={1: 2.0},
                          replicates=70_000, seed=3)
         assert simulate_bias(spec, LINEAR, quantile=quantile) == simulate_bias(spec, LINEAR)
-        assert widths == [(1 << 16, 8), (70_000 - (1 << 16), 8)]
+        # row blocks may split the replicates any way, in any order
+        assert {cols for _, cols in widths} == {8}
+        assert sum(rows for rows, _ in widths) == 70_000
 
     @pytest.mark.parametrize("noise,silent", [({1: 1.0}, "b"), ({5: 1.0}, "a")])
     @pytest.mark.parametrize("nan", [False, True])
@@ -262,6 +267,63 @@ class TestQuantileInput:
         assert getattr(s, f"mean_{silent}") == float(det[silent])
         noisy = "a" if silent == "b" else "b"
         assert math.isnan(getattr(s, f"var_{noisy}")) == nan
+
+
+class TestWorkerCount:
+    """Batches run on one worker per usable CPU, and no count changes a bit."""
+
+    # four batches, the last of 3 rows; noise on both sides of 8 + 4 weights
+    SPEC = make_spec(mode="proper", other_period=5, noise_sd={1: 1.0, 5: 2.0},
+                     replicates=3 * (1 << 16) + 3, seed=17)
+
+    @staticmethod
+    def pools(monkeypatch) -> list:
+        """Record the worker count of each pool that ``simulate_bias`` starts."""
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    def test_summary_is_identical_for_any_cpu_count(self, monkeypatch):
+        sizes = self.pools(monkeypatch)
+        got = {}
+        for cpus in (1, 2, 64):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            got[cpus] = simulate_bias(self.SPEC, LINEAR)
+        assert got[1] == got[2] == got[64]
+        assert sizes == [2, 4]  # capped at the batch count
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        sizes = self.pools(monkeypatch)
+        want = simulate_bias(self.SPEC, LINEAR)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulate_bias(self.SPEC, LINEAR) == want
+        assert sizes[-1] == 3
+
+    @pytest.mark.parametrize("cpus,replicates", [(1, 3 * (1 << 16) + 3), (64, 1 << 16)])
+    def test_one_cpu_or_one_batch_starts_no_pool(self, monkeypatch, cpus, replicates):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        threads = set()
+
+        def quantile(u):
+            threads.add(threading.get_ident())
+            return ndtri(u)
+
+        spec = make_spec(noise_sd={1: 1.0, 3: 1.0}, replicates=replicates, seed=8)
+        assert simulate_bias(spec, quantile=quantile) == simulate_bias(spec)
+        assert threads == {threading.get_ident()}
 
 
 class TestGaussianStatistics:
