@@ -566,13 +566,6 @@ def _gaussian_quantile(u: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def simulate_bias(
     spec: SimulationSpec,
     fs: Optional[FilterSet] = None,
@@ -660,7 +653,12 @@ def simulate_bias(
         )
 
     starts = range(0, total, _BATCH) if sd_a or sd_b else range(0)
-    workers = min(_usable_cpus(), len(starts))
+    # the CPUs this process may run on: its affinity mask, where there is one
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(starts))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import sys
 import threading
 from fractions import Fraction as F
 
@@ -11,6 +12,8 @@ import pytest
 from scipy.special import ndtri
 
 from myetrends.analysis import (
+    _BATCH,
+    _CHUNK,
     ComparisonSpec,
     SimulationSpec,
     SimulationSummary,
@@ -269,6 +272,21 @@ class TestQuantileInput:
         assert math.isnan(getattr(s, f"var_{noisy}")) == nan
 
 
+class TestRowBlocks:
+    def test_block_products_equal_the_whole_batch_product(self):
+        # BLAS gemv may take another kernel for a call's last rows when its
+        # row count is not a multiple of 4, which changes their rounding;
+        # blocks of a multiple of 4 rows give every row the same bits as one
+        # product over the whole batch, so the batch sums keep theirs
+        assert _BATCH % _CHUNK == 0 and _CHUNK % 4 == 0
+        rng = np.random.default_rng(9)
+        for width in (1, 3, 8, 9, 19, 34):
+            u = ndtri(rng.random((_BATCH, width)))
+            w = rng.standard_normal(width)
+            blocks = np.concatenate([u[r:r + _CHUNK] @ w for r in range(0, _BATCH, _CHUNK)])
+            assert blocks.tobytes() == (u @ w).tobytes()
+
+
 class TestWorkerCount:
     """Batches run on one worker per usable CPU, and no count changes a bit."""
 
@@ -306,6 +324,30 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert simulate_bias(self.SPEC, LINEAR) == want
         assert sizes[-1] == 3
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # nine batches of a 4-word spec on nine workers, switching threads
+        # every microsecond: a lost or reordered partial sum changes a bit
+        spec = make_spec(noise_sd={1: 1.0, 3: 0.5}, replicates=8 * (1 << 16) + 5, seed=21)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        want = simulate_bias(spec)
+        sizes = self.pools(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        rows = []
+
+        def quantile(u):
+            rows.append(len(u))
+            return ndtri(u)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_bias(spec, quantile=quantile)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert sizes == [9]
+        assert sum(rows) == 2 * spec.replicates  # one call per side and block
 
     @pytest.mark.parametrize("cpus,replicates", [(1, 3 * (1 << 16) + 3), (64, 1 << 16)])
     def test_one_cpu_or_one_batch_starts_no_pool(self, monkeypatch, cpus, replicates):
