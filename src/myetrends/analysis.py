@@ -566,6 +566,21 @@ def _gaussian_quantile(u: np.ndarray) -> np.ndarray:
     return ndtri(u, out=u)
 
 
+def _side_noise(
+    words: np.ndarray,
+    w: np.ndarray,
+    sd: float,
+    out: np.ndarray,
+    quantile: Callable[[np.ndarray], np.ndarray],
+) -> None:
+    """One side's noise per replicate, from its columns of shifted words."""
+    import numpy as np
+
+    u = words + 0.5
+    u *= 2.0**-53
+    np.multiply(np.asarray(quantile(u), dtype=np.float64) @ w, sd, out=out)
+
+
 def simulate_bias(
     spec: SimulationSpec,
     fs: Optional[FilterSet] = None,
@@ -621,12 +636,6 @@ def simulate_bias(
     blocks_per_rep = max(1, -(-draws // 4))  # Philox emits 4 words per block
     total = spec.replicates
 
-    def side_noise(words: np.ndarray, w: np.ndarray, sd: float, out: np.ndarray) -> None:
-        """One side's noise per replicate, from its columns of shifted words."""
-        u = words + 0.5
-        u *= 2.0**-53
-        np.multiply(np.asarray(quantile(u), dtype=np.float64) @ w, sd, out=out)
-
     def batch_sums(start: int) -> tuple[float, ...]:
         """The six sums over one batch, for the noise generated in its blocks."""
         m = min(_BATCH, total - start)
@@ -639,9 +648,9 @@ def simulate_bias(
             words = words.reshape(-1, blocks_per_rep * 4)
             words >>= np.uint64(11)
             if sd_a:
-                side_noise(words[:, :n_a], wa, sd_a, noise_a[rows])
+                _side_noise(words[:, :n_a], wa, sd_a, noise_a[rows], quantile)
             if sd_b:
-                side_noise(words[:, n_a:draws], wb, sd_b, noise_b[rows])
+                _side_noise(words[:, n_a:draws], wb, sd_b, noise_b[rows], quantile)
         d = noise_a - noise_b
         return (
             float(d.sum()),

@@ -32,6 +32,18 @@ absent periods, ``repr()``, ``impute_random_walk`` on targets given out of
 order, its error messages, and every proper and inapt ``compare`` between
 them.
 
+The ``design_families`` digest covers design itself: every subset of
+1..7 with one to four periods at trend degrees 0-8, and {1,3,5} at
+degrees 0-40. Each family enters as its JSON, its printed ``phi``, its
+printed verification report, and, for every period, the exact variance
+inflation and the floated weights of that period's filter.
+
+The ``simulation_rows`` digest covers the noise of every replicate, not
+only the summaries, whose batch sums absorb a one-ulp change in a few
+rows: each row block's output of one side, for single-batch proper
+comparisons with the {1,3,5} families at degrees 1, 5 and 12 and inapt
+1y-against-5y comparisons, at 8,195 and 65,536 replicates.
+
 A last digest covers the command line: the stdout bytes and exit code of
 every subcommand, in text and in JSON where it has both.
 """
@@ -39,6 +51,7 @@ every subcommand, in text and in JSON where it has both.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import warnings
@@ -65,7 +78,10 @@ from myetrends import (
     sample_names,
     simulate_bias,
     synthetic_series,
+    variance_inflation,
+    verify_filter_set,
 )
+from myetrends import analysis
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
 QUADRATIC = design_filters(DesignSpec((1, 3, 5), 2))
@@ -313,7 +329,23 @@ def series_index_payload() -> list:
     return out
 
 
+def design_payload() -> list:
+    specs = [DesignSpec(ps, d) for r in range(1, 5)
+             for ps in itertools.combinations(range(1, 8), r) for d in range(9)]
+    specs += [DesignSpec((1, 3, 5), d) for d in range(41)]
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # extreme weights past degree 10
+        for spec in specs:
+            fs = design_filters(spec)
+            out.append([fs.to_json(), str(fs.phi), str(verify_filter_set(fs)),
+                        [[k, str(variance_inflation(fs.psi[k])), fs.psi[k].as_floats()]
+                         for k in spec.periods]])
+    return out
+
+
 GOLDEN = {
+    "design_families": "1b14d5ea4e24855011dd0e96dea6547560fb8ae3fcd22df1bb836a9a8816eeae",
     "simulate_bias": "e7e6bfe85948dae608cdad746a9088528db97de6f3dde9fdf71f98d6554856a1",
     "simulate_bias_chunks": "1bdbc7e2bbd4bf602e90037cabdbb74fc686a629c0530865a35df0c0e994d32f",
     "simulate_bias_sided": "165d866e19cd6e95ceb51db6e19fc7c131fd73edda09f132974a459928c3079a",
@@ -323,6 +355,7 @@ GOLDEN = {
 }
 
 PAYLOADS = {
+    "design_families": design_payload,
     "simulate_bias": simulation_payload,
     "simulate_bias_chunks": chunk_simulation_payload,
     "simulate_bias_sided": sided_simulation_payload,
@@ -335,6 +368,48 @@ PAYLOADS = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name):
     assert _digest(PAYLOADS[name]()) == GOLDEN[name]
+
+
+# (mode, reference, other, degree of the {1,3,5} family or None); each runs
+# with noise on both sides at every count in ROW_REPLICATES, all of which
+# fit one batch, so its blocks run in order in the calling thread
+ROW_CASES = (
+    ("proper", 1, 5, 1),
+    ("proper", 5, 3, 5),
+    ("proper", 3, 1, 12),
+    ("inapt", 1, 5, None),
+)
+ROW_REPLICATES = (8195, 65536)
+
+
+def test_simulation_rows_digest(monkeypatch):
+    # float.hex of every row of each side's noise, side by side, so the
+    # digest pins the rows' bits and not how they are split into blocks
+    h = hashlib.sha256()
+    side_noise = analysis._side_noise
+    rows: dict[int, list[str]] = {}  # one side's rows in block order, by its weights
+
+    def recorded(words, w, sd, out, quantile):
+        side_noise(words, w, sd, out, quantile)
+        rows.setdefault(id(w), []).extend(map(float.hex, out.tolist()))
+
+    monkeypatch.setattr(analysis, "_side_noise", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # extreme weights past degree 10
+        for i, (mode, ref, other, degree) in enumerate(ROW_CASES):
+            fs = None if degree is None else design_filters(DesignSpec((1, 3, 5), degree))
+            for reps in ROW_REPLICATES:
+                spec = SimulationSpec((3, "-1/2", "1/7"), {ref: 1.25, other: 0.5}, mode,
+                                      2015, reps, 400 + i, ref, other)
+                simulate_bias(spec, fs)
+                assert len(rows) == 2 and all(len(r) == reps for r in rows.values())
+                for side in rows.values():
+                    h.update(",".join(side).encode("ascii"))
+                rows.clear()
+    assert h.hexdigest() == GOLDEN_ROWS
+
+
+GOLDEN_ROWS = "08cbb6b5b354546bef63d06208a500ebfae925e166d30a9c4bf3de72c0d533a2"
 
 
 # Every subcommand, run in process. Each case is an argv template, in which
