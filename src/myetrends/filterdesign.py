@@ -146,24 +146,6 @@ def _poly_from_strings(items: Sequence[str]) -> RatPoly:
     return RatPoly([Fraction(s) for s in items])
 
 
-def _series_inverse(theta: RatPoly, degree: int) -> RatPoly:
-    """The polynomial of degree <= ``degree`` that inverts ``theta`` near ``z = 1``.
-
-    With ``w = 1 - z``, ``theta(1 - w) = sum a_i w**i`` has ``a_0 = theta(1)
-    = 1``, so its power-series inverse ``sum b_n w**n`` follows from ``b_0 =
-    1`` and ``b_n = -sum_{i=1..n} a_i b_{n-i}``. Cutting it after
-    ``w**degree`` and expanding ``(1 - z)**n`` binomially gives the result.
-    """
-    a = [(-1) ** i * theta.derivative_at_one(i) / math.factorial(i) for i in range(degree + 1)]
-    b = [Fraction(1)]
-    for n in range(1, degree + 1):
-        b.append(-sum(a[i] * b[n - i] for i in range(1, n + 1)))
-    return RatPoly(
-        (-1) ** m * sum(math.comb(n, m) * b[n] for n in range(m, degree + 1))
-        for m in range(degree + 1)
-    )
-
-
 def design_filters(spec: DesignSpec) -> FilterSet:
     """Design the concurrent filter family for ``spec``.
 
@@ -179,7 +161,7 @@ def design_filters(spec: DesignSpec) -> FilterSet:
         )
     averages = {k: sma(k) for k in spec.periods}
     theta = math.prod(averages.values(), start=ONE)
-    phi = _series_inverse(theta, spec.degree)
+    phi = theta.inverse_near_one(spec.degree)
     psi = {
         k: phi * math.prod((a for m, a in averages.items() if m != k), start=ONE)
         for k in spec.periods
@@ -283,4 +265,4 @@ def variance_inflation(p: RatPoly) -> Fraction:
     the input variance times this factor. The identity filter gives 1;
     values above 1 mean the filter amplifies noise.
     """
-    return sum((c * c for c in p.coeffs), Fraction(0))
+    return p.squared_norm()

@@ -2,10 +2,11 @@
 
 Weighted averages of present and past observations are represented here as
 polynomials in ``z``, where the coefficient on ``z**j`` is the weight given
-to the observation ``j`` steps back. Coefficients are held as
-:class:`fractions.Fraction`, so every product, sum, and derivative in the
-design pipeline is exact; nothing is rounded until a filter is finally
-applied to floating-point data.
+to the observation ``j`` steps back. Coefficients are held as integer
+numerators over one common denominator, so every product, sum, and
+derivative in the design pipeline is exact plain-integer arithmetic, and
+they are handed out as :class:`fractions.Fraction`; nothing is rounded
+until a filter is finally applied to floating-point data.
 
 The polynomial for the equal-weight average of the ``k`` most recent values
 is produced by :func:`sma`.
@@ -25,9 +26,12 @@ CoefficientLike = Union[int, str, float, Fraction]
 class RatPoly:
     """Immutable polynomial in ``z`` with exact rational coefficients.
 
-    Coefficients are stored in ascending powers and trailing zeros are
-    trimmed, so two equal polynomials are structurally identical. The zero
-    polynomial keeps an empty coefficient tuple and reports degree ``-1``.
+    The polynomial is stored as integer numerators ``n0, n1, ...`` over one
+    positive denominator ``den``, meaning ``(n0 + n1*z + ...)/den``, in
+    canonical form: ``gcd(den, n0, n1, ...) == 1`` and the last numerator is
+    nonzero. So ``den`` is the least common denominator of the coefficients,
+    and two equal polynomials are structurally identical. The zero
+    polynomial has no numerators, denominator 1, and degree ``-1``.
 
     Parameters
     ----------
@@ -44,81 +48,110 @@ class RatPoly:
     (4 + z + z^2 - 3z^3)/3
     """
 
-    # _floats is filled by the first as_floats() call, so exact arithmetic
-    # that never meets float data pays nothing for it
-    __slots__ = ("_coeffs", "_floats")
+    # _coeffs and _floats are filled by the first coeffs or as_floats() use,
+    # so exact arithmetic that never needs them pays nothing for them
+    __slots__ = ("_nums", "_den", "_coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[CoefficientLike] = ()) -> None:
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        # math.lcm gets a list: star-args from a generator build a resized
+        # tuple, and freeing those grows the tuple free lists
+        den = math.lcm(*[c.denominator for c in cs])
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _from_ints(cls, nums: list[int], den: int) -> "RatPoly":
+        """``(nums[0] + nums[1]*z + ...)/den`` for a positive ``den``, put in
+        canonical form with one gcd."""
+        p = cls.__new__(cls)
+        p._set(nums, den)
+        return p
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+        self._nums: tuple[int, ...] = tuple(nums)
+        self._den = den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in ascending powers, with no trailing zeros."""
-        return self._coeffs
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self._den
+            self._coeffs = tuple(Fraction(n, den) for n in self._nums)
+            return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; ``-1`` for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def coeff(self, j: int) -> Fraction:
         """Coefficient on ``z**j`` (zero outside the stored range)."""
-        if 0 <= j < len(self._coeffs):
-            return self._coeffs[j]
+        if 0 <= j < len(self._nums):
+            return self.coeffs[j]
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RatPoly):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
+
+    def _aligned(self, other: "RatPoly") -> tuple[list[int], list[int], int]:
+        """Both numerator lists over the two denominators' lcm, padded to
+        the same length with zeros."""
+        da, db = self._den, other._den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, den // db
+        na = [n * fa for n in self._nums] if fa != 1 else list(self._nums)
+        nb = [n * fb for n in other._nums] if fb != 1 else list(other._nums)
+        width = max(len(na), len(nb))
+        na += [0] * (width - len(na))
+        nb += [0] * (width - len(nb))
+        return na, nb, den
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
         if not isinstance(other, RatPoly):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return RatPoly([self.coeff(j) + other.coeff(j) for j in range(n)])
+        na, nb, den = self._aligned(other)
+        return RatPoly._from_ints([a + b for a, b in zip(na, nb)], den)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
         if not isinstance(other, RatPoly):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return RatPoly([self.coeff(j) - other.coeff(j) for j in range(n)])
+        na, nb, den = self._aligned(other)
+        return RatPoly._from_ints([a - b for a, b in zip(na, nb)], den)
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self._coeffs])
+        return RatPoly._from_ints([-n for n in self._nums], self._den)
 
     def __mul__(self, other: Union["RatPoly", int, Fraction]) -> "RatPoly":
         if isinstance(other, RatPoly):
-            if not self._coeffs or not other._coeffs:
+            na, nb = self._nums, other._nums
+            if not na or not nb:
                 return ZERO
-            # convolve integer numerators over each side's common
-            # denominator: plain int arithmetic, one Fraction per output.
-            # math.lcm gets lists: star-args from a generator build a
-            # resized tuple, and freeing those grows the tuple free lists
-            # (3 MB more peak memory after ten design_sweep cycles)
-            da = math.lcm(*[c.denominator for c in self._coeffs])
-            db = math.lcm(*[c.denominator for c in other._coeffs])
-            na = [c.numerator * (da // c.denominator) for c in self._coeffs]
-            nb = [c.numerator * (db // c.denominator) for c in other._coeffs]
             out = [0] * (len(na) + len(nb) - 1)
             for i, a in enumerate(na):
                 if not a:
                     continue
-                for j, b in enumerate(nb):
-                    out[i + j] += a * b
-            den = da * db
-            return RatPoly([Fraction(n, den) for n in out])
+                for j, b in enumerate(nb, i):
+                    out[j] += a * b
+            return RatPoly._from_ints(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self._coeffs])
+            num, den = other.numerator, other.denominator
+            return RatPoly._from_ints([n * num for n in self._nums], self._den * den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -127,18 +160,23 @@ class RatPoly:
         """Multiply by ``z**power`` (delay every weight by ``power`` steps)."""
         if power < 0:
             raise ValueError(f"shift power must be nonnegative, got {power}")
-        if not self._coeffs:
+        if not self._nums:
             return ZERO
-        return RatPoly((Fraction(0),) * power + self._coeffs)
+        return RatPoly._from_ints([0] * power + list(self._nums), self._den)
 
     def evaluate(self, x: CoefficientLike) -> Fraction:
         """Evaluate at ``x`` exactly (Horner's rule)."""
         if not isinstance(x, Fraction):
             x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        if not self._nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        # Horner's rule on the numerators of x = p/q, scaled by q**degree
+        acc, qpow = 0, 1
+        for n in reversed(self._nums):
+            acc = acc * p + n * qpow
+            qpow *= q
+        return Fraction(acc, self._den * (qpow // q))
 
     def derivative_at_one(self, order: int = 1) -> Fraction:
         """Exact value of the ``order``-th derivative at ``z = 1``.
@@ -149,30 +187,65 @@ class RatPoly:
         """
         if order < 0:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
-        # sum integer numerators over the common denominator, one Fraction
-        den = math.lcm(*[c.denominator for c in self._coeffs])
-        total = sum(
-            c.numerator * (den // c.denominator) * math.perm(j, order)
-            for j, c in enumerate(self._coeffs[order:], order)
-        )
-        return Fraction(total, den)
+        total = sum(n * math.perm(j, order)
+                    for j, n in enumerate(self._nums[order:], order))
+        return Fraction(total, self._den)
+
+    def squared_norm(self) -> Fraction:
+        """Sum of the squared coefficients, exactly."""
+        return Fraction(sum(n * n for n in self._nums), self._den * self._den)
+
+    def inverse_near_one(self, degree: int) -> "RatPoly":
+        """The polynomial ``phi`` of degree <= ``degree`` with ``phi * self - 1``
+        divisible by ``(z - 1)**(degree + 1)``, for ``self`` with value 1 at
+        ``z = 1``.
+
+        With ``w = 1 - z`` and ``self = T(z)/D``, ``self(1 - w) = sum a_i
+        w**i`` has ``a_i = A_i/D`` with ``A_i = (-1)**i sum_j T_j C(j, i)``,
+        and ``a_0 = 1``. Its power-series inverse ``sum b_n w**n`` follows
+        from ``b_0 = 1`` and ``b_n = -sum_{i=1..n} a_i b_{n-i}``; in integers
+        ``B_n = b_n D**n`` obeys ``B_n = -sum_{i=1..n} A_i B_{n-i} D**(i-1)``.
+        Cutting after ``w**degree`` and expanding ``(1 - z)**n`` binomially,
+        ``phi``'s numerator on ``z**m`` over ``D**degree`` is ``sum_{n>=m}
+        (-1)**m C(n, m) B_n D**(degree-n)``.
+
+        Raises
+        ------
+        ValueError
+            If ``degree`` is negative or ``self`` is not 1 at ``z = 1``.
+        """
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {degree}")
+        t, d = self._nums, self._den
+        a = [(-1) ** i * sum(n * math.comb(j, i) for j, n in enumerate(t[i:], i))
+             for i in range(degree + 1)]
+        if a[0] != d:
+            raise ValueError(f"value at z = 1 must be 1, got {Fraction(a[0], d)}")
+        dpow = [d**i for i in range(degree + 1)]
+        b = [1]
+        for n in range(1, degree + 1):
+            b.append(-sum(a[i] * b[n - i] * dpow[i - 1] for i in range(1, n + 1)))
+        scaled = [b[n] * dpow[degree - n] for n in range(degree + 1)]
+        nums = [(-1) ** m * sum(math.comb(n, m) * scaled[n] for n in range(m, degree + 1))
+                for m in range(degree + 1)]
+        return RatPoly._from_ints(nums, dpow[degree])
 
     def as_floats(self) -> tuple[float, ...]:
         """Coefficients converted to floats, for applying to float data."""
         try:
             return self._floats
         except AttributeError:
-            self._floats = tuple(float(c) for c in self._coeffs)
+            # int / int is correctly rounded, as float(Fraction) is
+            den = self._den
+            self._floats = tuple(n / den for n in self._nums)
             return self._floats
 
     def __str__(self) -> str:
         """Render over a common denominator, e.g. ``(4 + z + z^2 - 3z^3)/3``."""
-        if not self._coeffs:
+        if not self._nums:
             return "0"
-        den = math.lcm(*[c.denominator for c in self._coeffs])
-        nums = [int(c * den) for c in self._coeffs]
         terms: list[str] = []
-        for j, n in enumerate(nums):
+        for j, n in enumerate(self._nums):
             if n == 0:
                 continue
             mag = abs(n)
@@ -186,14 +259,14 @@ class RatPoly:
             else:
                 terms.append(f"+ {body}" if n > 0 else f"- {body}")
         poly = " ".join(terms)
-        if den == 1:
+        if self._den == 1:
             return poly
         if len(terms) == 1:
-            return f"{poly}/{den}"
-        return f"({poly})/{den}"
+            return f"{poly}/{self._den}"
+        return f"({poly})/{self._den}"
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(str(c)) for c in self._coeffs)
+        inner = ", ".join(repr(str(c)) for c in self.coeffs)
         return f"RatPoly([{inner}])"
 
 
@@ -214,5 +287,4 @@ def sma(k: int) -> RatPoly:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"averaging length must be a positive integer, got {k!r}")
-    w = Fraction(1, k)
-    return RatPoly([w] * k)
+    return RatPoly._from_ints([1] * k, k)

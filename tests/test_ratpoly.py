@@ -1,4 +1,10 @@
-"""Exact polynomial algebra: frozen values and algebraic properties."""
+"""Exact polynomial algebra: frozen values and algebraic properties.
+
+Results are also checked against a reference that does the same algebra one
+``Fraction`` at a time, on coefficient tuples, and against the stored form's
+invariants: integer numerators over one positive denominator coprime to
+them, with no trailing zero numerator.
+"""
 
 import math
 from fractions import Fraction as F
@@ -18,6 +24,63 @@ def fractions(max_num=50, max_den=12):
 
 def polys(max_len=7):
     return st.builds(RatPoly, st.lists(fractions(), max_size=max_len))
+
+
+def scalars():
+    return st.one_of(st.integers(min_value=-30, max_value=30), fractions())
+
+
+# the reference: the same algebra one Fraction at a time, on coefficient tuples
+
+
+def ref_trim(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + (F(0),) * (n - len(a)), b + (F(0),) * (n - len(b))
+    return ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_evaluate(cs, x):
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def ref_inverse_near_one(cs, degree):
+    """The truncated series inverse about z = 1, from Taylor coefficients."""
+    a = [(-1) ** i * sum((c * math.comb(j, i) for j, c in enumerate(cs)), F(0))
+         for i in range(degree + 1)]
+    b = [F(1)]
+    for n in range(1, degree + 1):
+        b.append(-sum(a[i] * b[n - i] for i in range(1, n + 1)))
+    return ref_trim((-1) ** m * sum(math.comb(n, m) * b[n] for n in range(m, degree + 1))
+                    for m in range(degree + 1))
+
+
+def assert_canonical(p):
+    """The stored form: numerators over a positive denominator coprime to
+    them, no trailing zero, and the zero polynomial as ((), 1)."""
+    nums, den = p._nums, p._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int for n in nums)
+    assert math.gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    assert p.degree == len(nums) - 1
 
 
 class TestConstruction:
@@ -102,13 +165,42 @@ class TestArithmetic:
     def test_mul_distributes(self, a, b, c):
         assert a * (b + c) == a * b + a * c
 
-    @given(polys(), polys())
-    def test_coefficients_stay_canonical(self, a, b):
-        # Fraction reduces automatically; confirm products keep gcd 1 and
-        # positive denominators, which the serialization format relies on.
-        for c in (a * b).coeffs:
-            assert c.denominator > 0
-            assert math.gcd(abs(c.numerator), c.denominator) == 1
+    @given(polys(), polys(), scalars(), st.integers(min_value=0, max_value=4))
+    def test_coefficients_stay_canonical(self, a, b, s, k):
+        results = (a, b, a + b, a - b, a - a, -a, a * b, a * s, s * a, a * 0, a.shift(k))
+        for p in results:
+            assert_canonical(p)
+            # coefficients are reduced Fractions, which the serialization
+            # format relies on
+            for c in p.coeffs:
+                assert c.denominator > 0
+                assert math.gcd(abs(c.numerator), c.denominator) == 1
+
+    @given(polys(), polys(), scalars(), st.integers(min_value=0, max_value=4))
+    def test_coefficients_match_the_fraction_reference(self, a, b, s, k):
+        ca, cb = a.coeffs, b.coeffs
+        assert (a + b).coeffs == ref_add(ca, cb)
+        assert (a - b).coeffs == ref_add(ca, cb, -1)
+        assert (-a).coeffs == ref_trim(-c for c in ca)
+        assert (a * b).coeffs == ref_mul(ca, cb)
+        assert (a * s).coeffs == (s * a).coeffs == ref_trim(c * s for c in ca)
+        assert a.shift(k).coeffs == ref_trim((0,) * k + ca)
+
+    @given(st.lists(fractions(), max_size=7))
+    def test_construction_matches_the_fraction_reference(self, cs):
+        p = RatPoly(cs)
+        assert_canonical(p)
+        assert p.coeffs == ref_trim(cs)
+        assert all(p.coeff(j) == c for j, c in enumerate(ref_trim(cs)))
+
+    @given(polys(), polys(), st.integers(min_value=1, max_value=9))
+    def test_equal_polynomials_hash_equal(self, a, b, m):
+        # the same polynomial reached by other routes, and from unreduced input
+        same = ((a + b) - b, b + a - b, a * ONE, a.shift(0), -(-a), RatPoly(a.coeffs),
+                RatPoly([F(c.numerator * m, c.denominator * m) for c in a.coeffs] + [0]))
+        for p in same:
+            assert p == a
+            assert hash(p) == hash(a)
 
 
 class TestEvaluationAndDerivatives:
@@ -140,6 +232,14 @@ class TestEvaluationAndDerivatives:
         with pytest.raises(ValueError):
             ONE.derivative_at_one(-1)
 
+    @given(polys(), fractions(max_num=9, max_den=5), st.integers(min_value=0, max_value=5))
+    def test_match_the_fraction_reference(self, p, x, order):
+        assert p.evaluate(x) == ref_evaluate(p.coeffs, x)
+        assert p.evaluate(3) == ref_evaluate(p.coeffs, F(3))
+        want = sum((c * math.perm(j, order) for j, c in enumerate(p.coeffs)), F(0))
+        assert p.derivative_at_one(order) == want
+        assert p.squared_norm() == sum((c * c for c in p.coeffs), F(0))
+
     @given(polys(max_len=6), polys(max_len=6), st.integers(min_value=0, max_value=4))
     @settings(max_examples=80)
     def test_leibniz_rule_at_one(self, a, b, n):
@@ -149,6 +249,37 @@ class TestEvaluationAndDerivatives:
             for i in range(n + 1)
         )
         assert lhs == rhs
+
+
+class TestInverseNearOne:
+    @given(polys(), st.integers(min_value=0, max_value=8))
+    def test_matches_the_fraction_reference(self, p, degree):
+        value = p.evaluate(1)
+        if value == 0:
+            return
+        theta = p * (1 / value)
+        phi = theta.inverse_near_one(degree)
+        assert_canonical(phi)
+        assert phi.coeffs == ref_inverse_near_one(theta.coeffs, degree)
+        assert phi.degree <= degree
+        # phi * theta - 1 vanishes at z = 1 to order degree + 1
+        residual = phi * theta - ONE
+        assert all(residual.derivative_at_one(j) == 0 for j in range(degree + 1))
+
+    def test_product_of_averages(self):
+        theta = sma(1) * sma(3) * sma(5)
+        assert theta.inverse_near_one(0) == ONE
+        # degree 1: phi = 1 + mean lag * (1 - z), and theta's mean lag is 3
+        assert theta.inverse_near_one(1) == RatPoly([4, -3])
+
+    @pytest.mark.parametrize("p", [RatPoly([1, 1]), ZERO, RatPoly([F(-1, 2), F(3, 2), 1])])
+    def test_rejects_a_value_other_than_one_at_one(self, p):
+        with pytest.raises(ValueError, match="value at z = 1 must be 1"):
+            p.inverse_near_one(2)
+
+    def test_rejects_a_negative_degree(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sma(3).inverse_near_one(-1)
 
 
 class TestRendering:
@@ -173,6 +304,12 @@ class TestRendering:
 
     def test_as_floats(self):
         assert RatPoly([F(1, 2), 3]).as_floats() == (0.5, 3.0)
+
+    @given(st.lists(st.builds(F, st.integers(min_value=-2**200, max_value=2**200),
+                              st.integers(min_value=1, max_value=2**150)), max_size=6))
+    def test_as_floats_are_the_rounded_coefficients(self, cs):
+        p = RatPoly(cs)
+        assert [x.hex() for x in p.as_floats()] == [float(c).hex() for c in p.coeffs]
 
     def test_as_floats_computed_once(self):
         p = RatPoly([F(1, 3), F(-2, 7)])
