@@ -424,6 +424,15 @@ def compare(
 # expected bias under a polynomial trend
 
 
+def _to_float(x: Fraction, what: str) -> float:
+    """``float(x)``, or a :class:`DomainError` naming ``what`` when ``x`` lies
+    beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} is beyond the float range") from None
+
+
 def _weighted_trend(trend: RatPoly, weights: RatPoly, t: int) -> Fraction:
     """``sum_j weights_j * trend(t - j)``, exactly."""
     return sum((c * trend.evaluate(t - j) for j, c in enumerate(weights.coeffs)), Fraction(0))
@@ -459,11 +468,20 @@ def expected_bias(
     so the two expectations are the same number. For proper mode ``fs``
     is optional; when given, the zero arises from the exact filter algebra
     rather than by fiat.
+
+    Raises
+    ------
+    DomainError
+        If the exact bias lies beyond the float range.
     """
     if spec.mode == "proper" and fs is None:
         return 0.0
     a, b = _deterministic_sides(RatPoly(trend), spec, fs)
-    return float(a - b)
+    return _to_float(
+        a - b,
+        f"expected {spec.mode} bias of {spec.reference_period}y against "
+        f"{spec.other_period}y at {spec.t0}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +636,12 @@ def simulate_bias(
         Monte Carlo standard error; ``var_a``/``var_b`` are the sample
         variances of the two sides (for checking noise inflation against
         the design's variance_inflation).
+
+    Raises
+    ------
+    DomainError
+        If a side's noise-free value, or their difference, lies beyond the
+        float range.
     """
     import numpy as np
 
@@ -627,7 +651,12 @@ def simulate_bias(
     wb = np.array(pb.as_floats())
 
     det_a, det_b = _deterministic_sides(RatPoly(spec.trend), cspec, fs)
-    det_diff = det_a - det_b
+    t0 = spec.t0
+    det_a_f = _to_float(det_a, f"region A's noise-free {ka}y value at {t0}")
+    det_b_f = _to_float(det_b, f"region B's noise-free {kb}y value at {t0}")
+    det_diff_f = _to_float(
+        det_a - det_b, f"the difference of the noise-free {ka}y and {kb}y values at {t0}"
+    )
 
     sd_a = spec.noise_sd.get(ka, 0.0)
     sd_b = spec.noise_sd.get(kb, 0.0)
@@ -681,7 +710,7 @@ def simulate_bias(
     sum_d, sumsq_d, sum_a, sumsq_a, sum_b, sumsq_b = sums
 
     mean_d = sum_d / total
-    bias = float(det_diff) + mean_d
+    bias = det_diff_f + mean_d
 
     def _sample_var(s: float, ss: float) -> float:
         if total < 2:
@@ -704,8 +733,8 @@ def simulate_bias(
         seed=spec.seed,
         bias=bias,
         std_error=math.sqrt(var_d / total),
-        mean_a=float(det_a) + sum_a / total,
-        mean_b=float(det_b) + sum_b / total,
+        mean_a=det_a_f + sum_a / total,
+        mean_b=det_b_f + sum_b / total,
         var_a=_sample_var(sum_a, sumsq_a),
         var_b=_sample_var(sum_b, sumsq_b),
     )
@@ -732,6 +761,12 @@ def synthetic_series(
 
     The 1y sub-series starts ``max(periods) - 1`` years early so every
     k-year value has a complete single-year window for diagnostics.
+
+    Raises
+    ------
+    DomainError
+        If a value lies beyond the float range; the message names its period
+        and end year.
     """
     poly = RatPoly(trend)
     ks = sorted(set(periods))
@@ -744,5 +779,6 @@ def synthetic_series(
     for k in sorted({1, *ks}):
         w = sma(k)
         for t in range(start_year - (pad if k == 1 else 0), end_year + 1):
-            obs[(k, t)] = float(_weighted_trend(poly, w, t))
+            obs[(k, t)] = _to_float(_weighted_trend(poly, w, t),
+                                    f"{name}: the {k}y value ending {t}")
     return MyeSeries(name, unit, obs)

@@ -479,6 +479,15 @@ class TestExpectedBias:
             spec = ComparisonSpec(mode, 50, ref, other)
             assert expected_bias((42,), spec, LINEAR) == 0.0
 
+    def test_bias_beyond_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="inapt bias of 1y against 3y at 2010 is beyond"):
+            expected_bias([0, "1e400"], ComparisonSpec("inapt", 2010, 1, 3))
+
+    def test_bias_near_the_float_range_keeps_its_bits(self):
+        # a slope of 1e308 biases 1y against 3y by exactly the slope
+        got = expected_bias([0, "1e308"], ComparisonSpec("inapt", 2010, 1, 3))
+        assert got.hex() == float(F(10) ** 308).hex()
+
 
 class TestDelayLaw:
     @pytest.mark.parametrize("k", [3, 5])
@@ -546,6 +555,13 @@ class TestSyntheticSeries:
         s = synthetic_series((0, 1), (1, 5), 2000, 2005)
         assert s.has(1, 1996)
         compatibility(s, (5,))  # no missing-window error
+
+    def test_value_beyond_the_float_range_names_period_and_year(self):
+        with pytest.raises(DomainError, match="synthetic: the 1y value ending 1998 is beyond"):
+            synthetic_series(["1e400"], (1, 3), 2000, 2005)
+        # finite up to 2000 and past the range from 2001 on
+        with pytest.raises(DomainError, match="big: the 1y value ending 2001 is beyond"):
+            synthetic_series([0, "8.985e304"], (1, 3), 2000, 2005, name="big")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -331,6 +331,12 @@ class TestSimulate:
         assert "std error" in out
 
 
+    def test_trend_beyond_the_float_range_exits_one(self, capsys):
+        code, out, err = run(capsys, ["simulate", "--trend", "1e400,1", "--noise", "1",
+                                      "--mode", "inapt", "--t0", "2010", "--replicates", "10"])
+        assert (code, out) == (1, "")
+        assert err == "error: region A's noise-free 1y value at 2010 is beyond the float range\n"
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_json_is_strict(self, capsys):
         # NaN and infinities go out as null, which every JSON parser accepts

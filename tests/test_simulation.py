@@ -20,6 +20,7 @@ from myetrends.analysis import (
     expected_bias,
     simulate_bias,
 )
+from myetrends.exceptions import DomainError
 from myetrends.filterdesign import DesignSpec, design_filters
 from myetrends.ratpoly import RatPoly
 
@@ -185,6 +186,19 @@ class TestZeroNoiseExactness:
         assert s.mean_a == 10.0   # trend value at t0
         assert s.mean_b == 9.0    # 3-window mean of a slope-1 line at t0
         assert s.bias == 1.0
+
+    @pytest.mark.parametrize("trend,mode,ref,other,side", [
+        (("1e400", 1), "inapt", 1, 3, "region A's noise-free 1y value at 2010"),
+        # region A's 1y value at 2010 is 1e308, region B's 3y value 2e308
+        (("2011e308", "-1e308"), "inapt", 1, 3, "region B's noise-free 3y value at 2010"),
+        # both sides finite (1e308 and -1e308), their difference not
+        (("-2009e308", "1e308"), "inapt", 1, 5, "the difference of the noise-free 1y and 5y"),
+    ])
+    def test_value_beyond_the_float_range_names_the_side(self, trend, mode, ref, other, side):
+        spec = make_spec(mode=mode, trend=trend, t0=2010, reference_period=ref,
+                         other_period=other, replicates=10)
+        with pytest.raises(DomainError, match=f"^{side}.* is beyond the float range$"):
+            simulate_bias(spec)
 
     def test_explicit_zero_sd_same_as_absent(self):
         a = simulate_bias(make_spec(noise_sd={}, replicates=50))
