@@ -73,6 +73,43 @@ class TestJudgeClaim:
         assert claim(HIGHER, parent, [v + 5.0 for v in parent])["met"]
 
 
+def traced(**metrics):
+    """One traced run's ``metrics`` object from name=(value, unit) pairs."""
+    return {name: {"value": v, "unit": u, "n": 1} for name, (v, u) in metrics.items()}
+
+
+class TestAggregateTraces:
+    def test_timings_median_min_max_and_counts_once(self):
+        runs = {
+            "parent": [traced(a_ms=(3.0, "ms"), draws=(240, "count"), bits=(59, "bits")),
+                       traced(a_ms=(1.0, "ms"), draws=(240, "count"), bits=(59, "bits")),
+                       traced(a_ms=(8.0, "ms"), draws=(240, "count"), bits=(59, "bits"))],
+            "change": [traced(a_ms=(2.0, "ms"), draws=(120, "count"), bits=(59, "bits")),
+                       traced(a_ms=(0.5, "ms"), draws=(120, "count"), bits=(59, "bits")),
+                       traced(a_ms=(1.0, "ms"), draws=(120, "count"), bits=(59, "bits"))],
+        }
+        assert bench_pairs.aggregate_traces(runs) == {
+            "a_ms": {"unit": "ms", "parent": {"median": 3.0, "min": 1.0, "max": 8.0},
+                     "change": {"median": 1.0, "min": 0.5, "max": 2.0}},
+            # the two sides may differ; one side's runs may not
+            "draws": {"unit": "count", "parent": 240, "change": 120},
+            "bits": {"unit": "bits", "parent": 59, "change": 59},
+        }
+
+    def test_a_metric_missing_from_any_run_is_left_out(self):
+        runs = {"parent": [traced(a_ms=(1.0, "ms"), b_ms=(1.0, "ms"))] * 3,
+                "change": [traced(a_ms=(1.0, "ms"), b_ms=(1.0, "ms"))] * 2
+                + [traced(a_ms=(1.0, "ms"))]}
+        assert list(bench_pairs.aggregate_traces(runs)) == ["a_ms"]
+
+    def test_a_count_that_differs_between_one_sides_runs_fails(self):
+        runs = {"parent": [traced(draws=(240, "count"))] * 3,
+                "change": [traced(draws=(240, "count"))] * 2 + [traced(draws=(241, "count"))]}
+        with pytest.raises(SystemExit, match=r"draws differs between the change's traced "
+                                             r"runs: \[240, 240, 241\]"):
+            bench_pairs.aggregate_traces(runs)
+
+
 class TestParseArgs:
     def test_defaults(self):
         args = bench_pairs.parse_args(BASE + ["--claim", "series_audit:work_per_s"])

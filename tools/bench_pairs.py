@@ -18,8 +18,11 @@ result goes to ``BENCH_<pr>.json`` at the root of the repository.
 A gain is claimed only for ``--claim WORKLOAD:METRIC``: the change must be
 better in at least nine tenths of the pairs (ties count for neither side),
 and its median must differ from the parent's, in the better direction, by
-more than the parent's quartile spread. ``--trace W`` adds one ``--trace 1``
-run per side on workload ``W`` (first seed) for the per-layer metrics.
+more than the parent's quartile spread. ``--trace W`` adds three ``--trace 1``
+runs per side on workload ``W``, on seeds ``--seed`` to ``--seed + 2`` in the
+pairs' alternating order, for the per-layer metrics: each timing is written
+as its median, min and max per side, and each exact count once per side,
+failing if one side's runs disagree on it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+TRACED_RUNS = 3
+# per-layer units of exact counts, which every run of one side must repeat
+EXACT_UNITS = ("count", "bits")
 
 CLAIM_RULE = ("change better in >= 9/10 of the pairs and median difference "
               "> parent's quartile spread")
@@ -49,7 +56,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                    help="workload to run; repeat for several (default: all in BENCHMARK.json)")
     p.add_argument("--claim", help="WORKLOAD:METRIC on which a gain is claimed")
     p.add_argument("--trace", action="append", default=[], metavar="WORKLOAD",
-                   help="also take one traced run per side on this workload")
+                   help=f"also take {TRACED_RUNS} traced runs per side on this workload")
     p.add_argument("--note", action="append", default=[], help="free-text note; repeatable")
     args = p.parse_args(argv)
     # statistics.quantiles needs two runs a side; both checks fail before any export or run
@@ -109,6 +116,34 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
         "change_better_pairs": f"{wins}/{len(parent)}",
         "parent_quartile_spread": p["q3"] - p["q1"],
     }
+
+
+def aggregate_traces(runs: dict[str, list[dict]]) -> dict:
+    """Per-layer metrics of several traced runs per side: each timing's median,
+    min and max per side, and each exact count once per side.
+
+    ``runs`` maps each side to its runs' ``metrics`` objects. A metric goes in
+    only if every run of both sides reports it. Exits if one side's runs
+    disagree on a count, which would mean the runs did different work.
+    """
+    names = [name for name in runs["change"][0]
+             if all(name in r for rs in runs.values() for r in rs)]
+    out = {}
+    for name in names:
+        unit = runs["change"][0][name]["unit"]
+        entry = {"unit": unit}
+        for side, rs in runs.items():
+            values = [r[name]["value"] for r in rs]
+            if unit in EXACT_UNITS:
+                if len(set(values)) != 1:
+                    raise SystemExit(
+                        f"{name} differs between the {side}'s traced runs: {values}")
+                entry[side] = values[0]
+            else:
+                entry[side] = {"median": statistics.median(values),
+                               "min": min(values), "max": max(values)}
+        out[name] = entry
+    return out
 
 
 def judge_claim(metric: dict) -> dict:
@@ -191,16 +226,17 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
 
     per_layer = {}
     for workload in args.trace:
-        traced = {}
-        for side in ("parent", "change"):
-            print(f"{workload} traced: {side}", file=sys.stderr, flush=True)
-            traced[side] = run_once(trees[side], workload, args.seed, seconds, 1)["metrics"]
+        seeds = [args.seed + i for i in range(TRACED_RUNS)]
+        traced: dict[str, list[dict]] = {"parent": [], "change": []}
+        for seed in seeds:
+            for side in ("change", "parent") if seed % 2 else ("parent", "change"):
+                print(f"{workload} traced seed {seed}: {side}", file=sys.stderr, flush=True)
+                traced[side].append(run_once(trees[side], workload, seed, seconds, 1)["metrics"])
         per_layer[workload] = {
-            "command": f"python3 perfbench/run.py --workload {workload} --seed {args.seed} "
+            "command": f"python3 perfbench/run.py --workload {workload} --seed S "
                        f"--seconds {seconds:g} --trace 1",
-            "metrics": {name: {"unit": m["unit"], "parent": traced["parent"][name]["value"],
-                               "change": m["value"]}
-                        for name, m in traced["change"].items() if name in traced["parent"]},
+            "seeds": seeds,
+            "metrics": aggregate_traces(traced),
         }
 
     out = {
@@ -211,7 +247,10 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
             f"`python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0` "
             "runs once on each side, one run at a time, the side that runs first alternating "
             "with the seed (odd seeds: change first). Medians and quartiles are over the pairs "
-            "(statistics.quantiles, n=4, inclusive). Written by tools/bench_pairs.py."
+            "(statistics.quantiles, n=4, inclusive). Per-layer metrics come from "
+            f"{TRACED_RUNS} `--trace 1` runs per side on seeds S, S+1 and S+2 in the same "
+            "alternating order: timings as median, min and max per side, exact counts once. "
+            "Written by tools/bench_pairs.py."
         ),
         "claim": None,
         "notes": args.note,
