@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Union
 
 __all__ = ["RatPoly", "sma", "ZERO", "ONE"]
@@ -109,30 +110,26 @@ class RatPoly:
     def __hash__(self) -> int:
         return hash((self._nums, self._den))
 
-    def _aligned(self, other: "RatPoly") -> tuple[list[int], list[int], int]:
-        """Both numerator lists over the two denominators' lcm, padded to
-        the same length with zeros."""
+    def _aligned(self, other: "RatPoly") -> tuple[zip_longest, int]:
+        """Pairs of numerators over the two denominators' lcm, zero past
+        the shorter polynomial, and that lcm."""
         da, db = self._den, other._den
-        den = da if da == db else math.lcm(da, db)
-        fa, fb = den // da, den // db
-        na = [n * fa for n in self._nums] if fa != 1 else list(self._nums)
-        nb = [n * fb for n in other._nums] if fb != 1 else list(other._nums)
-        width = max(len(na), len(nb))
-        na += [0] * (width - len(na))
-        nb += [0] * (width - len(nb))
-        return na, nb, den
+        den = math.lcm(da, db)
+        na = self._nums if den == da else [n * (den // da) for n in self._nums]
+        nb = other._nums if den == db else [n * (den // db) for n in other._nums]
+        return zip_longest(na, nb, fillvalue=0), den
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
         if not isinstance(other, RatPoly):
             return NotImplemented
-        na, nb, den = self._aligned(other)
-        return RatPoly._from_ints([a + b for a, b in zip(na, nb)], den)
+        pairs, den = self._aligned(other)
+        return RatPoly._from_ints([a + b for a, b in pairs], den)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
         if not isinstance(other, RatPoly):
             return NotImplemented
-        na, nb, den = self._aligned(other)
-        return RatPoly._from_ints([a - b for a, b in zip(na, nb)], den)
+        pairs, den = self._aligned(other)
+        return RatPoly._from_ints([a - b for a, b in pairs], den)
 
     def __neg__(self) -> "RatPoly":
         return RatPoly._from_ints([-n for n in self._nums], self._den)
