@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequenc
 from .exceptions import DomainError, MissingDataError
 from .filterdesign import DesignSpec, FilterSet
 from .myeseries import IMPUTED, MyeSeries, RegionPair, render_value, sma_of_base
-from .ratpoly import ONE, RatPoly, sma
+from .ratpoly import ONE, RatPoly, coefficients, sma
 
 if TYPE_CHECKING:
     import numpy as np
@@ -471,12 +471,15 @@ def expected_bias(
 
     Raises
     ------
+    ValueError
+        If a trend coefficient is non-finite or unparsable.
     DomainError
         If the exact bias lies beyond the float range.
     """
+    poly = RatPoly(trend)
     if spec.mode == "proper" and fs is None:
         return 0.0
-    a, b = _deterministic_sides(RatPoly(trend), spec, fs)
+    a, b = _deterministic_sides(poly, spec, fs)
     return _to_float(
         a - b,
         f"expected {spec.mode} bias of {spec.reference_period}y against "
@@ -522,10 +525,11 @@ class SimulationSpec:
         reference_period: int = 1,
         other_period: int = 3,
     ) -> None:
-        object.__setattr__(self, "trend", tuple(map(Fraction, trend)))
+        object.__setattr__(self, "trend", tuple(coefficients(trend)))
         sds = {}
         for k, sd in dict(noise_sd).items():
-            k = int(k)
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+                raise ValueError(f"noise period must be an integer >= 1, got {k!r}")
             sd = float(sd)
             if not math.isfinite(sd) or sd < 0:
                 raise ValueError(f"noise sd for period {k} must be >= 0 and finite, got {sd}")
@@ -534,10 +538,10 @@ class SimulationSpec:
         object.__setattr__(
             self, "comparison", ComparisonSpec(mode, t0, reference_period, other_period)
         )
-        if not isinstance(replicates, int) or replicates < 1:
+        if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
             raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
         object.__setattr__(self, "replicates", replicates)
-        if not isinstance(seed, int) or not (0 <= seed < 2**64):
+        if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         object.__setattr__(self, "seed", seed)
 
@@ -764,6 +768,8 @@ def synthetic_series(
 
     Raises
     ------
+    ValueError
+        If a trend coefficient is non-finite or unparsable.
     DomainError
         If a value lies beyond the float range; the message names its period
         and end year.

@@ -7,8 +7,11 @@ Monte Carlo bias), and ``demo`` (reproduce the bundled-data reference
 results end to end).
 
 Exit codes: 0 success, 1 data or computation error, 2 usage error.
+:func:`main` returns 0 or 1; a usage error, whether argparse or the
+library rejects a flag value, prints argparse's usage line and raises
+``SystemExit(2)``.
 ``impute`` writes CSV; every other subcommand's output format is
-``--format``, else the MYETRENDS_FORMAT environment variable, else text.
+``--format`` (default text).
 JSON output is key-sorted so identical runs are byte-identical, and writes
 NaN and infinities as null.
 The parsed argument namespace is the whole configuration; flags are
@@ -20,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -51,13 +53,6 @@ from .myeseries import (
 _FORMATS = ("text", "json")
 
 
-def _resolve_format(args: argparse.Namespace) -> str:
-    if args.format:
-        return args.format
-    env = os.environ.get("MYETRENDS_FORMAT", "").strip().lower()
-    return env if env in _FORMATS else "text"
-
-
 def _finite_or_null(value):
     """``value`` with every NaN or infinity replaced by None (JSON null)."""
     if isinstance(value, dict):
@@ -69,7 +64,7 @@ def _finite_or_null(value):
 
 def _report(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
     """Write a command's result: ``payload`` as JSON, or ``lines`` as text."""
-    if _resolve_format(args) == "json":
+    if args.format == "json":
         text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     else:
         text = "\n".join(lines)
@@ -143,7 +138,7 @@ def _parse_noise(text: str):
 
 
 def _add_format_and_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=_FORMATS, default=None, help="output format (default: text, or MYETRENDS_FORMAT)")
+    p.add_argument("--format", choices=_FORMATS, default="text", help="output format (default: text)")
     p.add_argument("-o", "--out", default=None, help="write output to this file instead of stdout")
 
 
@@ -164,20 +159,12 @@ def _load_series_arg(path: str):
     return load_csv(path)
 
 
-def _design_from_args(parser, degree: int, periods: tuple[int, ...]) -> DesignSpec:
-    try:
-        return DesignSpec(periods, degree)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_design(parser, args) -> int:
-    spec = _design_from_args(parser, args.degree, args.periods)
-    fs = design_filters(spec)
+def cmd_design(args) -> int:
+    fs = design_filters(DesignSpec(args.periods, args.degree))
     report = verify_filter_set(fs)
     checks = [{"name": c.name, "passed": c.passed, "residual": c.residual} for c in report.checks]
     payload = {"filters": fs.to_dict(), "verification": {"passed": report.passed, "checks": checks}}
@@ -193,17 +180,16 @@ def cmd_design(parser, args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_impute(parser, args) -> int:
+def cmd_impute(args) -> int:
     series = _load_series_arg(args.input)
     filled = impute_random_walk(series, args.targets)
     write_csv(filled, args.out or sys.stdout)
     return 0
 
 
-def cmd_trends(parser, args) -> int:
+def cmd_trends(args) -> int:
     series = _load_series_arg(args.input)
-    periods = args.periods if args.periods else series.periods()
-    spec = _design_from_args(parser, args.degree, periods)
+    spec = DesignSpec(args.periods or series.periods(), args.degree)
     fs = design_filters(spec)
     te = trend_estimates(series, fs, args.t0)
     dec = display_decimals(series.unit)
@@ -219,11 +205,11 @@ def cmd_trends(parser, args) -> int:
     return 0
 
 
-def cmd_compat(parser, args) -> int:
+def cmd_compat(args) -> int:
     series = _load_series_arg(args.input)
-    periods = args.periods if args.periods else tuple(k for k in series.periods() if k > 1)
+    periods = args.periods or tuple(k for k in series.periods() if k > 1)
     if not periods:
-        parser.error("no periods above 1 to audit; pass --periods")
+        raise ValueError("no periods above 1 to audit; pass --periods")
     report = compatibility(
         series, periods, log_base=args.log_base, include_imputed=not args.exclude_imputed
     )
@@ -236,24 +222,21 @@ def cmd_compat(parser, args) -> int:
     return 0
 
 
-def _comparison_from_args(parser, args) -> tuple[ComparisonSpec, Optional[FilterSet]]:
+def _comparison_from_args(args) -> tuple[ComparisonSpec, Optional[FilterSet]]:
     """The comparison the flags describe, and the filter family proper mode needs."""
     ref = args.reference_period
     if ref is None:
         ref = args.other_period if args.mode == "untimely" else 1
-    try:
-        cspec = ComparisonSpec(args.mode, args.t0, ref, args.other_period)
-    except ValueError as exc:
-        parser.error(str(exc))
+    cspec = ComparisonSpec(args.mode, args.t0, ref, args.other_period)
     fs = None
     if args.mode == "proper":
-        periods = args.periods if args.periods else tuple(sorted({1, ref, args.other_period}))
-        fs = design_filters(_design_from_args(parser, args.degree, periods))
+        periods = args.periods or tuple(sorted({1, ref, args.other_period}))
+        fs = design_filters(DesignSpec(periods, args.degree))
     return cspec, fs
 
 
-def cmd_compare(parser, args) -> int:
-    cspec, fs = _comparison_from_args(parser, args)
+def cmd_compare(args) -> int:
+    cspec, fs = _comparison_from_args(args)
     series_a = _load_series_arg(args.input_a)
     series_b = _load_series_arg(args.input_b)
     result = compare(RegionPair(series_a, series_b), cspec, fs)
@@ -267,24 +250,21 @@ def cmd_compare(parser, args) -> int:
     return 0
 
 
-def cmd_simulate(parser, args) -> int:
-    cspec, fs = _comparison_from_args(parser, args)
+def cmd_simulate(args) -> int:
+    cspec, fs = _comparison_from_args(args)
     noise = args.noise
     if isinstance(noise, float):
         noise = {k: noise for k in {cspec.reference_period, cspec.other_period}}
-    try:
-        sspec = SimulationSpec(
-            trend=args.trend,
-            noise_sd=noise,
-            mode=cspec.mode,
-            t0=cspec.t0,
-            replicates=args.replicates,
-            seed=args.seed,
-            reference_period=cspec.reference_period,
-            other_period=cspec.other_period,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    sspec = SimulationSpec(
+        trend=args.trend,
+        noise_sd=noise,
+        mode=cspec.mode,
+        t0=cspec.t0,
+        replicates=args.replicates,
+        seed=args.seed,
+        reference_period=cspec.reference_period,
+        other_period=cspec.other_period,
+    )
     summary = simulate_bias(sspec, fs)
     analytic = expected_bias(sspec.trend, cspec, fs)
     _report(args, {**summary.to_dict(), "expected_bias": analytic}, [
@@ -376,7 +356,7 @@ def demo_rows() -> list[dict]:
     return rows
 
 
-def cmd_demo(parser, args) -> int:
+def cmd_demo(args) -> int:
     rows = demo_rows()
     failed = [r for r in rows if not r["pass"]]
     payload = {"rows": rows, "total": len(rows), "failed": len(failed), "passed": not failed}
@@ -465,14 +445,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args)
     except (MyeTrendsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         # validation surfaced from library objects built off flag values
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

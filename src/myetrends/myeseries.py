@@ -370,6 +370,9 @@ def impute_random_walk(
 
     Raises
     ------
+    ValueError
+        If a target's period is not an integer >= 1 or its end year is not
+        an integer; the message names the target.
     ImputationError
         If a target already exists or lacks the anchors its position needs
         (an interior gap needs one published value on each side; a trailing
@@ -381,6 +384,10 @@ def impute_random_walk(
     anchors: dict[int, list[int]] = {}
     for key in targets:
         k, t = key
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"target {key!r}: period must be an integer >= 1")
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise ValueError(f"target {key!r}: end year must be an integer")
         if series.has(k, t) or key in filled:
             prov = filled[key].provenance if key in filled else series.provenance(k, t)
             raise ImputationError(
@@ -420,14 +427,23 @@ def round_half_away(x: float, decimals: int = 0) -> float:
 
 
 def render_value(x: float, decimals: int = 0) -> str:
-    """Fixed-point string with half-away-from-zero ties, e.g. 41327.5 -> '41328'."""
+    """Fixed-point string with half-away-from-zero ties, e.g. 41327.5 -> '41328'.
+
+    Raises
+    ------
+    DomainError
+        If ``x`` is NaN or infinite.
+    """
     return str(_decimal_render(x, decimals))
 
 
 def _decimal_render(x: float, decimals: int) -> Decimal:
     if decimals < 0:
         raise ValueError(f"decimals must be >= 0, got {decimals}")
-    d = Decimal(repr(float(x)))
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"cannot render {x!r}: not a finite number")
+    d = Decimal(repr(x))
     # digits before the point, the decimals and a carry, so quantize never
     # runs out of the default context's 28 digits
     ctx = Context(prec=max(d.adjusted(), 0) + decimals + 2)

@@ -24,6 +24,30 @@ __all__ = ["RatPoly", "sma", "ZERO", "ONE"]
 CoefficientLike = Union[int, str, float, Fraction]
 
 
+def coefficients(coeffs: Iterable[CoefficientLike]) -> list[Fraction]:
+    """``coeffs`` as exact Fractions.
+
+    Raises
+    ------
+    ValueError
+        If a coefficient is non-finite or unparsable; the message names its
+        index.
+    """
+    # materialised, so the error path can walk the same items again
+    cs = coeffs if isinstance(coeffs, (list, tuple)) else list(coeffs)
+    try:
+        return [c if isinstance(c, Fraction) else Fraction(c) for c in cs]
+    except (ValueError, OverflowError, ZeroDivisionError):
+        for j, c in enumerate(cs):
+            try:
+                Fraction(c)
+            except (ValueError, OverflowError, ZeroDivisionError):
+                raise ValueError(
+                    f"coefficient {j} must be a finite number, got {c!r}"
+                ) from None
+        raise
+
+
 class RatPoly:
     """Immutable polynomial in ``z`` with exact rational coefficients.
 
@@ -40,7 +64,8 @@ class RatPoly:
         Coefficients ``c0, c1, ...`` of ``c0 + c1*z + c2*z**2 + ...``.
         Anything :class:`~fractions.Fraction` accepts is allowed (ints,
         strings like ``"4/3"``, Fractions). Floats convert to their exact
-        binary value, so prefer strings for decimal literals.
+        binary value, so prefer strings for decimal literals. A non-finite
+        or unparsable coefficient raises ``ValueError`` naming its index.
 
     Examples
     --------
@@ -54,7 +79,7 @@ class RatPoly:
     __slots__ = ("_nums", "_den", "_coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[CoefficientLike] = ()) -> None:
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = coefficients(coeffs)
         # math.lcm gets a list: star-args from a generator build a resized
         # tuple, and freeing those grows the tuple free lists
         den = math.lcm(*[c.denominator for c in cs])

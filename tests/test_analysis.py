@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myetrends.analysis import (
+    ComparisonResult,
     ComparisonSpec,
     apply_filter,
     compare,
@@ -240,6 +241,10 @@ class TestNsr:
         )
         assert render_value(got, 3) == "0.008"
 
+    def test_synthetic_non_finite_trend_names_the_coefficient(self):
+        with pytest.raises(ValueError, match="coefficient 0 must be a finite number"):
+            synthetic_series((math.inf, 1), (1, 3), 2000, 2010)
+
     def test_zero_when_value_equals_window_mean(self):
         s = synthetic_series((5,), (1, 3), 2000, 2010)
         assert nsr(s, 3, 2005) == pytest.approx(0.0, abs=1e-15)
@@ -416,6 +421,13 @@ class TestCompare:
         with pytest.raises(DomainError, match="zero"):
             compare(pair, ComparisonSpec("inapt", 2000, 1, 3))
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_percent_of_a_non_finite_discrepancy_names_it(self, x):
+        # raised decimal.InvalidOperation, or printed "NaN"
+        result = ComparisonResult(ComparisonSpec("inapt", 2000, 1, 3), 1.0, x, x, 1, 3)
+        with pytest.raises(DomainError, match=f"cannot render {x!r}"):
+            result.percent()
+
     def test_overflowing_discrepancy_rejected(self):
         a = MyeSeries("x", "count", {(1, 2000): 1e-300})
         b = MyeSeries("x", "count", {(3, 2000): 1e300})
@@ -468,6 +480,12 @@ class TestExpectedBias:
 
     def test_proper_without_filter_set(self):
         assert expected_bias((1, 2, 3), ComparisonSpec("proper", 50, 1, 5)) == 0.0
+
+    @pytest.mark.parametrize("mode, ref, other", [("inapt", 1, 3), ("proper", 1, 5)])
+    def test_non_finite_trend_names_the_coefficient(self, mode, ref, other):
+        # checked in every mode, also where proper mode's zero needs no trend
+        with pytest.raises(ValueError, match="coefficient 1 must be a finite number"):
+            expected_bias((0, math.inf), ComparisonSpec(mode, 50, ref, other))
 
     def test_undesigned_period_names_it(self):
         # the same message as compare and simulate_bias, not a bare KeyError

@@ -232,13 +232,12 @@ class TestCompare:
         assert err.startswith("error:") and "not a finite number" in err
 
     def test_proper_design_missing_period_is_usage_error(self, capsys, filled):
-        code, out, err = run(capsys, [
-            "compare", "--in-a", filled, "--in-b", filled,
-            "--mode", "proper", "--t0", "2007",
-            "--other-period", "5", "--periods", "1,3",
-        ])
-        assert code == 2
-        assert "usage error:" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--in-a", filled, "--in-b", filled,
+                  "--mode", "proper", "--t0", "2007",
+                  "--other-period", "5", "--periods", "1,3"])
+        assert exc.value.code == 2
+        assert "has no period 5" in capsys.readouterr().err
 
 
 class TestFloatOverflow:
@@ -367,25 +366,54 @@ class TestDemo:
         assert all(r["pass"] for r in payload["rows"])
 
 
-class TestFormatsAndPlumbing:
-    def test_env_var_selects_json(self, capsys, monkeypatch):
-        monkeypatch.setenv("MYETRENDS_FORMAT", "json")
-        code, out, _ = run(capsys, ["design", "--degree", "0", "--periods", "1"])
-        assert code == 0
-        json.loads(out)
+class TestExitContract:
+    """``main`` returns 0 or 1; every usage error raises ``SystemExit(2)``."""
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MYETRENDS_FORMAT", "json")
-        code, out, _ = run(
-            capsys, ["design", "--degree", "0", "--periods", "1", "--format", "text"]
+    SIM = ["simulate", "--trend", "0,1", "--mode", "inapt", "--t0", "2010"]
+    SAME = ["compare", "--in-a", "income", "--in-b", "income", "--t0", "2007"]
+
+    @pytest.fixture()
+    def one_period(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text(
+            "variable,unit,period,end_year,value\n"
+            "x,count,1,2000,1.0\n"
+            "x,count,1,2001,2.0\n"
         )
-        assert "phi" in out
+        return str(path)
 
-    def test_unknown_env_value_falls_back_to_text(self, capsys, monkeypatch):
-        monkeypatch.setenv("MYETRENDS_FORMAT", "yaml")
-        code, out, _ = run(capsys, ["design", "--degree", "0", "--periods", "1"])
-        assert "phi" in out
+    # flag values argparse accepts and the library then rejects
+    @pytest.mark.parametrize("argv", [
+        ["design", "--degree", "-1", "--periods", "1,3"],
+        ["trends", "--in", "income", "--t0", "2007", "--periods", "1,1"],
+        ["compat", "--in", "income", "--periods", "0"],
+        ["compat", "--in", "ONE_PERIOD"],
+        SAME + ["--mode", "inapt", "--reference-period", "3"],
+        SAME + ["--mode", "proper", "--other-period", "5", "--periods", "1,3"],
+        SIM + ["--replicates", "0"],
+        SIM + ["--seed", "-1"],
+        SIM + ["--noise", "0:1"],
+        ["impute", "--in", "income", "--targets", "0:2006"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_library_rejected_flag_exits_two(self, capsys, one_period, argv):
+        argv = [one_period if a == "ONE_PERIOD" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.splitlines()[0].startswith("usage:")
+        assert "error:" in err
+        assert "Traceback" not in err
 
+    def test_data_error_returns_one(self, capsys):
+        code, out, err = run(capsys, ["trends", "--in", "income", "--t0", "2030"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+class TestFormatsAndPlumbing:
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "design.json"
         code, out, _ = run(capsys, [

@@ -475,7 +475,6 @@ def cli_payload(workdir) -> list:
 GOLDEN_CLI = "743ab06d26281e4972d2454365593e5079958e7a1b54dc73dd555aa008f435ba"
 
 
-def test_cli_output_digest(tmp_path, monkeypatch):
+def test_cli_output_digest(tmp_path):
     # stdout bytes of every subcommand, text and JSON where it has both
-    monkeypatch.delenv("MYETRENDS_FORMAT", raising=False)
     assert _digest(cli_payload(tmp_path)) == GOLDEN_CLI

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +431,22 @@ class TestImputation:
         s = MyeSeries("x", "count", {(3, 2000): 10.0, (3, 2002): 20.0})
         assert impute_random_walk(s, [(3, 2001)]).value(3, 2001) == 15.0
 
+    @pytest.mark.parametrize("target, what", [
+        (("3", "2006"), "period"),
+        ((0, 2006), "period"),
+        ((-3, 2006), "period"),
+        ((True, 2006), "period"),
+        ((3.0, 2006), "period"),
+        ((3, 2006.0), "end year"),
+        ((3, "2006"), "end year"),
+        ((3, False), "end year"),
+    ])
+    def test_malformed_target_named(self, target, what):
+        # ("3", "2006") and (0, 2006) reported that no published value
+        # precedes them; (3, 2006.0) was filled before MyeSeries refused it
+        with pytest.raises(ValueError, match=rf"target {re.escape(repr(target))}: {what}"):
+            impute_random_walk(load_sample("income"), [(3, 2006), target])
+
 
 def _scan_impute(series, targets):
     """impute_random_walk as it was written before the period index: every
@@ -552,6 +569,12 @@ class TestRendering:
         assert round_half_away(41327.5) == 41328.0
         assert round_half_away(-41327.5) == -41328.0
         assert round_half_away(37.345, 2) == 37.35
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, x):
+        # inf raised decimal.InvalidOperation and nan rendered as "NaN"
+        with pytest.raises(DomainError, match=f"cannot render {x!r}: not a finite number"):
+            render_value(x)
 
     def test_negative_decimals_rejected(self):
         with pytest.raises(ValueError):

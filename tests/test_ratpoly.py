@@ -100,6 +100,15 @@ class TestConstruction:
         assert p.coeff(5) == 0
         assert p.coeff(1) == 2
 
+    @pytest.mark.parametrize("coeffs, index", [
+        ([math.nan], 0), ([math.inf], 0), ([1, -math.inf], 1),
+        (["1", "abc"], 1), (iter([0, 1, "1/0"]), 2),
+    ])
+    def test_bad_coefficient_names_its_index(self, coeffs, index):
+        # Fraction's bare OverflowError or ValueError named no argument
+        with pytest.raises(ValueError, match=f"coefficient {index} must be a finite number"):
+            RatPoly(coeffs)
+
 
 class TestSma:
     def test_identity(self):

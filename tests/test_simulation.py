@@ -110,6 +110,23 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="replicates"):
                 make_spec(replicates=bad)
 
+    @pytest.mark.parametrize("field", ["replicates", "seed"])
+    def test_bool_rejected(self, field):
+        # True used to pass as 1, unlike every other integer field
+        with pytest.raises(ValueError, match=f"{field} must be .*True"):
+            make_spec(**{field: True})
+
+    @pytest.mark.parametrize("key", ["a", "3", 0, -1, 1.5, True])
+    def test_bad_noise_key_named(self, key):
+        # "a" raised a bare int() error; 0 was accepted; 1.5 and True became 1
+        with pytest.raises(ValueError, match=f"noise period must be an integer >= 1, got {key!r}"):
+            make_spec(noise_sd={key: 1.0})
+
+    @pytest.mark.parametrize("trend", [(math.inf,), (0, math.nan)])
+    def test_non_finite_trend_names_the_coefficient(self, trend):
+        with pytest.raises(ValueError, match=f"coefficient {len(trend) - 1} must be a finite number"):
+            make_spec(trend=trend)
+
     def test_mode_validation_delegated(self):
         with pytest.raises(ValueError, match="reference_period = 1"):
             make_spec(mode="inapt", reference_period=3)
