@@ -34,11 +34,12 @@ import math
 import os
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .exceptions import DomainError, MissingDataError
 from .filterdesign import DesignSpec, FilterSet
-from .myeseries import IMPUTED, MyeSeries, RegionPair, render_value, sma_of_base
+from .myeseries import IMPUTED, MyeSeries, RegionPair, _base_mean, render_value, sma_of_base
 from .ratpoly import ONE, RatPoly, coefficients, sma
 
 if TYPE_CHECKING:
@@ -86,14 +87,16 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, t: int) -> fl
     DomainError
         If the weighted sum leaves the float range.
     """
-    xs = [series.get(period, t - j) for j in range(weights.degree + 1)]
-    if None in xs:
-        missing = [(period, t - j) for j, x in enumerate(xs) if x is None]
+    ws = weights.as_floats()
+    found = series.window(period, t, len(ws))
+    if found is None:
+        missing = [(period, t - j) for j in range(len(ws)) if (period, t - j) not in series]
         raise MissingDataError(
             f"{series.name}: filter window needs missing observations {missing}"
         )
     try:
-        total = math.fsum(w * x for w, x in zip(weights.as_floats(), xs))
+        # the window is oldest first and w_j weights the value j years before t
+        total = math.fsum(map(mul, ws, reversed(found[0])))
     except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
         total = math.inf
     if not math.isfinite(total):
@@ -167,13 +170,16 @@ def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
     """
     log = _log_for_base(log_base)
     y = series.value(period, t)
-    base_mean = sma_of_base(series, period, t)
+    return _log_ratio(series.name, period, t, y, sma_of_base(series, period, t), log)
+
+
+def _log_ratio(name: str, period: int, t: int, y: float, base_mean: float,
+               log: Callable[[float], float]) -> float:
+    """``log(y) - log(base_mean)``, once both are known to be positive."""
     if y <= 0:
-        raise DomainError(f"{series.name}: {period}y value ending {t} is {y}, not positive")
+        raise DomainError(f"{name}: {period}y value ending {t} is {y}, not positive")
     if base_mean <= 0:
-        raise DomainError(
-            f"{series.name}: 1y window mean ending {t} is {base_mean}, not positive"
-        )
+        raise DomainError(f"{name}: 1y window mean ending {t} is {base_mean}, not positive")
     return log(y) - log(base_mean)
 
 
@@ -230,23 +236,22 @@ def compatibility(
     MissingDataError
         If a requested period has no usable end years.
     """
-    _log_for_base(log_base)
+    log = _log_for_base(log_base)
+    name = series.name
     entries: dict[int, CompatibilityEntry] = {}
     for k in sorted(set(periods)):
         if k < 1:
             raise ValueError(f"period must be >= 1, got {k}")
         table: dict[int, float] = {}
         for t in series.years(k):
-            window = range(t - k + 1, t + 1)
-            if not all(series.has(1, yr) for yr in window):
+            base = series.window(1, t, k)
+            if base is None:
                 continue
-            if not include_imputed:
-                touched = [series.provenance(k, t)] + [
-                    series.provenance(1, yr) for yr in window
-                ]
-                if IMPUTED in touched:
-                    continue
-            table[t] = nsr(series, k, t, log_base)
+            (y,), (prov,) = series.window(k, t, 1)
+            xs, provs = base
+            if not include_imputed and (prov == IMPUTED or IMPUTED in provs):
+                continue
+            table[t] = _log_ratio(name, k, t, y, _base_mean(name, xs, k, t), log)
         if not table:
             raise MissingDataError(
                 f"{series.name}: no end year has both a {k}y value and "
@@ -530,7 +535,10 @@ class SimulationSpec:
         for k, sd in dict(noise_sd).items():
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ValueError(f"noise period must be an integer >= 1, got {k!r}")
-            sd = float(sd)
+            try:
+                sd = float(sd)
+            except (TypeError, ValueError):
+                raise ValueError(f"noise sd for period {k} must be a number, got {sd!r}") from None
             if not math.isfinite(sd) or sd < 0:
                 raise ValueError(f"noise sd for period {k} must be >= 0 and finite, got {sd}")
             sds[k] = sd

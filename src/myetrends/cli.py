@@ -8,14 +8,15 @@ results end to end).
 
 Exit codes: 0 success, 1 data or computation error, 2 usage error.
 :func:`main` returns 0 or 1; a usage error, whether argparse or the
-library rejects a flag value, prints argparse's usage line and raises
-``SystemExit(2)``.
+library rejects a flag value, prints the subcommand's usage line and
+raises ``SystemExit(2)``.
 ``impute`` writes CSV; every other subcommand's output format is
 ``--format`` (default text).
 JSON output is key-sorted so identical runs are byte-identical, and writes
 NaN and infinities as null.
-The parsed argument namespace is the whole configuration; flags are
-validated before any computation starts.
+The parsed argument namespace is the whole configuration. Flags the parser
+can check alone (integers, ``--periods`` distinct and at least 1,
+``--degree`` at least 0) are checked before any input file is read.
 """
 
 from __future__ import annotations
@@ -84,9 +85,20 @@ def _parse_periods(text: str) -> tuple[int, ...]:
         ks = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"periods must be comma-separated integers, got {text!r}")
-    if not ks:
-        raise argparse.ArgumentTypeError("periods must be nonempty")
+    if min(ks) < 1 or len(set(ks)) != len(ks):
+        raise argparse.ArgumentTypeError(f"periods must be distinct integers >= 1, got {text!r}")
     return ks
+
+
+def _parse_degree(text: str) -> int:
+    message = f"degree must be an integer >= 0, got {text!r}"
+    try:
+        degree = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message)
+    if degree < 0:
+        raise argparse.ArgumentTypeError(message)
+    return degree
 
 
 def _parse_targets(text: str) -> tuple[tuple[int, int], ...]:
@@ -148,7 +160,7 @@ def _add_comparison_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t0", type=int, required=True, help="end year of the comparison")
     p.add_argument("--reference-period", type=int, default=None, help="region A period (default: 1, or the other period for untimely)")
     p.add_argument("--other-period", type=int, default=3, help="region B period (default 3)")
-    p.add_argument("--degree", type=int, default=1, help="proper mode: trend degree (default 1)")
+    p.add_argument("--degree", type=_parse_degree, default=1, help="proper mode: trend degree (default 1)")
     p.add_argument("--periods", type=_parse_periods, default=None, help="proper mode: design periods (default: the periods involved)")
 
 
@@ -391,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("design", help="design and verify a concurrent filter family")
-    p.add_argument("--degree", type=int, required=True, help="polynomial trend degree to preserve")
+    p.add_argument("--degree", type=_parse_degree, required=True, help="polynomial trend degree to preserve")
     p.add_argument("--periods", type=_parse_periods, required=True, help="comma-separated period lengths, e.g. 1,3,5")
     _add_format_and_out(p)
     p.set_defaults(func=cmd_design)
@@ -405,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trends", help="filtered trend estimates at one end year")
     p.add_argument("--in", dest="input", required=True, help="input CSV path (or bundled sample name)")
     p.add_argument("--t0", type=int, required=True, help="end year for the estimates")
-    p.add_argument("--degree", type=int, default=1, help="trend degree (default 1)")
+    p.add_argument("--degree", type=_parse_degree, default=1, help="trend degree (default 1)")
     p.add_argument("--periods", type=_parse_periods, default=None, help="periods to design for (default: all in the input)")
     _add_format_and_out(p)
     p.set_defaults(func=cmd_trends)
@@ -438,6 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_and_out(p)
     p.set_defaults(func=cmd_demo)
 
+    # main reports a flag value the library rejects with its command's usage
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -451,7 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ValueError as exc:
         # validation surfaced from library objects built off flag values
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,13 @@ sampling windows. Each observation is keyed by ``(period, end_year)``:
 window. Values carry a provenance tag, ``"published"`` or ``"imputed"``, so
 downstream diagnostics can tell real data from forecast extensions.
 
+Storage is columnar. Each period's observations are kept as runs of
+consecutive end years, each a first end year with a list of values and a
+parallel list of provenance tags; a missing year ends one run and starts
+the next. Every window a filter, an average or an audit reads is one slice
+of one run, found by bisecting the runs' first years, and memory grows with
+the number of observations, not with the span of their end years.
+
 CSV layout (one observation per row, header required)::
 
     variable,unit,period,end_year,value,provenance
@@ -26,7 +33,7 @@ import math
 import os
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .exceptions import CsvError, DataError, DomainError, ImputationError, MissingDataError
 
@@ -70,15 +77,92 @@ class ObservedValue:
     provenance: str = PUBLISHED
 
     def __post_init__(self) -> None:
-        if self.provenance not in (PUBLISHED, IMPUTED):
-            raise DataError(
-                f"provenance must be {PUBLISHED!r} or {IMPUTED!r}, "
-                f"got {self.provenance!r}"
-            )
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise DataError(f"value must be finite, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _checked_value(self.value, self.provenance))
+
+
+def _checked_value(value, provenance: str) -> float:
+    """``value`` as a float, once ``provenance`` is a known tag and the value
+    is finite; raises :class:`DataError` otherwise."""
+    if provenance not in (PUBLISHED, IMPUTED):
+        raise DataError(
+            f"provenance must be {PUBLISHED!r} or {IMPUTED!r}, got {provenance!r}"
+        )
+    v = float(value)
+    if not math.isfinite(v):
+        raise DataError(f"value must be finite, got {value!r}")
+    return v
+
+
+def _stored(value: float, provenance: str) -> ObservedValue:
+    """An :class:`ObservedValue` of a stored value and tag, which were checked
+    when they were stored, so its checks are skipped."""
+    ov = object.__new__(ObservedValue)
+    object.__setattr__(ov, "value", value)
+    object.__setattr__(ov, "provenance", provenance)
+    return ov
+
+
+# One observation as (period, end_year, value, provenance).
+_Row = tuple[int, int, float, str]
+# Per period: the first end year of each run, and each run's values and
+# provenance tags.
+_Runs = dict[int, tuple[list[int], list[list[float]], list[list[str]]]]
+
+
+def _validated_rows(
+    observations: Mapping[tuple[int, int], Union[ObservedValue, float]]
+) -> list[_Row]:
+    """The rows of an observation map, in its order, with every key checked."""
+    rows = []
+    for key, raw in observations.items():
+        try:
+            k, t = key
+        except (TypeError, ValueError):
+            raise DataError(f"observation key must be (period, end_year), got {key!r}")
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise DataError(f"period must be an integer >= 1, got {k!r}")
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise DataError(f"end_year must be an integer, got {t!r}")
+        if isinstance(raw, ObservedValue):
+            rows.append((k, t, raw.value, raw.provenance))
+        else:
+            rows.append((k, t, _checked_value(float(raw), PUBLISHED), PUBLISHED))
+    return rows
+
+
+def _pack(rows: Iterable[_Row]) -> _Runs:
+    """Each period's runs of consecutive end years, from rows sorted by key.
+
+    Returns ``{period: (starts, values, provenances)}``, periods ascending.
+    Run ``i`` holds the end years ``starts[i]`` up to ``starts[i] +
+    len(values[i]) - 1``; ``provenances[i]`` tags ``values[i]`` item by item.
+    A year missing between two observations ends one run and starts the next.
+    """
+    runs: _Runs = {}
+    period = next_year = None
+    for k, t, v, p in rows:
+        if k != period:
+            period, next_year = k, None
+            starts, values, provs = runs[k] = ([], [], [])
+        if t != next_year:
+            starts.append(t)
+            vs, ps = [], []
+            values.append(vs)
+            provs.append(ps)
+        vs.append(v)
+        ps.append(p)
+        next_year = t + 1
+    return runs
+
+
+def _as_year(t) -> Optional[int]:
+    """The integer end year a lookup of ``t`` matches, or None if no integer
+    equals ``t`` (a float such as ``2007.0`` matches 2007, as a dict key would)."""
+    try:
+        year = int(t)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return year if year == t else None
 
 
 class MyeSeries:
@@ -94,9 +178,14 @@ class MyeSeries:
         ``(period, end_year) -> ObservedValue`` (bare floats are accepted
         and wrapped as published values).
 
-    The series is immutable. Construction builds an index from each period
-    to its sorted end years, so :meth:`periods` and :meth:`years` are
-    lookups into it rather than scans of every observation.
+    The series is immutable. Each period is stored as runs of consecutive
+    end years: a run is its first end year, a list of values and a parallel
+    list of provenance tags, and a gap between end years ends a run. A
+    lookup bisects the runs' first years, and :meth:`window` returns a
+    stretch of end years as one slice of one run. Memory grows with the
+    number of observations, however far apart their end years lie.
+    :class:`ObservedValue` objects are built only when :meth:`items` yields
+    them.
     """
 
     def __init__(
@@ -109,29 +198,18 @@ class MyeSeries:
             raise DataError(f"series name must be a nonempty string, got {name!r}")
         if not unit or not isinstance(unit, str):
             raise DataError(f"series unit must be a nonempty string, got {unit!r}")
-        obs: dict[tuple[int, int], ObservedValue] = {}
-        for key, raw in observations.items():
-            try:
-                k, t = key
-            except (TypeError, ValueError):
-                raise DataError(f"observation key must be (period, end_year), got {key!r}")
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise DataError(f"period must be an integer >= 1, got {k!r}")
-            if not isinstance(t, int) or isinstance(t, bool):
-                raise DataError(f"end_year must be an integer, got {t!r}")
-            if not isinstance(raw, ObservedValue):
-                raw = ObservedValue(float(raw))
-            obs[(k, t)] = raw
-        if not obs:
+        rows = _validated_rows(observations)
+        if not rows:
             raise DataError("series must contain at least one observation")
-        self._name = name
-        self._unit = unit
-        self._obs = dict(sorted(obs.items()))
-        # keys are sorted, so periods arrive ascending and each one's years too
-        index: dict[int, list[int]] = {}
-        for k, t in self._obs:
-            index.setdefault(k, []).append(t)
-        self._years = {k: tuple(ts) for k, ts in index.items()}
+        rows.sort()  # keys are distinct, so only they are compared
+        self._name, self._unit, self._runs, self._len = name, unit, _pack(rows), len(rows)
+
+    @classmethod
+    def _from_rows(cls, name: str, unit: str, rows: list[_Row]) -> "MyeSeries":
+        """A series of rows already validated and sorted by key."""
+        self = cls.__new__(cls)
+        self._name, self._unit, self._runs, self._len = name, unit, _pack(rows), len(rows)
+        return self
 
     @property
     def name(self) -> str:
@@ -142,10 +220,14 @@ class MyeSeries:
         return self._unit
 
     def __len__(self) -> int:
-        return len(self._obs)
+        return self._len
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._obs
+        try:
+            k, t = key
+        except (TypeError, ValueError):
+            return False
+        return self.window(k, t, 1) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MyeSeries):
@@ -153,59 +235,93 @@ class MyeSeries:
         return (
             self._name == other._name
             and self._unit == other._unit
-            and self._obs == other._obs
+            and self._runs == other._runs
         )
 
     def __repr__(self) -> str:
-        ks = ", ".join(f"{k}y:{len(self.years(k))}" for k in self.periods())
+        ks = ", ".join(f"{k}y:{sum(map(len, values))}" for k, (_, values, _) in self._runs.items())
         return f"<MyeSeries {self._name!r} [{self._unit}] {ks}>"
+
+    def _rows(self) -> Iterator[_Row]:
+        """Every observation as a row, in (period, end_year) order."""
+        return itertools.chain.from_iterable(
+            zip(itertools.repeat(k), range(first, first + len(vs)), vs, ps)
+            for k, (starts, values, provs) in self._runs.items()
+            for first, vs, ps in zip(starts, values, provs)
+        )
 
     def items(self) -> Iterable[tuple[tuple[int, int], ObservedValue]]:
         """Observations in (period, end_year) order."""
-        return iter(self._obs.items())
+        return (((k, t), _stored(v, p)) for k, t, v, p in self._rows())
+
+    def window(
+        self, period: int, end_year: int, length: int
+    ) -> Optional[tuple[list[float], list[str]]]:
+        """The ``length`` observations of ``period`` ending at ``end_year``.
+
+        Returns ``(values, provenances)``, oldest end year first, as new
+        lists sliced from one run; ``None`` if any of the end years is
+        absent. A ``length`` of 0 gives two empty lists.
+        """
+        if not length:
+            return [], []
+        if type(end_year) is not int:
+            end_year = _as_year(end_year)
+        runs = self._runs.get(period)
+        if runs is None or end_year is None:
+            return None
+        starts, values, provs = runs
+        i = bisect.bisect_right(starts, end_year) - 1
+        if i >= 0:
+            stop = end_year - starts[i] + 1
+            start = stop - length
+            if start >= 0 and stop <= len(values[i]):
+                return values[i][start:stop], provs[i][start:stop]
+        return None
+
+    def _missing(self, period: int, end_year: int) -> MissingDataError:
+        return MissingDataError(f"{self._name}: no {period}y observation ending {end_year}")
 
     def has(self, period: int, end_year: int) -> bool:
-        return (period, end_year) in self._obs
+        return self.window(period, end_year, 1) is not None
 
     def value(self, period: int, end_year: int) -> float:
         """The estimate for (period, end_year); raises if absent."""
-        try:
-            return self._obs[(period, end_year)].value
-        except KeyError:
-            raise MissingDataError(
-                f"{self._name}: no {period}y observation ending {end_year}"
-            ) from None
+        found = self.window(period, end_year, 1)
+        if found is None:
+            raise self._missing(period, end_year)
+        return found[0][0]
 
     def get(self, period: int, end_year: int, default=None):
-        ov = self._obs.get((period, end_year))
-        return ov.value if ov is not None else default
+        found = self.window(period, end_year, 1)
+        return default if found is None else found[0][0]
 
     def provenance(self, period: int, end_year: int) -> str:
-        try:
-            return self._obs[(period, end_year)].provenance
-        except KeyError:
-            raise MissingDataError(
-                f"{self._name}: no {period}y observation ending {end_year}"
-            ) from None
+        found = self.window(period, end_year, 1)
+        if found is None:
+            raise self._missing(period, end_year)
+        return found[1][0]
 
     def periods(self) -> tuple[int, ...]:
         """Distinct window lengths present, ascending."""
-        return tuple(self._years)
+        return tuple(self._runs)
 
     def years(self, period: int) -> tuple[int, ...]:
         """End years available for one window length, ascending."""
-        return self._years.get(period, ())
+        starts, values, _ = self._runs.get(period, ((), (), ()))
+        return tuple(itertools.chain.from_iterable(
+            range(first, first + len(vs)) for first, vs in zip(starts, values)))
 
     def with_observations(
         self, extra: Mapping[tuple[int, int], ObservedValue]
     ) -> "MyeSeries":
         """A new series with ``extra`` added; keys may not collide."""
-        clash = set(extra) & set(self._obs)
+        clash = [key for key in extra if key in self]
         if clash:
             raise DataError(f"observations already present: {sorted(clash)}")
-        merged = dict(self._obs)
-        merged.update(extra)
-        return MyeSeries(self._name, self._unit, merged)
+        rows = [*self._rows(), *_validated_rows(extra)]
+        rows.sort()
+        return MyeSeries._from_rows(self._name, self._unit, rows)
 
 
 def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
@@ -216,8 +332,9 @@ def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
     must agree on variable and unit, and no ``(period, end_year)`` key may
     repeat. Two-digit end years are accepted as shorthand and normalized
     to four digits (00-68 map to 2000-2068, 69-99 to 1969-1999). A file's
-    UTF-8 byte-order mark, as spreadsheets export it, is skipped. Parse
-    failures raise :class:`CsvError` naming the 1-based line.
+    UTF-8 byte-order mark, as spreadsheets export it, is skipped. Blank
+    lines are skipped. Parse failures raise :class:`CsvError` naming the
+    1-based line.
     """
     if hasattr(source, "read"):
         return _load_csv_stream(source, name=getattr(source, "name", "<stream>"))
@@ -230,61 +347,77 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
     # csv reads the header, so a quoted first name still parses as quoted
     lines = iter(fh)
     first = next(lines, "").removeprefix("\ufeff")
-    reader = csv.DictReader(itertools.chain([first] if first else [], lines))
-    if reader.fieldnames is None:
+    reader = csv.reader(itertools.chain([first] if first else [], lines))
+    header = next(reader, None)
+    if header is None:
         raise CsvError(f"{name}: empty file, expected a header row")
-    # rows are looked up by these names, so they must be the stripped ones
-    reader.fieldnames = fields = [f.strip() for f in reader.fieldnames]
+    fields = [f.strip() for f in header]
     missing = [c for c in _CSV_COLUMNS[:-1] if c not in fields]
     if missing:
         raise CsvError(f"{name}: header lacks required columns {missing}")
+    # a name given twice reads its last column; a short row reads None past
+    # its end, as csv.DictReader gives them
+    column = {f: i for i, f in enumerate(fields)}
+    iv, iu, ik, it, ix = (column[c] for c in _CSV_COLUMNS[:-1])
+    ip = column.get("provenance")
+    pad = [None] * len(fields)
 
     variable = unit = None
-    obs: dict[tuple[int, int], ObservedValue] = {}
+    rows: list[_Row] = []
+    seen: set[tuple[int, int]] = set()
     for row in reader:
+        if not row:
+            continue
         line = reader.line_num
-        var = (row.get("variable") or "").strip()
-        un = (row.get("unit") or "").strip()
-        if not var or not un:
-            raise CsvError(f"{name} line {line}: variable and unit must be nonempty")
-        if variable is None:
+        if len(row) < len(pad):
+            row += pad[len(row):]
+        var = (row[iv] or "").strip()
+        un = (row[iu] or "").strip()
+        if var != variable or un != unit:
+            if not var or not un:
+                raise CsvError(f"{name} line {line}: variable and unit must be nonempty")
+            if variable is not None:
+                raise CsvError(
+                    f"{name} line {line}: row has variable/unit {var!r}/{un!r}, "
+                    f"expected {variable!r}/{unit!r}"
+                )
             variable, unit = var, un
-        elif (var, un) != (variable, unit):
-            raise CsvError(
-                f"{name} line {line}: row has variable/unit {var!r}/{un!r}, "
-                f"expected {variable!r}/{unit!r}"
-            )
         try:
-            k = int((row.get("period") or "").strip())
+            k = int((row[ik] or "").strip())
         except ValueError:
-            raise CsvError(f"{name} line {line}: period {row.get('period')!r} is not an integer")
+            raise CsvError(f"{name} line {line}: period {row[ik]!r} is not an integer")
         if k < 1:
             raise CsvError(f"{name} line {line}: period must be >= 1, got {k}")
         try:
-            t = int((row.get("end_year") or "").strip())
+            t = int((row[it] or "").strip())
         except ValueError:
             raise CsvError(
-                f"{name} line {line}: end_year {row.get('end_year')!r} is not an integer"
+                f"{name} line {line}: end_year {row[it]!r} is not an integer"
             )
         if 0 <= t <= 99:
             # two-digit shorthand; same century pivot as strptime's %y
             t += 2000 if t <= 68 else 1900
         try:
-            v = float((row.get("value") or "").strip())
+            v = float((row[ix] or "").strip())
         except ValueError:
-            raise CsvError(f"{name} line {line}: value {row.get('value')!r} is not a number")
-        prov = (row.get("provenance") or "").strip() or PUBLISHED
-        if (k, t) in obs:
+            raise CsvError(f"{name} line {line}: value {row[ix]!r} is not a number")
+        prov = (ip is not None and (row[ip] or "").strip()) or PUBLISHED
+        key = (k, t)
+        if key in seen:
             raise CsvError(
                 f"{name} line {line}: duplicate observation for period {k}, end year {t}"
             )
+        seen.add(key)
         try:
-            obs[(k, t)] = ObservedValue(v, prov)
+            v = _checked_value(v, prov)
         except DataError as exc:
             raise CsvError(f"{name} line {line}: {exc}") from None
-    if not obs:
+        # one shared string per tag, not one per row
+        rows.append((k, t, v, IMPUTED if prov == IMPUTED else PUBLISHED))
+    if not rows:
         raise CsvError(f"{name}: no observation rows")
-    return MyeSeries(variable, unit, obs)
+    rows.sort()
+    return MyeSeries._from_rows(variable, unit, rows)
 
 
 def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] = None) -> str:
@@ -297,8 +430,8 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for (k, t), ov in series.items():
-        writer.writerow([series.name, series.unit, k, t, repr(ov.value), ov.provenance])
+    # csv writes a float as its repr, the shortest round-trip form
+    writer.writerows(map((series.name, series.unit).__add__, series._rows()))
     text = buf.getvalue()
     if target is None:
         pass
@@ -308,6 +441,21 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
         with open(target, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return text
+
+
+def _base_mean(name: str, xs: Sequence[float], period: int, end_year: int) -> float:
+    """Mean of the 1y values ``xs`` of the window of ``period`` ending
+    ``end_year``; raises :class:`DomainError` if their sum overflows."""
+    try:
+        total = math.fsum(xs)
+    except (OverflowError, ValueError):  # a partial sum past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(
+            f"{name}: sum of the 1y values in the window of {period} "
+            f"ending {end_year} overflows the float range"
+        )
+    return total / period
 
 
 def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
@@ -326,24 +474,14 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    window = range(end_year - period + 1, end_year + 1)
-    xs = [series.get(1, t) for t in window]
-    if None in xs:
-        gaps = [t for t, x in zip(window, xs) if x is None]
+    found = series.window(1, end_year, period)
+    if found is None:
+        gaps = [t for t in range(end_year - period + 1, end_year + 1) if (1, t) not in series]
         raise MissingDataError(
             f"{series.name}: 1y values missing for years {gaps} "
             f"(window of {period} ending {end_year})"
         )
-    try:
-        total = math.fsum(xs)
-    except (OverflowError, ValueError):  # a partial sum past the float range
-        total = math.inf
-    if not math.isfinite(total):
-        raise DomainError(
-            f"{series.name}: sum of the 1y values in the window of {period} "
-            f"ending {end_year} overflows the float range"
-        )
-    return total / period
+    return _base_mean(series.name, found[0], period, end_year)
 
 
 def impute_random_walk(
@@ -379,9 +517,10 @@ def impute_random_walk(
         gap needs two published values before it).
     """
     filled: dict[tuple[int, int], ObservedValue] = {}
-    # published end years per period, built on the period's first target;
-    # values filled by this call never join it
-    anchors: dict[int, list[int]] = {}
+    # per period, the published end years and their values, read from the
+    # provenance lists on the period's first target; values filled by this
+    # call never join them
+    anchors: dict[int, tuple[list[int], list[float]]] = {}
     for key in targets:
         k, t = key
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -394,23 +533,27 @@ def impute_random_walk(
                 f"{series.name}: target {k}y ending {t} already has a {prov} value"
             )
         if k not in anchors:
-            anchors[k] = [
-                yr for yr in series.years(k) if series.provenance(k, yr) == PUBLISHED
-            ]
-        published = anchors[k]
-        # t is absent from the series, so published[:i] < t < published[i:]
-        i = bisect.bisect_left(published, t)
-        if 0 < i < len(published):
-            lo, hi = published[i - 1], published[i]
-            value = (series.value(k, lo) + series.value(k, hi)) / 2.0
+            years: list[int] = []
+            values: list[float] = []
+            for first, vs, ps in zip(*series._runs.get(k, ((), (), ()))):
+                for j, p in enumerate(ps):
+                    if p == PUBLISHED:
+                        years.append(first + j)
+                        values.append(vs[j])
+            anchors[k] = years, values
+        years, values = anchors[k]
+        # t is absent from the series, so years[:i] < t < years[i:]
+        i = bisect.bisect_left(years, t)
+        if 0 < i < len(years):
+            value = (values[i - 1] + values[i]) / 2.0
         elif i >= 2:
-            first, last = published[0], published[i - 1]
-            step = (series.value(k, last) - series.value(k, first)) / (last - first)
-            value = series.value(k, last) + (t - last) * step
+            first, last = years[0], years[i - 1]
+            step = (values[i - 1] - values[0]) / (last - first)
+            value = values[i - 1] + (t - last) * step
         elif i == 1:
             raise ImputationError(
                 f"{series.name}: cannot extrapolate {k}y ending {t}: only one "
-                f"published {k}y value (ending {published[0]}) precedes it"
+                f"published {k}y value (ending {years[0]}) precedes it"
             )
         else:
             raise ImputationError(

@@ -371,6 +371,8 @@ class TestExitContract:
 
     SIM = ["simulate", "--trend", "0,1", "--mode", "inapt", "--t0", "2010"]
     SAME = ["compare", "--in-a", "income", "--in-b", "income", "--t0", "2007"]
+    # with the input missing, a bad flag must still be reported as a usage error
+    NONE = ["compare", "--in-a", "MISSING", "--in-b", "MISSING", "--t0", "2007"]
 
     @pytest.fixture()
     def one_period(self, tmp_path):
@@ -394,17 +396,33 @@ class TestExitContract:
         SIM + ["--seed", "-1"],
         SIM + ["--noise", "0:1"],
         ["impute", "--in", "income", "--targets", "0:2006"],
+        ["trends", "--in", "MISSING", "--t0", "2007", "--degree", "-1"],
+        ["trends", "--in", "MISSING", "--t0", "2007", "--periods", "1,1"],
+        ["trends", "--in", "MISSING", "--t0", "2007", "--periods", "0,3"],
+        ["compat", "--in", "MISSING", "--periods", "0"],
+        ["compat", "--in", "MISSING", "--periods", "3,3"],
+        NONE + ["--mode", "proper", "--degree", "-1"],
+        NONE + ["--mode", "proper", "--periods", "1,5,5"],
+        SIM + ["--degree", "-2"],
     ], ids=lambda argv: " ".join(argv))
-    def test_library_rejected_flag_exits_two(self, capsys, one_period, argv):
-        argv = [one_period if a == "ONE_PERIOD" else a for a in argv]
+    def test_library_rejected_flag_exits_two(self, capsys, one_period, tmp_path, argv):
+        subs = {"ONE_PERIOD": one_period, "MISSING": str(tmp_path / "missing.csv")}
+        argv = [subs.get(a, a) for a in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 2
         assert out == ""
-        assert err.splitlines()[0].startswith("usage:")
-        assert "error:" in err
+        # the usage line is the subcommand's, whoever rejected the flag
+        assert err.splitlines()[0].startswith(f"usage: myetrends {argv[0]} [-h]")
+        assert f"myetrends {argv[0]}: error:" in err
         assert "Traceback" not in err
+
+    def test_missing_input_with_good_flags_returns_one(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(capsys, ["trends", "--in", missing, "--t0", "2007", "--degree", "2"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: [Errno 2]")
 
     def test_data_error_returns_one(self, capsys):
         code, out, err = run(capsys, ["trends", "--in", "income", "--t0", "2030"])

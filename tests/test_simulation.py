@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import sys
 import threading
 from fractions import Fraction as F
@@ -121,6 +122,12 @@ class TestSpecValidation:
         # "a" raised a bare int() error; 0 was accepted; 1.5 and True became 1
         with pytest.raises(ValueError, match=f"noise period must be an integer >= 1, got {key!r}"):
             make_spec(noise_sd={key: 1.0})
+
+    @pytest.mark.parametrize("sd", ["a", None, [1.0]])
+    def test_non_numeric_sd_names_the_period(self, sd):
+        # "a" raised a bare float() error that named no period
+        with pytest.raises(ValueError, match=rf"noise sd for period 1 must be a number, got {re.escape(repr(sd))}"):
+            SimulationSpec([1], {1: sd}, "inapt", 2010, 1, 0)
 
     @pytest.mark.parametrize("trend", [(math.inf,), (0, math.nan)])
     def test_non_finite_trend_names_the_coefficient(self, trend):
