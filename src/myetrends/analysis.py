@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 from .exceptions import DomainError, MissingDataError
 from .filterdesign import DesignSpec, FilterSet
@@ -154,6 +154,11 @@ def _log_for_base(log_base) -> Callable[[float], float]:
     raise ValueError(f"log_base must be 10 or 'e', got {log_base!r}")
 
 
+def _check_period(k, label: str = "period") -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"{label} must be an integer >= 1, got {k!r}")
+
+
 def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
     """Log ratio of the ``period``-length value to the matching 1y average.
 
@@ -167,8 +172,11 @@ def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
         If the k-year value or part of the 1y window is absent.
     DomainError
         If either quantity is not strictly positive.
+    ValueError
+        If ``period`` is not an integer >= 1.
     """
     log = _log_for_base(log_base)
+    _check_period(period)
     y = series.value(period, t)
     return _log_ratio(series.name, period, t, y, sma_of_base(series, period, t), log)
 
@@ -235,19 +243,21 @@ def compatibility(
     ------
     MissingDataError
         If a requested period has no usable end years.
+    ValueError
+        If a period is not an integer >= 1.
     """
     log = _log_for_base(log_base)
+    ks = list(periods)
+    for k in ks:
+        _check_period(k)
     name = series.name
     entries: dict[int, CompatibilityEntry] = {}
-    for k in sorted(set(periods)):
-        if k < 1:
-            raise ValueError(f"period must be >= 1, got {k}")
+    for k in sorted(set(ks)):
         table: dict[int, float] = {}
-        for t in series.years(k):
+        for t, y, prov in series.column(k):
             base = series.window(1, t, k)
             if base is None:
                 continue
-            (y,), (prov,) = series.window(k, t, 1)
             xs, provs = base
             if not include_imputed and (prov == IMPUTED or IMPUTED in provs):
                 continue
@@ -290,12 +300,8 @@ class ComparisonSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for label, k in (
-            ("reference_period", self.reference_period),
-            ("other_period", self.other_period),
-        ):
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise ValueError(f"{label} must be an integer >= 1, got {k!r}")
+        _check_period(self.reference_period, "reference_period")
+        _check_period(self.other_period, "other_period")
         if not isinstance(self.t0, int) or isinstance(self.t0, bool):
             raise ValueError(f"t0 must be an integer year, got {self.t0!r}")
         if self.mode == "inapt":
@@ -341,35 +347,32 @@ class ComparisonResult:
         }
 
 
-def _resolve_reference_period(series: MyeSeries, wanted: int, fs: FilterSet) -> int:
-    """Reference side of a proper comparison: the wanted period if the region
-    publishes it, else the shortest designed period the region does have."""
-    available = set(series.periods())
-    if wanted in available and wanted in fs.psi:
-        return wanted
-    for k in fs.spec.periods:
-        if k in available:
-            return k
-    raise MissingDataError(
-        f"{series.name}: none of the designed periods {list(fs.spec.periods)} "
-        f"have observations"
-    )
-
-
 def _sides(
-    spec: ComparisonSpec, fs: Optional[FilterSet]
+    spec: ComparisonSpec, fs: Optional[FilterSet], a: Optional[MyeSeries] = None
 ) -> tuple[tuple[int, RatPoly], tuple[int, RatPoly]]:
     """Each side's period and weights: ``((ka, wa), (kb, wb))``.
 
     Every comparison is a weighted average of one period's values ending at
     ``t0`` on each side. The raw modes weight the ``t0`` value alone; proper
-    mode uses the designed filter of that side's period.
+    mode uses the designed filter of that side's period. Given region A's
+    series ``a``, proper mode keeps the reference period only if A publishes
+    it and it is designed, and otherwise falls back to the shortest designed
+    period A does have.
     """
     ka, kb = spec.reference_period, spec.other_period
     if spec.mode != "proper":
         return (ka, ONE), (kb, ONE)
     if fs is None:
         raise ValueError("proper mode requires a designed filter set")
+    if a is not None:
+        available = a.periods()
+        if ka not in available or ka not in fs.psi:
+            ka = next((k for k in fs.spec.periods if k in available), None)
+            if ka is None:
+                raise MissingDataError(
+                    f"{a.name}: none of the designed periods {list(fs.spec.periods)} "
+                    f"have observations"
+                )
     for k in (ka, kb):
         if k not in fs.psi:
             raise ValueError(f"filter set {fs.spec} has no period {k}")
@@ -397,11 +400,7 @@ def compare(
         Proper mode without ``fs``, or a period missing from ``fs``.
     """
     t0 = spec.t0
-    sides = spec
-    if spec.mode == "proper" and fs is not None:
-        ref = _resolve_reference_period(pair.a, spec.reference_period, fs)
-        sides = replace(spec, reference_period=ref)
-    (ka, wa), (kb, wb) = _sides(sides, fs)
+    (ka, wa), (kb, wb) = _sides(spec, fs, pair.a)
     va = apply_filter(wa, pair.a, ka, t0)
     vb = apply_filter(wb, pair.b, kb, t0)
     if va == 0:
@@ -444,14 +443,15 @@ def _weighted_trend(trend: RatPoly, weights: RatPoly, t: int) -> Fraction:
 
 
 def _deterministic_sides(
-    trend: RatPoly, spec: ComparisonSpec, fs: Optional[FilterSet]
+    trend: RatPoly, t0: int, sides: Iterable[tuple[int, RatPoly]]
 ) -> tuple[Fraction, Fraction]:
-    """Noise-free comparison sides under the trend, in exact arithmetic.
+    """Noise-free values of the resolved ``sides`` under the trend at ``t0``,
+    in exact arithmetic.
 
     A side weights the trend by its composite ``w * sma(k)``; in proper mode
     both composites are ``fs.common``, so the two sides are equal.
     """
-    return tuple(_weighted_trend(trend, w * sma(k), spec.t0) for k, w in _sides(spec, fs))
+    return tuple(_weighted_trend(trend, w * sma(k), t0) for k, w in sides)
 
 
 def expected_bias(
@@ -484,7 +484,7 @@ def expected_bias(
     poly = RatPoly(trend)
     if spec.mode == "proper" and fs is None:
         return 0.0
-    a, b = _deterministic_sides(poly, spec, fs)
+    a, b = _deterministic_sides(poly, spec.t0, _sides(spec, fs))
     return _to_float(
         a - b,
         f"expected {spec.mode} bias of {spec.reference_period}y against "
@@ -509,32 +509,26 @@ class SimulationSpec:
     counter-derived substream at offset ``r``, so results do not depend on
     batch sizes or execution order.
 
-    ``mode``, ``t0`` and the two periods are held, and validated, as the
-    :class:`ComparisonSpec` that :meth:`comparison_spec` returns.
+    ``trend`` may be given as any coefficients :class:`RatPoly` accepts and
+    is stored as a tuple of fractions; ``noise_sd`` is stored as a new dict
+    of floats. ``mode``, ``t0`` and the two periods are validated as the
+    :class:`ComparisonSpec` that :meth:`comparison_spec` builds from them.
     """
 
     trend: tuple[Fraction, ...]
     noise_sd: dict[int, float]
-    comparison: ComparisonSpec
+    mode: str
+    t0: int
     replicates: int
     seed: int
+    reference_period: int = 1
+    other_period: int = 3
 
-    def __init__(
-        self,
-        trend: TrendCoefficients,
-        noise_sd: Mapping[int, float],
-        mode: str,
-        t0: int,
-        replicates: int,
-        seed: int,
-        reference_period: int = 1,
-        other_period: int = 3,
-    ) -> None:
-        object.__setattr__(self, "trend", tuple(coefficients(trend)))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "trend", tuple(coefficients(self.trend)))
         sds = {}
-        for k, sd in dict(noise_sd).items():
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise ValueError(f"noise period must be an integer >= 1, got {k!r}")
+        for k, sd in dict(self.noise_sd).items():
+            _check_period(k, "noise period")
             try:
                 sd = float(sd)
             except (TypeError, ValueError):
@@ -543,23 +537,16 @@ class SimulationSpec:
                 raise ValueError(f"noise sd for period {k} must be >= 0 and finite, got {sd}")
             sds[k] = sd
         object.__setattr__(self, "noise_sd", sds)
-        object.__setattr__(
-            self, "comparison", ComparisonSpec(mode, t0, reference_period, other_period)
-        )
+        self.comparison_spec()
+        replicates, seed = self.replicates, self.seed
         if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
             raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
-        object.__setattr__(self, "replicates", replicates)
         if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-        object.__setattr__(self, "seed", seed)
 
     def comparison_spec(self) -> ComparisonSpec:
-        return self.comparison
-
-    mode = property(lambda self: self.comparison.mode)
-    t0 = property(lambda self: self.comparison.t0)
-    reference_period = property(lambda self: self.comparison.reference_period)
-    other_period = property(lambda self: self.comparison.other_period)
+        """The comparison this experiment simulates."""
+        return ComparisonSpec(self.mode, self.t0, self.reference_period, self.other_period)
 
 
 @dataclass(frozen=True)
@@ -657,13 +644,13 @@ def simulate_bias(
     """
     import numpy as np
 
-    cspec = spec.comparison_spec()
-    (ka, pa), (kb, pb) = _sides(cspec, fs)
+    t0 = spec.t0
+    sides = _sides(spec.comparison_spec(), fs)
+    (ka, pa), (kb, pb) = sides
     wa = np.array(pa.as_floats())
     wb = np.array(pb.as_floats())
 
-    det_a, det_b = _deterministic_sides(RatPoly(spec.trend), cspec, fs)
-    t0 = spec.t0
+    det_a, det_b = _deterministic_sides(RatPoly(spec.trend), t0, sides)
     det_a_f = _to_float(det_a, f"region A's noise-free {ka}y value at {t0}")
     det_b_f = _to_float(det_b, f"region B's noise-free {kb}y value at {t0}")
     det_diff_f = _to_float(

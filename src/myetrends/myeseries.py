@@ -182,7 +182,8 @@ class MyeSeries:
     end years: a run is its first end year, a list of values and a parallel
     list of provenance tags, and a gap between end years ends a run. A
     lookup bisects the runs' first years, and :meth:`window` returns a
-    stretch of end years as one slice of one run. Memory grows with the
+    stretch of end years as one slice of one run; :meth:`column` walks one
+    period's observations in end-year order. Memory grows with the
     number of observations, however far apart their end years lie.
     :class:`ObservedValue` objects are built only when :meth:`items` yields
     them.
@@ -306,11 +307,16 @@ class MyeSeries:
         """Distinct window lengths present, ascending."""
         return tuple(self._runs)
 
+    def column(self, period: int) -> Iterator[tuple[int, float, str]]:
+        """Every observation of one window length as ``(end_year, value,
+        provenance)``, end years ascending; empty if the period is absent."""
+        starts, values, provs = self._runs.get(period, ((), (), ()))
+        return itertools.chain.from_iterable(
+            zip(itertools.count(first), vs, ps) for first, vs, ps in zip(starts, values, provs))
+
     def years(self, period: int) -> tuple[int, ...]:
         """End years available for one window length, ascending."""
-        starts, values, _ = self._runs.get(period, ((), (), ()))
-        return tuple(itertools.chain.from_iterable(
-            range(first, first + len(vs)) for first, vs in zip(starts, values)))
+        return tuple(t for t, _, _ in self.column(period))
 
     def with_observations(
         self, extra: Mapping[tuple[int, int], ObservedValue]
@@ -509,8 +515,9 @@ def impute_random_walk(
     Raises
     ------
     ValueError
-        If a target's period is not an integer >= 1 or its end year is not
-        an integer; the message names the target.
+        If a target is not a ``(period, end_year)`` pair, its period is not
+        an integer >= 1 or its end year is not an integer; the message names
+        the target.
     ImputationError
         If a target already exists or lacks the anchors its position needs
         (an interior gap needs one published value on each side; a trailing
@@ -522,7 +529,10 @@ def impute_random_walk(
     # call never join them
     anchors: dict[int, tuple[list[int], list[float]]] = {}
     for key in targets:
-        k, t = key
+        try:
+            k, t = key
+        except (TypeError, ValueError):
+            raise ValueError(f"target {key!r}: must be a (period, end_year) pair") from None
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValueError(f"target {key!r}: period must be an integer >= 1")
         if not isinstance(t, int) or isinstance(t, bool):
@@ -533,14 +543,8 @@ def impute_random_walk(
                 f"{series.name}: target {k}y ending {t} already has a {prov} value"
             )
         if k not in anchors:
-            years: list[int] = []
-            values: list[float] = []
-            for first, vs, ps in zip(*series._runs.get(k, ((), (), ()))):
-                for j, p in enumerate(ps):
-                    if p == PUBLISHED:
-                        years.append(first + j)
-                        values.append(vs[j])
-            anchors[k] = years, values
+            published = [(yr, v) for yr, v, p in series.column(k) if p == PUBLISHED]
+            anchors[k] = [yr for yr, _ in published], [v for _, v in published]
         years, values = anchors[k]
         # t is absent from the series, so years[:i] < t < years[i:]
         i = bisect.bisect_left(years, t)

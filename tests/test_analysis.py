@@ -6,6 +6,7 @@ own numbers are trusted.
 """
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -258,6 +259,12 @@ class TestNsr:
         with pytest.raises(ValueError, match="log_base"):
             nsr(full_sample("income"), 3, 2007, log_base=2)
 
+    @pytest.mark.parametrize("period", [0, -3, 3.0, True, "3", None])
+    def test_bad_period_named_before_any_read(self, period):
+        want = rf"period must be an integer >= 1, got {re.escape(repr(period))}$"
+        with pytest.raises(ValueError, match=want):
+            nsr(_unreadable(full_sample("income")), period, 2007)
+
     def test_nonpositive_value_named(self):
         s = MyeSeries("x", "count", {(1, 2000): 5.0, (3, 2000): -1.0,
                                      (1, 1999): 5.0, (1, 1998): 5.0})
@@ -276,6 +283,19 @@ class TestNsr:
             s.name, s.unit, {key: 7.3 * ov.value for key, ov in s.items()}
         )
         assert nsr(scaled, 3, 2007) == pytest.approx(nsr(s, 3, 2007), abs=1e-12)
+
+
+def _unreadable(series):
+    """A copy of ``series`` that fails any read of its observations."""
+
+    class Unreadable(MyeSeries):
+        def window(self, period, end_year, length):
+            raise AssertionError("window() called")
+
+        def column(self, period):
+            raise AssertionError("column() called")
+
+    return Unreadable(series.name, series.unit, dict(series.items()))
 
 
 class TestCompatibility:
@@ -307,6 +327,35 @@ class TestCompatibility:
         without = compatibility(full, (5,), include_imputed=False)
         assert sorted(without.entries[5].nsr) == [2004, 2005]
         assert without.c(5) < 0.1 * with_imp.c(5)
+
+    def test_reads_one_window_per_end_year(self):
+        # each k-year value comes from the period's column; the 1y base is
+        # the only window read
+        reads = []
+
+        class Counting(MyeSeries):
+            def window(self, period, end_year, length):
+                reads.append((period, end_year, length))
+                return super().window(period, end_year, length)
+
+            def get(self, period, end_year, default=None):
+                raise AssertionError("get() called")
+
+            has = value = get
+
+        full = full_sample("divorce")
+        s = Counting(full.name, full.unit, dict(full.items()))
+        for include in (True, False):
+            reads.clear()
+            assert compatibility(s, (5, 1, 3), include_imputed=include) == compatibility(
+                full, (1, 3, 5), include_imputed=include)
+            assert reads == [(1, t, k) for k in (1, 3, 5) for t in full.years(k)]
+
+    @pytest.mark.parametrize("period", [0, -3, 3.0, True, "3", None])
+    def test_bad_period_named_before_any_read(self, period):
+        want = rf"period must be an integer >= 1, got {re.escape(repr(period))}$"
+        with pytest.raises(ValueError, match=want):
+            compatibility(_unreadable(full_sample("income")), [3, period])
 
     def test_no_valid_years_errors(self):
         s = MyeSeries("x", "count", {(1, 2000): 1.0, (3, 2005): 1.0})

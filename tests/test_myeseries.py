@@ -439,6 +439,10 @@ class TestImputation:
         ((3, 2006.0), "end year"),
         ((3, "2006"), "end year"),
         ((3, False), "end year"),
+        ((3,), r"must be a \(period, end_year\) pair"),
+        ((3, 2006, 1), r"must be a \(period, end_year\) pair"),
+        (3, r"must be a \(period, end_year\) pair"),
+        (None, r"must be a \(period, end_year\) pair"),
     ])
     def test_malformed_target_named(self, target, what):
         # ("3", "2006") and (0, 2006) reported that no published value

@@ -94,6 +94,9 @@ class DictSeries:
     def years(self, k):
         return tuple(t for kk, t in self.obs if kk == k)
 
+    def column(self, k):
+        return [(t, ov.value, ov.provenance) for (kk, t), ov in self.obs.items() if kk == k]
+
     def with_observations(self, extra):
         clash = set(extra) & set(self.obs)
         if clash:
@@ -238,6 +241,8 @@ class TestAgainstDictReference:
         assert s.periods() == ref.periods()
         for k in range(0, 8):
             assert s.years(k) == ref.years(k)
+            assert [(t, v.hex(), p) for t, v, p in s.column(k)] == [
+                (t, v.hex(), p) for t, v, p in ref.column(k)]
         probes = {key for k, t in obs for key in ((k, t), (k, t - 1), (k, t + 1), (k + 1, t))}
         for k, t in sorted(probes) + [(4, 2000), (1, 2000.0), (True, 2000), (1, 2000.5)]:
             assert (s.get(k, t), s.get(k, t, "none")) == (ref.get(k, t), ref.get(k, t, "none"))
