@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
-from .exceptions import DomainError, MissingDataError
+from .exceptions import DomainError, MissingDataError, check_int
 from .filterdesign import DesignSpec, FilterSet
 from .myeseries import IMPUTED, MyeSeries, RegionPair, _base_mean, render_value, sma_of_base
 from .ratpoly import ONE, RatPoly, coefficients, sma
@@ -132,9 +132,11 @@ def trend_estimates(
     By the design identity, every period's result estimates the same
     present-day trend value, so the returned values are directly
     comparable. ``periods`` restricts to a subset of the family (default:
-    every period in the design).
+    every period in the design); a period that is not an integer >= 1 in
+    the family raises ``ValueError``.
     """
-    ks = tuple(periods) if periods is not None else fs.spec.periods
+    ks = (fs.spec.periods if periods is None
+          else tuple(check_int(k, "periods", 1) for k in periods))
     for k in ks:
         if k not in fs.psi:
             raise ValueError(f"filter set {fs.spec} has no period {k}")
@@ -146,17 +148,13 @@ def trend_estimates(
 # NSR and compatibility
 
 
-def _log_for_base(log_base) -> Callable[[float], float]:
+def _log_for_base(log_base) -> tuple[Callable[[float], float], str]:
+    """The log function for ``log_base`` and the base's label, ``"10"`` or ``"e"``."""
     if log_base in (10, "10"):
-        return math.log10
+        return math.log10, "10"
     if log_base in ("e", math.e):
-        return math.log
+        return math.log, "e"
     raise ValueError(f"log_base must be 10 or 'e', got {log_base!r}")
-
-
-def _check_period(k, label: str = "period") -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"{label} must be an integer >= 1, got {k!r}")
 
 
 def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
@@ -175,8 +173,8 @@ def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
     ValueError
         If ``period`` is not an integer >= 1.
     """
-    log = _log_for_base(log_base)
-    _check_period(period)
+    log, _ = _log_for_base(log_base)
+    check_int(period, "period", 1)
     y = series.value(period, t)
     return _log_ratio(series.name, period, t, y, sma_of_base(series, period, t), log)
 
@@ -246,10 +244,8 @@ def compatibility(
     ValueError
         If a period is not an integer >= 1.
     """
-    log = _log_for_base(log_base)
-    ks = list(periods)
-    for k in ks:
-        _check_period(k)
+    log, label = _log_for_base(log_base)
+    ks = [check_int(k, "period", 1) for k in periods]
     name = series.name
     entries: dict[int, CompatibilityEntry] = {}
     for k in sorted(set(ks)):
@@ -272,7 +268,7 @@ def compatibility(
         )
     return CompatibilityReport(
         series=series.name,
-        log_base="e" if log_base in ("e", math.e) else "10",
+        log_base=label,
         include_imputed=include_imputed,
         entries=entries,
     )
@@ -300,10 +296,9 @@ class ComparisonSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        _check_period(self.reference_period, "reference_period")
-        _check_period(self.other_period, "other_period")
-        if not isinstance(self.t0, int) or isinstance(self.t0, bool):
-            raise ValueError(f"t0 must be an integer year, got {self.t0!r}")
+        check_int(self.reference_period, "reference_period", 1)
+        check_int(self.other_period, "other_period", 1)
+        check_int(self.t0, "t0")
         if self.mode == "inapt":
             if self.reference_period != 1:
                 raise ValueError("inapt comparisons fix reference_period = 1")
@@ -510,13 +505,15 @@ class SimulationSpec:
     batch sizes or execution order.
 
     ``trend`` may be given as any coefficients :class:`RatPoly` accepts and
-    is stored as a tuple of fractions; ``noise_sd`` is stored as a new dict
-    of floats. ``mode``, ``t0`` and the two periods are validated as the
-    :class:`ComparisonSpec` that :meth:`comparison_spec` builds from them.
+    is stored as a tuple of fractions; ``noise_sd`` may be a map or pairs and
+    is stored as ``(period, sd)`` pairs sorted by period, so a spec is
+    immutable and hashable. ``mode``, ``t0`` and the two periods are
+    validated as the :class:`ComparisonSpec` that :meth:`comparison_spec`
+    builds from them.
     """
 
     trend: tuple[Fraction, ...]
-    noise_sd: dict[int, float]
+    noise_sd: tuple[tuple[int, float], ...]
     mode: str
     t0: int
     replicates: int
@@ -528,7 +525,7 @@ class SimulationSpec:
         object.__setattr__(self, "trend", tuple(coefficients(self.trend)))
         sds = {}
         for k, sd in dict(self.noise_sd).items():
-            _check_period(k, "noise period")
+            check_int(k, "noise period", 1)
             try:
                 sd = float(sd)
             except (TypeError, ValueError):
@@ -536,13 +533,11 @@ class SimulationSpec:
             if not math.isfinite(sd) or sd < 0:
                 raise ValueError(f"noise sd for period {k} must be >= 0 and finite, got {sd}")
             sds[k] = sd
-        object.__setattr__(self, "noise_sd", sds)
+        object.__setattr__(self, "noise_sd", tuple(sorted(sds.items())))
         self.comparison_spec()
-        replicates, seed = self.replicates, self.seed
-        if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
-            raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        check_int(self.replicates, "replicates", 1)
+        if check_int(self.seed, "seed", 0) >= 2**64:
+            raise ValueError(f"seed must be an integer < 2**64, got {self.seed!r}")
 
     def comparison_spec(self) -> ComparisonSpec:
         """The comparison this experiment simulates."""
@@ -657,8 +652,8 @@ def simulate_bias(
         det_a - det_b, f"the difference of the noise-free {ka}y and {kb}y values at {t0}"
     )
 
-    sd_a = spec.noise_sd.get(ka, 0.0)
-    sd_b = spec.noise_sd.get(kb, 0.0)
+    sds = dict(spec.noise_sd)
+    sd_a, sd_b = sds.get(ka, 0.0), sds.get(kb, 0.0)
     n_a = len(wa)
     draws = n_a + len(wb)
     blocks_per_rep = max(1, -(-draws // 4))  # Philox emits 4 words per block
@@ -764,15 +759,18 @@ def synthetic_series(
     Raises
     ------
     ValueError
-        If a trend coefficient is non-finite or unparsable.
+        If a trend coefficient is non-finite or unparsable, or a period or
+        year is not an integer.
     DomainError
         If a value lies beyond the float range; the message names its period
         and end year.
     """
     poly = RatPoly(trend)
-    ks = sorted(set(periods))
+    ks = sorted({check_int(k, "periods", 1) for k in periods})
     if not ks:
         raise ValueError("periods must be nonempty")
+    check_int(start_year, "start_year")
+    check_int(end_year, "end_year")
     if end_year < start_year:
         raise ValueError(f"end_year {end_year} precedes start_year {start_year}")
     pad = max(ks) - 1

@@ -40,7 +40,7 @@ from .analysis import (
     trend_estimates,
 )
 from .datasets import STANDARD_TARGETS, load_sample, sample_names
-from .exceptions import MyeTrendsError
+from .exceptions import MyeTrendsError, check_int
 from .filterdesign import DesignSpec, FilterSet, design_filters, variance_inflation, verify_filter_set
 from .myeseries import (
     RegionPair,
@@ -91,14 +91,11 @@ def _parse_periods(text: str) -> tuple[int, ...]:
 
 
 def _parse_degree(text: str) -> int:
-    message = f"degree must be an integer >= 0, got {text!r}"
     try:
         degree = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(message)
-    if degree < 0:
-        raise argparse.ArgumentTypeError(message)
-    return degree
+        raise argparse.ArgumentTypeError(f"degree must be an integer >= 0, got {text!r}")
+    return check_int(degree, "degree", 0, argparse.ArgumentTypeError)
 
 
 def _parse_targets(text: str) -> tuple[tuple[int, int], ...]:

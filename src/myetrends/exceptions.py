@@ -4,6 +4,10 @@ Everything raised deliberately by this package derives from
 :class:`MyeTrendsError`, so callers (and the command-line tool) can catch one
 type. Programming errors (wrong argument types and the like) still surface as
 the usual built-ins.
+
+Every integer argument (a period, a degree, an end year, a count) is checked
+by :func:`check_int`, so each boundary rejects a ``bool``, a float or a
+string with the same message, which starts with the argument's name.
 """
 
 
@@ -37,3 +41,15 @@ class ImputationError(MyeTrendsError):
 
 class DomainError(MyeTrendsError):
     """A value is outside the mathematical domain of the requested operation."""
+
+
+def check_int(value, what: str, minimum=None, error=ValueError):
+    """``value``, if it is an ``int`` (not a ``bool``) of at least ``minimum``.
+
+    Otherwise raises ``error`` with a message that starts with ``what``.
+    """
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (minimum is None or value >= minimum)):
+        return value
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise error(f"{what} must be an integer{bound}, got {value!r}")

@@ -31,8 +31,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+from .exceptions import check_int
 from .ratpoly import ONE, RatPoly, sma
 
 __all__ = [
@@ -66,16 +67,12 @@ class DesignSpec:
     degree: int
 
     def __init__(self, periods: Iterable[int], degree: int) -> None:
-        ps = tuple(periods)
+        ps = tuple(check_int(k, "periods", 1) for k in periods)
         if not ps:
             raise ValueError("period set must be nonempty")
-        for k in ps:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise ValueError(f"periods must be integers >= 1, got {k!r}")
         if len(set(ps)) != len(ps):
             raise ValueError(f"periods must be distinct, got {ps}")
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-            raise ValueError(f"trend degree must be an integer >= 0, got {degree!r}")
+        check_int(degree, "degree", 0)
         object.__setattr__(self, "periods", tuple(sorted(ps)))
         object.__setattr__(self, "degree", degree)
 
@@ -128,22 +125,18 @@ class FilterSet:
         :func:`verify_filter_set` to re-check its properties.
         """
         spec = DesignSpec(tuple(int(k) for k in data["periods"]), int(data["degree"]))
-        phi = _poly_from_strings(data["phi"])
-        psi = {int(k): _poly_from_strings(v) for k, v in data["psi"].items()}
+        phi = RatPoly(data["phi"])
+        psi = {int(k): RatPoly(v) for k, v in data["psi"].items()}
         if set(psi) != set(spec.periods):
             raise ValueError(
                 f"psi keys {sorted(psi)} do not match periods {list(spec.periods)}"
             )
-        common = _poly_from_strings(data["common"])
+        common = RatPoly(data["common"])
         return cls(spec=spec, phi=phi, psi=psi, common=common)
 
 
 def _poly_strings(p: RatPoly) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
-
-
-def _poly_from_strings(items: Sequence[str]) -> RatPoly:
-    return RatPoly([Fraction(s) for s in items])
 
 
 def design_filters(spec: DesignSpec) -> FilterSet:

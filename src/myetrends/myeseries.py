@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .exceptions import CsvError, DataError, DomainError, ImputationError, MissingDataError
+from .exceptions import CsvError, DataError, DomainError, ImputationError, MissingDataError, check_int
 
 __all__ = [
     "PUBLISHED",
@@ -119,10 +119,8 @@ def _validated_rows(
             k, t = key
         except (TypeError, ValueError):
             raise DataError(f"observation key must be (period, end_year), got {key!r}")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise DataError(f"period must be an integer >= 1, got {k!r}")
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise DataError(f"end_year must be an integer, got {t!r}")
+        check_int(k, "period", 1, DataError)
+        check_int(t, "end_year", error=DataError)
         if isinstance(raw, ObservedValue):
             rows.append((k, t, raw.value, raw.provenance))
         else:
@@ -478,8 +476,7 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     DomainError
         If the window's sum leaves the float range.
     """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    check_int(period, "period", 1)
     found = series.window(1, end_year, period)
     if found is None:
         gaps = [t for t in range(end_year - period + 1, end_year + 1) if (1, t) not in series]
@@ -533,10 +530,8 @@ def impute_random_walk(
             k, t = key
         except (TypeError, ValueError):
             raise ValueError(f"target {key!r}: must be a (period, end_year) pair") from None
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"target {key!r}: period must be an integer >= 1")
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise ValueError(f"target {key!r}: end year must be an integer")
+        check_int(k, f"target {key!r}: period", 1)
+        check_int(t, f"target {key!r}: end year")
         if series.has(k, t) or key in filled:
             prov = filled[key].provenance if key in filled else series.provenance(k, t)
             raise ImputationError(
@@ -585,8 +580,7 @@ def render_value(x: float, decimals: int = 0) -> str:
 
 
 def _decimal_render(x: float, decimals: int) -> Decimal:
-    if decimals < 0:
-        raise ValueError(f"decimals must be >= 0, got {decimals}")
+    check_int(decimals, "decimals", 0)
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"cannot render {x!r}: not a finite number")

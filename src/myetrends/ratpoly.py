@@ -19,6 +19,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Union
 
+from .exceptions import check_int
+
 __all__ = ["RatPoly", "sma", "ZERO", "ONE"]
 
 CoefficientLike = Union[int, str, float, Fraction]
@@ -307,6 +309,5 @@ def sma(k: int) -> RatPoly:
     ValueError
         If ``k`` is not a positive integer.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"averaging length must be a positive integer, got {k!r}")
+    check_int(k, "k", 1)
     return RatPoly._from_ints([1] * k, k)

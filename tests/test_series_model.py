@@ -120,7 +120,7 @@ def ref_apply_filter(weights, s, period, t):
 
 def ref_sma_of_base(s, period, end_year):
     if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+        raise ValueError(f"period must be an integer >= 1, got {period}")
     window = range(end_year - period + 1, end_year + 1)
     xs = [s.get(1, t) for t in window]
     if None in xs:

@@ -123,6 +123,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"noise period must be an integer >= 1, got {key!r}"):
             make_spec(noise_sd={key: 1.0})
 
+    def test_noise_sd_cannot_change_after_validation(self):
+        # a stored dict took nan after the finite check and gave bias=nan
+        spec = make_spec(noise_sd={1: 1.0, 3: 1.0})
+        with pytest.raises(TypeError):
+            spec.noise_sd[1] = math.nan
+        assert spec.noise_sd == ((1, 1.0), (3, 1.0))
+
+    def test_equal_specs_hash_equal_whatever_the_noise_order(self):
+        a = make_spec(noise_sd={1: 1.0, 3: 2})
+        b = make_spec(noise_sd={3: 2.0, 1: 1})
+        assert a == b and hash(a) == hash(b)
+
+    def test_stored_noise_sd_rebuilds_an_equal_spec(self):
+        spec = make_spec(noise_sd={5: 0.5, 1: 1.0}, mode="proper", other_period=5)
+        again = make_spec(noise_sd=spec.noise_sd, mode="proper", other_period=5)
+        assert again == spec
+        assert simulate_bias(again, LINEAR) == simulate_bias(spec, LINEAR)
+
     @pytest.mark.parametrize("sd", ["a", None, [1.0]])
     def test_non_numeric_sd_names_the_period(self, sd):
         # "a" raised a bare float() error that named no period
