@@ -17,112 +17,98 @@ Quick start::
     fs = design_filters(DesignSpec(periods=(1, 3, 5), degree=1))
     print(fs.psi[5])            # (4 + z + z^2 - 3z^3)/3
     assert verify_filter_set(fs).passed
+
+Every public name is loaded on first use (PEP 562), so importing the package
+is cheap and a command pays only for the modules it runs. ``__all__``,
+``dir()`` and ``from myetrends import *`` list every name without loading it.
 """
 
-from .analysis import (
-    MODES,
-    ComparisonResult,
-    ComparisonSpec,
-    CompatibilityReport,
-    SimulationSpec,
-    SimulationSummary,
-    TrendEstimates,
-    apply_filter,
-    compare,
-    compatibility,
-    expected_bias,
-    nsr,
-    simulate_bias,
-    synthetic_series,
-    trend_estimates,
-)
-from .datasets import STANDARD_TARGETS, load_sample, sample_names
-from .exceptions import (
-    CsvError,
-    DataError,
-    DesignInfeasibleError,
-    DomainError,
-    ImputationError,
-    MissingDataError,
-    MyeTrendsError,
-)
-from .filterdesign import (
-    DesignSpec,
-    FilterSet,
-    VerificationReport,
-    design_filters,
-    variance_inflation,
-    verify_filter_set,
-)
-from .myeseries import (
-    IMPUTED,
-    PUBLISHED,
-    MyeSeries,
-    ObservedValue,
-    RegionPair,
-    display_decimals,
-    impute_random_walk,
-    load_csv,
-    render_value,
-    round_half_away,
-    sma_of_base,
-    write_csv,
-)
-from .ratpoly import RatPoly, sma
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
+# Each public name, by the submodule that defines it; ``__all__`` keeps this order.
+_EXPORTS = {
     # algebra
-    "RatPoly",
-    "sma",
+    "ratpoly": ("RatPoly", "sma"),
     # design
-    "DesignSpec",
-    "FilterSet",
-    "VerificationReport",
-    "design_filters",
-    "variance_inflation",
-    "verify_filter_set",
+    "filterdesign": (
+        "DesignSpec",
+        "FilterSet",
+        "VerificationReport",
+        "design_filters",
+        "variance_inflation",
+        "verify_filter_set",
+    ),
     # series
-    "MyeSeries",
-    "ObservedValue",
-    "RegionPair",
-    "PUBLISHED",
-    "IMPUTED",
-    "load_csv",
-    "write_csv",
-    "impute_random_walk",
-    "sma_of_base",
-    "display_decimals",
-    "render_value",
-    "round_half_away",
+    "myeseries": (
+        "MyeSeries",
+        "ObservedValue",
+        "RegionPair",
+        "PUBLISHED",
+        "IMPUTED",
+        "load_csv",
+        "write_csv",
+        "impute_random_walk",
+        "sma_of_base",
+        "display_decimals",
+        "render_value",
+        "round_half_away",
+    ),
     # bundled data
-    "load_sample",
-    "sample_names",
-    "STANDARD_TARGETS",
+    "datasets": ("load_sample", "sample_names", "STANDARD_TARGETS"),
     # analysis
-    "MODES",
-    "TrendEstimates",
-    "CompatibilityReport",
-    "ComparisonSpec",
-    "ComparisonResult",
-    "SimulationSpec",
-    "SimulationSummary",
-    "apply_filter",
-    "trend_estimates",
-    "nsr",
-    "compatibility",
-    "compare",
-    "expected_bias",
-    "simulate_bias",
-    "synthetic_series",
-    # errors
-    "MyeTrendsError",
-    "DesignInfeasibleError",
-    "DataError",
-    "CsvError",
-    "MissingDataError",
-    "ImputationError",
-    "DomainError",
-]
+    "analysis": (
+        "TrendEstimates",
+        "CompatibilityReport",
+        "ComparisonSpec",
+        "ComparisonResult",
+        "apply_filter",
+        "trend_estimates",
+        "nsr",
+        "compatibility",
+        "compare",
+        "expected_bias",
+        "synthetic_series",
+    ),
+    "simulation": ("SimulationSpec", "SimulationSummary", "simulate_bias"),
+    # errors, and the comparison modes
+    "exceptions": (
+        "MODES",
+        "MyeTrendsError",
+        "DesignInfeasibleError",
+        "DataError",
+        "CsvError",
+        "MissingDataError",
+        "ImputationError",
+        "DomainError",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def _submodule(module: str):
+    qualified = f"{__name__}.{module}"
+    # the import statement's own path, unlike importlib.import_module, so
+    # ``python -X importtime`` lists the submodule and its self time
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` (or is ``name``), and keep
+    the value here, so the next read is a plain attribute lookup."""
+    if name in _SOURCE:
+        value = getattr(_submodule(_SOURCE[name]), name)
+    elif name in _EXPORTS:
+        value = _submodule(name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

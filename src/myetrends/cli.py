@@ -17,6 +17,8 @@ NaN and infinities as null.
 The parsed argument namespace is the whole configuration. Flags the parser
 can check alone (integers, ``--periods`` distinct and at least 1,
 ``--degree`` at least 0) are checked before any input file is read.
+Each subcommand imports the library modules it runs inside its ``cmd_*``
+function, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -25,31 +27,16 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .analysis import (
-    MODES,
-    ComparisonSpec,
-    SimulationSpec,
-    compare,
-    compatibility,
-    expected_bias,
-    simulate_bias,
-    trend_estimates,
-)
-from .datasets import STANDARD_TARGETS, load_sample, sample_names
-from .exceptions import MyeTrendsError, check_int
-from .filterdesign import DesignSpec, FilterSet, design_filters, variance_inflation, verify_filter_set
-from .myeseries import (
-    RegionPair,
-    display_decimals,
-    impute_random_walk,
-    load_csv,
-    render_value,
-    write_csv,
-)
+from .exceptions import MODES, MyeTrendsError, check_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .analysis import ComparisonSpec
+    from .filterdesign import FilterSet
 
 _FORMATS = ("text", "json")
 
@@ -114,6 +101,8 @@ def _parse_targets(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _parse_trend(text: str) -> tuple[Fraction, ...]:
+    from fractions import Fraction
+
     try:
         return tuple(Fraction(tok.strip()) for tok in text.split(","))
     except (ValueError, ZeroDivisionError):
@@ -163,6 +152,9 @@ def _add_comparison_args(p: argparse.ArgumentParser) -> None:
 
 def _load_series_arg(path: str):
     """A CLI input is a CSV path, or the name of a bundled sample."""
+    from .datasets import load_sample, sample_names
+    from .myeseries import load_csv
+
     if path in sample_names():
         return load_sample(path)
     return load_csv(path)
@@ -173,6 +165,8 @@ def _load_series_arg(path: str):
 
 
 def cmd_design(args) -> int:
+    from .filterdesign import DesignSpec, design_filters, variance_inflation, verify_filter_set
+
     fs = design_filters(DesignSpec(args.periods, args.degree))
     report = verify_filter_set(fs)
     checks = [{"name": c.name, "passed": c.passed, "residual": c.residual} for c in report.checks]
@@ -190,6 +184,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_impute(args) -> int:
+    from .myeseries import impute_random_walk, write_csv
+
     series = _load_series_arg(args.input)
     filled = impute_random_walk(series, args.targets)
     write_csv(filled, args.out or sys.stdout)
@@ -197,6 +193,10 @@ def cmd_impute(args) -> int:
 
 
 def cmd_trends(args) -> int:
+    from .analysis import trend_estimates
+    from .filterdesign import DesignSpec, design_filters
+    from .myeseries import display_decimals, render_value
+
     series = _load_series_arg(args.input)
     spec = DesignSpec(args.periods or series.periods(), args.degree)
     fs = design_filters(spec)
@@ -215,6 +215,9 @@ def cmd_trends(args) -> int:
 
 
 def cmd_compat(args) -> int:
+    from .analysis import compatibility
+    from .myeseries import render_value
+
     series = _load_series_arg(args.input)
     periods = args.periods or tuple(k for k in series.periods() if k > 1)
     if not periods:
@@ -233,18 +236,25 @@ def cmd_compat(args) -> int:
 
 def _comparison_from_args(args) -> tuple[ComparisonSpec, Optional[FilterSet]]:
     """The comparison the flags describe, and the filter family proper mode needs."""
+    from .analysis import ComparisonSpec
+
     ref = args.reference_period
     if ref is None:
         ref = args.other_period if args.mode == "untimely" else 1
     cspec = ComparisonSpec(args.mode, args.t0, ref, args.other_period)
     fs = None
     if args.mode == "proper":
+        from .filterdesign import DesignSpec, design_filters
+
         periods = args.periods or tuple(sorted({1, ref, args.other_period}))
         fs = design_filters(DesignSpec(periods, args.degree))
     return cspec, fs
 
 
 def cmd_compare(args) -> int:
+    from .analysis import compare
+    from .myeseries import RegionPair, display_decimals, render_value
+
     cspec, fs = _comparison_from_args(args)
     series_a = _load_series_arg(args.input_a)
     series_b = _load_series_arg(args.input_b)
@@ -260,6 +270,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .analysis import expected_bias
+    from .simulation import SimulationSpec, simulate_bias
+
     cspec, fs = _comparison_from_args(args)
     noise = args.noise
     if isinstance(noise, float):
@@ -326,6 +339,11 @@ def demo_rows() -> list[dict]:
     precision (the precision the reference table reports), not from full
     double precision; with full precision one value rounds differently.
     """
+    from .analysis import ComparisonSpec, compare, compatibility, trend_estimates
+    from .datasets import STANDARD_TARGETS, load_sample
+    from .filterdesign import DesignSpec, design_filters
+    from .myeseries import RegionPair, impute_random_walk, render_value
+
     fs = design_filters(DesignSpec((1, 3, 5), 1))
     rows: list[dict] = []
 

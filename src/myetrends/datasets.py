@@ -15,8 +15,6 @@ age       median age (Hampden MA)             years
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .myeseries import MyeSeries, load_csv
 
 __all__ = ["sample_names", "load_sample", "STANDARD_TARGETS"]
@@ -44,6 +42,8 @@ def load_sample(name: str) -> MyeSeries:
         raise KeyError(
             f"unknown sample {name!r}; available: {', '.join(_SAMPLES)}"
         ) from None
+    from importlib import resources
+
     path = resources.files("myetrends").joinpath("data", fname)
     with path.open("r", encoding="utf-8") as fh:
         return load_csv(fh)

@@ -8,7 +8,11 @@ the usual built-ins.
 Every integer argument (a period, a degree, an end year, a count) is checked
 by :func:`check_int`, so each boundary rejects a ``bool``, a float or a
 string with the same message, which starts with the argument's name.
+:data:`MODES` names the three comparison modes, here so that the command
+line can offer them without loading the analysis code.
 """
+
+MODES = ("inapt", "untimely", "proper")
 
 
 class MyeTrendsError(Exception):

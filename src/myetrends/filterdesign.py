@@ -124,7 +124,7 @@ class FilterSet:
         The result is reconstructed as stored; run
         :func:`verify_filter_set` to re-check its properties.
         """
-        spec = DesignSpec(tuple(int(k) for k in data["periods"]), int(data["degree"]))
+        spec = DesignSpec(data["periods"], data["degree"])
         phi = RatPoly(data["phi"])
         psi = {int(k): RatPoly(v) for k, v in data["psi"].items()}
         if set(psi) != set(spec.periods):

@@ -475,8 +475,11 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
         Listing the years whose 1y values are absent.
     DomainError
         If the window's sum leaves the float range.
+    ValueError
+        If ``period`` is not an integer >= 1 or ``end_year`` is not an integer.
     """
     check_int(period, "period", 1)
+    check_int(end_year, "end_year")
     found = series.window(1, end_year, period)
     if found is None:
         gaps = [t for t in range(end_year - period + 1, end_year + 1) if (1, t) not in series]

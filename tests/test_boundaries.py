@@ -39,10 +39,13 @@ def simulation(**over):
 # an imputation target's name holds the target, so it is a format string
 ENTRY_POINTS = [
     ("nsr", lambda v: nsr(INCOME, v, 2007), "period", 1, ValueError),
+    ("nsr.t", lambda v: nsr(INCOME, 3, v), "t", None, ValueError),
     ("compatibility", lambda v: compatibility(INCOME, [3, v]), "period", 1, ValueError),
     ("sma_of_base", lambda v: sma_of_base(INCOME, v, 2007), "period", 1, ValueError),
+    ("sma_of_base.end_year", lambda v: sma_of_base(INCOME, 3, v), "end_year", None, ValueError),
     ("trend_estimates", lambda v: trend_estimates(INCOME, FAMILY, 2007, periods=(v,)),
      "periods", 1, ValueError),
+    ("trend_estimates.t0", lambda v: trend_estimates(INCOME, FAMILY, v), "t0", None, ValueError),
     ("synthetic_series.periods", lambda v: synthetic_series((0, 1), (1, v), 2000, 2010),
      "periods", 1, ValueError),
     ("synthetic_series.start_year", lambda v: synthetic_series((0, 1), (1, 3), v, 2010),
@@ -59,6 +62,11 @@ ENTRY_POINTS = [
     ("SimulationSpec.seed", lambda v: simulation(seed=v), "seed", 0, ValueError),
     ("DesignSpec.periods", lambda v: DesignSpec((1, v), 1), "periods", 1, ValueError),
     ("DesignSpec.degree", lambda v: DesignSpec((1, 3), v), "degree", 0, ValueError),
+    ("FilterSet.from_dict.periods",
+     lambda v: FilterSet.from_dict({**FAMILY.to_dict(), "periods": [1, 3, v]}),
+     "periods", 1, ValueError),
+    ("FilterSet.from_dict.degree", lambda v: FilterSet.from_dict({**FAMILY.to_dict(), "degree": v}),
+     "degree", 0, ValueError),
     ("sma", sma, "k", 1, ValueError),
     ("render_value", lambda v: render_value(1.25, v), "decimals", 0, ValueError),
     ("round_half_away", lambda v: round_half_away(1.25, v), "decimals", 0, ValueError),
@@ -91,6 +99,16 @@ def test_from_dict_names_the_bad_coefficient():
     data["psi"]["3"][1] = "1/0"
     with pytest.raises(ValueError, match=r"^coefficient 1 must be a finite number, got '1/0'$"):
         FilterSet.from_dict(data)
+
+
+@pytest.mark.parametrize("key, stored, want", [
+    ("degree", 1.5, "degree must be an integer >= 0, got 1.5"),
+    ("periods", ["1", "3", "5"], "periods must be an integer >= 1, got '1'"),
+])
+def test_from_dict_keeps_the_stored_integers(key, stored, want):
+    # both used to load silently through int(): degree 1.5 as 1, "1" as 1
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        FilterSet.from_dict({**FAMILY.to_dict(), key: stored})
 
 
 def test_cli_degree_named(capsys):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -484,32 +485,64 @@ class TestFormatsAndPlumbing:
 
 
 class TestImportGuard:
-    """Only ``simulate`` loads NumPy and SciPy.
+    """Each command loads only the modules it runs.
 
-    Each case runs in a fresh interpreter and checks which modules it loaded,
-    not how long that took, so a busy machine cannot make it fail.
+    Each case runs in a fresh ``python -S`` interpreter and checks which
+    modules it loaded, by name and not by how long that took, so a busy
+    machine cannot make it fail. ``-S`` skips ``site``, whose ``.pth`` files
+    may preload standard modules (such as ``importlib.resources``) and so
+    hide a regression; the caller's import path is passed on instead.
     """
 
     PROBE = (
         "import json, sys\n"
         "{body}\n"
-        "heavy = sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy')))\n"
-        "print(json.dumps([code, heavy]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     MAIN = "from myetrends.cli import main\ncode = main(sys.argv[1:])"
+    HEAVY = ("numpy", "scipy")
+    # the package modules each command loads, beside the package itself
+    LOADS = {
+        "design": {"cli", "exceptions", "filterdesign", "ratpoly"},
+        "impute": {"cli", "datasets", "exceptions", "myeseries"},
+        "trends": {"analysis", "cli", "datasets", "exceptions", "filterdesign", "myeseries",
+                   "ratpoly"},
+        "compat": {"analysis", "cli", "datasets", "exceptions", "myeseries", "ratpoly"},
+        "compare": {"analysis", "cli", "datasets", "exceptions", "filterdesign", "myeseries",
+                    "ratpoly"},
+        "demo": {"analysis", "cli", "datasets", "exceptions", "filterdesign", "myeseries",
+                 "ratpoly"},
+        "simulate": {"analysis", "cli", "exceptions", "myeseries", "ratpoly", "simulation"},
+    }
 
     def probe(self, body, *argv):
-        """Exit code of ``body`` and the NumPy/SciPy modules loaded by then."""
+        """Exit code of ``body`` and every module loaded by then."""
+        import myetrends
+
+        src = str(Path(myetrends.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, sys.path)])}
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE.format(body=body), *argv],
-            capture_output=True, text=True,
+            [sys.executable, "-S", "-c", self.PROBE.format(body=body), *argv],
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        return code, set(modules)
+
+    @staticmethod
+    def package(modules):
+        return {m.partition(".")[2] for m in modules if m.startswith("myetrends.")}
+
+    def heavy(self, modules):
+        return {m for m in modules if m.partition(".")[0] in self.HEAVY}
 
     @pytest.mark.parametrize("module", ["myetrends", "myetrends.cli"])
     def test_import(self, module):
-        assert self.probe(f"import {module}\ncode = 0") == (0, [])
+        code, modules = self.probe(f"import {module}\ncode = 0")
+        loads = {"myetrends": set(), "myetrends.cli": {"cli", "exceptions"}}[module]
+        assert self.package(modules) == loads
+        assert not self.heavy(modules)
+        assert not {"dataclasses", "importlib.resources"} & modules
 
     @pytest.mark.parametrize(
         "command", ["design", "impute", "trends", "compat", "compare", "demo"]
@@ -520,7 +553,7 @@ class TestImportGuard:
         f = str(filled)
         argv = {
             "design": ["design", "--degree", "1", "--periods", "1,3,5"],
-            "impute": ["impute", *INCOME_ARGS],
+            "impute": ["impute", "--in", f, "--targets", "3:2008"],
             "trends": ["trends", "--in", f, "--t0", "2007"],
             "compat": ["compat", "--in", f],
             "compare": ["compare", "--in-a", f, "--in-b", f, "--mode", "proper",
@@ -528,12 +561,28 @@ class TestImportGuard:
             "demo": ["demo"],
         }[command]
         out = tmp_path / "out"
-        assert self.probe(self.MAIN, *argv, "--out", str(out)) == (0, [])
+        code, modules = self.probe(self.MAIN, *argv, "--out", str(out))
+        assert code == 0
         assert out.read_text()
+        assert self.package(modules) == self.LOADS[command]
+        assert not self.heavy(modules)
+        # only the bundled samples are read as package resources
+        assert ("importlib.resources" in modules) == (command == "demo")
+        if command == "design":
+            assert "csv" not in modules
+
+    def test_inapt_compare_designs_nothing(self, tmp_path):
+        f = str(tmp_path / "income.csv")
+        assert main(["impute", *INCOME_ARGS, "--out", f]) == 0
+        code, modules = self.probe(self.MAIN, "compare", "--in-a", f, "--in-b", f, "--mode",
+                                   "inapt", "--t0", "2007", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert self.package(modules) == self.LOADS["compare"] - {"filterdesign"}
 
     def test_simulate_loads_them(self, tmp_path):
         argv = ["simulate", "--trend", "0,1", "--noise", "1", "--mode", "inapt",
                 "--t0", "10", "--replicates", "10", "--out", str(tmp_path / "out")]
-        code, heavy = self.probe(self.MAIN, *argv)
+        code, modules = self.probe(self.MAIN, *argv)
         assert code == 0
-        assert {"numpy", "scipy.special"} <= set(heavy)
+        assert self.package(modules) == self.LOADS["simulate"]
+        assert {"numpy", "scipy.special"} <= modules

@@ -81,7 +81,7 @@ from myetrends import (
     variance_inflation,
     verify_filter_set,
 )
-from myetrends import analysis
+from myetrends import simulation
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
 QUADRATIC = design_filters(DesignSpec((1, 3, 5), 2))
@@ -386,14 +386,14 @@ def test_simulation_rows_digest(monkeypatch):
     # float.hex of every row of each side's noise, side by side, so the
     # digest pins the rows' bits and not how they are split into blocks
     h = hashlib.sha256()
-    side_noise = analysis._side_noise
+    side_noise = simulation._side_noise
     rows: dict[int, list[str]] = {}  # one side's rows in block order, by its weights
 
     def recorded(words, w, sd, out, quantile):
         side_noise(words, w, sd, out, quantile)
         rows.setdefault(id(w), []).extend(map(float.hex, out.tolist()))
 
-    monkeypatch.setattr(analysis, "_side_noise", recorded)
+    monkeypatch.setattr(simulation, "_side_noise", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # extreme weights past degree 10
         for i, (mode, ref, other, degree) in enumerate(ROW_CASES):

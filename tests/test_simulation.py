@@ -13,8 +13,6 @@ import pytest
 from scipy.special import ndtri
 
 from myetrends.analysis import (
-    _BATCH,
-    _CHUNK,
     ComparisonSpec,
     SimulationSpec,
     SimulationSummary,
@@ -24,6 +22,7 @@ from myetrends.analysis import (
 from myetrends.exceptions import DomainError
 from myetrends.filterdesign import DesignSpec, design_filters
 from myetrends.ratpoly import RatPoly
+from myetrends.simulation import _BATCH, _CHUNK
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
 QUADRATIC = design_filters(DesignSpec((1, 3, 5), 2))
