@@ -34,17 +34,16 @@ audits and comparisons never compile or import it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .exceptions import MODES, DomainError, MissingDataError, check_int
+from .exceptions import MODES, DomainError, MissingDataError, Record, _set, check_int
 from .myeseries import IMPUTED, MyeSeries, RegionPair, _base_mean, render_value, sma_of_base
 from .ratpoly import ONE, RatPoly, sma
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Sequence, Union
+    from typing import Callable, Iterable, Optional, Sequence, Union
 
     from .filterdesign import DesignSpec, FilterSet
 
@@ -117,13 +116,15 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, t: int) -> fl
     return total
 
 
-@dataclass(frozen=True)
-class TrendEstimates:
+class TrendEstimates(Record):
     """Filtered trend values for one end year, one value per period."""
 
-    at: int
-    values: dict[int, float]
-    design: DesignSpec
+    _fields = ("at", "values", "design")
+
+    def __init__(self, at: int, values: dict[int, float], design: DesignSpec) -> None:
+        _set(self, "at", at)
+        _set(self, "values", values)
+        _set(self, "design", design)
 
     def to_dict(self) -> dict:
         return {
@@ -204,22 +205,27 @@ def _log_ratio(name: str, period: int, t: int, y: float, base_mean: float,
     return log(y) - log(base_mean)
 
 
-@dataclass(frozen=True)
-class CompatibilityEntry:
+class CompatibilityEntry(Record):
     """NSR by end year for one period, and the max absolute value."""
 
-    nsr: dict[int, float]
-    c: float
+    _fields = ("nsr", "c")
+
+    def __init__(self, nsr: dict[int, float], c: float) -> None:
+        _set(self, "nsr", nsr)
+        _set(self, "c", c)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(Record):
     """Cross-period compatibility diagnostics for one series."""
 
-    series: str
-    log_base: str
-    include_imputed: bool
-    entries: dict[int, CompatibilityEntry]
+    _fields = ("series", "log_base", "include_imputed", "entries")
+
+    def __init__(self, series: str, log_base: str, include_imputed: bool,
+                 entries: dict[int, CompatibilityEntry]) -> None:
+        _set(self, "series", series)
+        _set(self, "log_base", log_base)
+        _set(self, "include_imputed", include_imputed)
+        _set(self, "entries", entries)
 
     def c(self, period: int) -> float:
         return self.entries[period].c
@@ -293,8 +299,7 @@ def compatibility(
 # comparisons
 
 
-@dataclass(frozen=True)
-class ComparisonSpec:
+class ComparisonSpec(Record):
     """What to compare: mode, end year, and the period for each side.
 
     ``reference_period`` belongs to region A (the denominator side),
@@ -303,12 +308,14 @@ class ComparisonSpec:
     and above 1; proper accepts any pair present in the filter design.
     """
 
-    mode: str
-    t0: int
-    reference_period: int = 1
-    other_period: int = 3
+    _fields = ("mode", "t0", "reference_period", "other_period")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mode: str, t0: int, reference_period: int = 1,
+                 other_period: int = 3) -> None:
+        _set(self, "mode", mode)
+        _set(self, "t0", t0)
+        _set(self, "reference_period", reference_period)
+        _set(self, "other_period", other_period)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_int(self.reference_period, "reference_period", 1)
@@ -329,16 +336,20 @@ class ComparisonSpec:
                 raise ValueError("untimely comparisons need periods > 1")
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(Record):
     """Two compared values and their relative discrepancy ``b/a - 1``."""
 
-    spec: ComparisonSpec
-    value_a: float
-    value_b: float
-    discrepancy: float
-    reference_period_used: int
-    other_period_used: int
+    _fields = ("spec", "value_a", "value_b", "discrepancy", "reference_period_used",
+               "other_period_used")
+
+    def __init__(self, spec: ComparisonSpec, value_a: float, value_b: float, discrepancy: float,
+                 reference_period_used: int, other_period_used: int) -> None:
+        _set(self, "spec", spec)
+        _set(self, "value_a", value_a)
+        _set(self, "value_b", value_b)
+        _set(self, "discrepancy", discrepancy)
+        _set(self, "reference_period_used", reference_period_used)
+        _set(self, "other_period_used", other_period_used)
 
     def percent(self, decimals: int = 1) -> str:
         """Discrepancy as a percentage string, e.g. ``"-13.7"``."""

@@ -24,16 +24,16 @@ function, so a process loads only those.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .exceptions import MODES, MyeTrendsError, check_int
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Optional, Sequence
 
     from .analysis import ComparisonSpec
     from .filterdesign import FilterSet
@@ -53,6 +53,8 @@ def _finite_or_null(value):
 def _report(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
     """Write a command's result: ``payload`` as JSON, or ``lines`` as text."""
     if args.format == "json":
+        import json
+
         text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     else:
         text = "\n".join(lines)

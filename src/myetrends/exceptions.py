@@ -10,9 +10,50 @@ by :func:`check_int`, so each boundary rejects a ``bool``, a float or a
 string with the same message, which starts with the argument's name.
 :data:`MODES` names the three comparison modes, here so that the command
 line can offer them without loading the analysis code.
+
+:class:`Record` is the frozen base of the package's record types (a
+design request, a filter family, a comparison and its result, and the
+like). It lives here because every command loads this module.
 """
 
 MODES = ("inapt", "untimely", "proper")
+
+# How a record's ``__init__`` stores a field, past the frozen ``__setattr__``.
+_set = object.__setattr__
+
+
+class Record:
+    """Frozen record: fields named by ``_fields``, compared and hashed by value.
+
+    Each subclass lists its fields in ``_fields`` and writes its own
+    ``__init__``, which stores every field with ``_set`` in that order.
+    Assignment and deletion raise :class:`AttributeError`; ``==`` compares
+    the fields with a record of the same class only; ``hash`` hashes the
+    field tuple, so it raises :class:`TypeError` if a field is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class MyeTrendsError(Exception):

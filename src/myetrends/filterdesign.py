@@ -26,15 +26,16 @@ re-checks every property from scratch.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
-from .exceptions import check_int
+from .exceptions import Record, _set, check_int
 from .ratpoly import ONE, RatPoly, sma
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Mapping
 
 __all__ = [
     "DesignSpec",
@@ -51,8 +52,7 @@ __all__ = [
 _DEGREE_WARN_THRESHOLD = 10
 
 
-@dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(Record):
     """Periods and trend degree for a filter family.
 
     Parameters
@@ -63,8 +63,7 @@ class DesignSpec:
         Highest polynomial trend degree the composite must reproduce.
     """
 
-    periods: tuple[int, ...]
-    degree: int
+    _fields = ("periods", "degree")
 
     def __init__(self, periods: Iterable[int], degree: int) -> None:
         ps = tuple(check_int(k, "periods", 1) for k in periods)
@@ -73,15 +72,14 @@ class DesignSpec:
         if len(set(ps)) != len(ps):
             raise ValueError(f"periods must be distinct, got {ps}")
         check_int(degree, "degree", 0)
-        object.__setattr__(self, "periods", tuple(sorted(ps)))
-        object.__setattr__(self, "degree", degree)
+        _set(self, "periods", tuple(sorted(ps)))
+        _set(self, "degree", degree)
 
     def __str__(self) -> str:
         return f"periods={{{', '.join(map(str, self.periods))}}}, degree={self.degree}"
 
 
-@dataclass(frozen=True, eq=True)
-class FilterSet:
+class FilterSet(Record):
     """A designed filter family.
 
     Attributes
@@ -99,10 +97,14 @@ class FilterSet:
         period's averaging polynomial must equal.
     """
 
-    spec: DesignSpec
-    phi: RatPoly
-    psi: dict[int, RatPoly]
-    common: RatPoly
+    _fields = ("spec", "phi", "psi", "common")
+
+    def __init__(self, spec: DesignSpec, phi: RatPoly, psi: dict[int, RatPoly],
+                 common: RatPoly) -> None:
+        _set(self, "spec", spec)
+        _set(self, "phi", phi)
+        _set(self, "psi", psi)
+        _set(self, "common", common)
 
     def to_dict(self) -> dict:
         """Plain-data form with coefficients as exact ``"num/den"`` strings."""
@@ -115,6 +117,8 @@ class FilterSet:
         }
 
     def to_json(self, indent: int = 2) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
@@ -163,20 +167,24 @@ def design_filters(spec: DesignSpec) -> FilterSet:
     return FilterSet(spec=spec, phi=phi, psi=psi, common=common)
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(Record):
     """One verified property: a name, a pass flag, and the exact residual."""
 
-    name: str
-    passed: bool
-    residual: str
+    _fields = ("name", "passed", "residual")
+
+    def __init__(self, name: str, passed: bool, residual: str) -> None:
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "residual", residual)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of re-deriving every property of a filter set from scratch."""
 
-    checks: tuple[VerificationCheck, ...]
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple[VerificationCheck, ...]) -> None:
+        _set(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

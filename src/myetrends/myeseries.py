@@ -31,11 +31,22 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .exceptions import CsvError, DataError, DomainError, ImputationError, MissingDataError, check_int
+from .exceptions import (
+    CsvError,
+    DataError,
+    DomainError,
+    ImputationError,
+    MissingDataError,
+    Record,
+    _set,
+    check_int,
+)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "PUBLISHED",
@@ -69,15 +80,14 @@ _UNIT_DECIMALS = {
 _DEFAULT_DECIMALS = 2
 
 
-@dataclass(frozen=True)
-class ObservedValue:
+class ObservedValue(Record):
     """A single estimate with its provenance tag."""
 
-    value: float
-    provenance: str = PUBLISHED
+    _fields = ("value", "provenance")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _checked_value(self.value, self.provenance))
+    def __init__(self, value: float, provenance: str = PUBLISHED) -> None:
+        _set(self, "value", _checked_value(value, provenance))
+        _set(self, "provenance", provenance)
 
 
 def _checked_value(value, provenance: str) -> float:
@@ -97,8 +107,8 @@ def _stored(value: float, provenance: str) -> ObservedValue:
     """An :class:`ObservedValue` of a stored value and tag, which were checked
     when they were stored, so its checks are skipped."""
     ov = object.__new__(ObservedValue)
-    object.__setattr__(ov, "value", value)
-    object.__setattr__(ov, "provenance", provenance)
+    _set(ov, "value", value)
+    _set(ov, "provenance", provenance)
     return ov
 
 
@@ -599,8 +609,7 @@ def display_decimals(unit: str) -> int:
     return _UNIT_DECIMALS.get(unit, _DEFAULT_DECIMALS)
 
 
-@dataclass(frozen=True)
-class RegionPair:
+class RegionPair(Record):
     """Two regions' series for the same variable, for cross-region comparison.
 
     Region ``a`` is the reference (typically richer data), region ``b`` the
@@ -608,10 +617,11 @@ class RegionPair:
     the same unit.
     """
 
-    a: MyeSeries
-    b: MyeSeries
+    _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: MyeSeries, b: MyeSeries) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
         if self.a.name != self.b.name or self.a.unit != self.b.unit:
             raise DataError(
                 f"regions measure different things: "

@@ -17,13 +17,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Union
 
 from .exceptions import check_int
 
-__all__ = ["RatPoly", "sma", "ZERO", "ONE"]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Union
 
-CoefficientLike = Union[int, str, float, Fraction]
+    CoefficientLike = Union[int, str, float, Fraction]
+
+__all__ = ["RatPoly", "sma", "ZERO", "ONE"]
 
 
 def coefficients(coeffs: Iterable[CoefficientLike]) -> list[Fraction]:

@@ -15,24 +15,24 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
 
 from .analysis import ComparisonSpec, _deterministic_sides, _sides, _to_float
-from .exceptions import check_int
+from .exceptions import Record, _set, check_int
 from .ratpoly import RatPoly, coefficients
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Callable, Iterable, Mapping, Optional, Union
+
     import numpy as np
 
     from .filterdesign import FilterSet
+    from .ratpoly import CoefficientLike
 
 __all__ = ["SimulationSpec", "SimulationSummary", "simulate_bias"]
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(Record):
     """A reproducible bias experiment.
 
     Synthetic data follow ``Y(k, t) = (k-year average of trend at t) +
@@ -52,19 +52,23 @@ class SimulationSpec:
     builds from them.
     """
 
-    trend: tuple[Fraction, ...]
-    noise_sd: tuple[tuple[int, float], ...]
-    mode: str
-    t0: int
-    replicates: int
-    seed: int
-    reference_period: int = 1
-    other_period: int = 3
+    _fields = ("trend", "noise_sd", "mode", "t0", "replicates", "seed", "reference_period",
+               "other_period")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trend", tuple(coefficients(self.trend)))
+    def __init__(
+        self,
+        trend: Iterable[CoefficientLike],
+        noise_sd: Union[Mapping[int, float], Iterable[tuple[int, float]]],
+        mode: str,
+        t0: int,
+        replicates: int,
+        seed: int,
+        reference_period: int = 1,
+        other_period: int = 3,
+    ) -> None:
+        _set(self, "trend", tuple(coefficients(trend)))
         sds = {}
-        for k, sd in dict(self.noise_sd).items():
+        for k, sd in dict(noise_sd).items():
             check_int(k, "noise period", 1)
             try:
                 sd = float(sd)
@@ -73,7 +77,13 @@ class SimulationSpec:
             if not math.isfinite(sd) or sd < 0:
                 raise ValueError(f"noise sd for period {k} must be >= 0 and finite, got {sd}")
             sds[k] = sd
-        object.__setattr__(self, "noise_sd", tuple(sorted(sds.items())))
+        _set(self, "noise_sd", tuple(sorted(sds.items())))
+        _set(self, "mode", mode)
+        _set(self, "t0", t0)
+        _set(self, "replicates", replicates)
+        _set(self, "seed", seed)
+        _set(self, "reference_period", reference_period)
+        _set(self, "other_period", other_period)
         self.comparison_spec()
         check_int(self.replicates, "replicates", 1)
         if check_int(self.seed, "seed", 0) >= 2**64:
@@ -84,22 +94,26 @@ class SimulationSpec:
         return ComparisonSpec(self.mode, self.t0, self.reference_period, self.other_period)
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class SimulationSummary(Record):
     """Empirical results of a bias experiment."""
 
-    mode: str
-    replicates: int
-    seed: int
-    bias: float
-    std_error: float
-    mean_a: float
-    mean_b: float
-    var_a: float
-    var_b: float
+    _fields = ("mode", "replicates", "seed", "bias", "std_error", "mean_a", "mean_b", "var_a",
+               "var_b")
+
+    def __init__(self, mode: str, replicates: int, seed: int, bias: float, std_error: float,
+                 mean_a: float, mean_b: float, var_a: float, var_b: float) -> None:
+        _set(self, "mode", mode)
+        _set(self, "replicates", replicates)
+        _set(self, "seed", seed)
+        _set(self, "bias", bias)
+        _set(self, "std_error", std_error)
+        _set(self, "mean_a", mean_a)
+        _set(self, "mean_b", mean_b)
+        _set(self, "var_a", var_a)
+        _set(self, "var_b", var_b)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 # Replicates per generation batch. Fixed so that accumulation order, and

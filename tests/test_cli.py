@@ -491,16 +491,22 @@ class TestImportGuard:
     modules it loaded, by name and not by how long that took, so a busy
     machine cannot make it fail. ``-S`` skips ``site``, whose ``.pth`` files
     may preload standard modules (such as ``importlib.resources``) and so
-    hide a regression; the caller's import path is passed on instead.
+    hide a regression; the caller's import path is passed on instead. The
+    probe lists the modules before it imports ``json`` to print them.
     """
 
     PROBE = (
-        "import json, sys\n"
+        "import sys\n"
         "{body}\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, modules]))\n"
     )
     MAIN = "from myetrends.cli import main\ncode = main(sys.argv[1:])"
     HEAVY = ("numpy", "scipy")
+    # standard modules no command but simulate needs: the records are plain
+    # classes, annotations are strings, and only JSON output imports json
+    UNUSED = {"dataclasses", "inspect", "typing", "json"}
     # the package modules each command loads, beside the package itself
     LOADS = {
         "design": {"cli", "exceptions", "filterdesign", "ratpoly"},
@@ -542,7 +548,7 @@ class TestImportGuard:
         loads = {"myetrends": set(), "myetrends.cli": {"cli", "exceptions"}}[module]
         assert self.package(modules) == loads
         assert not self.heavy(modules)
-        assert not {"dataclasses", "importlib.resources"} & modules
+        assert not ({"importlib.resources"} | self.UNUSED) & modules
 
     @pytest.mark.parametrize(
         "command", ["design", "impute", "trends", "compat", "compare", "demo"]
@@ -566,10 +572,21 @@ class TestImportGuard:
         assert out.read_text()
         assert self.package(modules) == self.LOADS[command]
         assert not self.heavy(modules)
-        # only the bundled samples are read as package resources
+        # only the bundled samples are read as package resources, and
+        # importlib.resources imports typing
         assert ("importlib.resources" in modules) == (command == "demo")
+        unused = self.UNUSED - {"typing"} if command == "demo" else self.UNUSED
+        assert not unused & modules
         if command == "design":
             assert "csv" not in modules
+
+    def test_json_output_loads_json(self, tmp_path):
+        code, modules = self.probe(self.MAIN, "design", "--degree", "1", "--periods", "1,3,5",
+                                   "--format", "json", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert json.loads((tmp_path / "out").read_text())["filters"]["degree"] == 1
+        assert "json" in modules
+        assert not (self.UNUSED - {"json"}) & modules
 
     def test_inapt_compare_designs_nothing(self, tmp_path):
         f = str(tmp_path / "income.csv")
