@@ -172,11 +172,6 @@ def test_copies_are_equal(name, duplicate):
         twin.extra = 1
 
 
-def test_filter_set_is_unhashable():
-    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-        hash(MAKE["FilterSet"]())
-
-
 def test_simulation_summary_to_dict_keeps_the_field_order():
     summary = MAKE["SimulationSummary"]()
     assert summary.to_dict() == vars(summary)
