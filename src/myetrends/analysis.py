@@ -306,12 +306,15 @@ class ComparisonSpec(Record):
     ``other_period`` to region B. Mode rules: inapt fixes the reference at
     1 and needs a longer other period; untimely needs both periods equal
     and above 1; proper accepts any pair present in the filter design.
+    ``reference_period=None`` stores ``other_period`` if untimely, else 1.
     """
 
     _fields = ("mode", "t0", "reference_period", "other_period")
 
-    def __init__(self, mode: str, t0: int, reference_period: int = 1,
+    def __init__(self, mode: str, t0: int, reference_period: Optional[int] = None,
                  other_period: int = 3) -> None:
+        if reference_period is None:
+            reference_period = other_period if mode == "untimely" else 1
         _set(self, "mode", mode)
         _set(self, "t0", t0)
         _set(self, "reference_period", reference_period)

@@ -240,15 +240,12 @@ def _comparison_from_args(args) -> tuple[ComparisonSpec, Optional[FilterSet]]:
     """The comparison the flags describe, and the filter family proper mode needs."""
     from .analysis import ComparisonSpec
 
-    ref = args.reference_period
-    if ref is None:
-        ref = args.other_period if args.mode == "untimely" else 1
-    cspec = ComparisonSpec(args.mode, args.t0, ref, args.other_period)
+    cspec = ComparisonSpec(args.mode, args.t0, args.reference_period, args.other_period)
     fs = None
     if args.mode == "proper":
         from .filterdesign import DesignSpec, design_filters
 
-        periods = args.periods or tuple(sorted({1, ref, args.other_period}))
+        periods = args.periods or tuple(sorted({1, cspec.reference_period, args.other_period}))
         fs = design_filters(DesignSpec(periods, args.degree))
     return cspec, fs
 

@@ -11,9 +11,14 @@ income    median household income (Pima AZ)   dollars
 divorce   divorced males (Lake IL)            persons
 age       median age (Hampden MA)             years
 ========  ==================================  =======
+
+:func:`load_sample` reads ``data/<file>`` beside this module through
+:func:`~myetrends.myeseries.load_csv`, as any CSV path, by its one BOM rule.
 """
 
 from __future__ import annotations
+
+import os
 
 from .myeseries import MyeSeries, load_csv
 
@@ -42,8 +47,4 @@ def load_sample(name: str) -> MyeSeries:
         raise KeyError(
             f"unknown sample {name!r}; available: {', '.join(_SAMPLES)}"
         ) from None
-    from importlib import resources
-
-    path = resources.files("myetrends").joinpath("data", fname)
-    with path.open("r", encoding="utf-8") as fh:
-        return load_csv(fh)
+    return load_csv(os.path.join(os.path.dirname(__file__), "data", fname))

@@ -345,20 +345,20 @@ def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
     value``; ``provenance`` is optional and defaults to published. All rows
     must agree on variable and unit, and no ``(period, end_year)`` key may
     repeat. Two-digit end years are accepted as shorthand and normalized
-    to four digits (00-68 map to 2000-2068, 69-99 to 1969-1999). A file's
-    UTF-8 byte-order mark, as spreadsheets export it, is skipped. Blank
-    lines are skipped. Parse failures raise :class:`CsvError` naming the
-    1-based line.
+    to four digits (00-68 map to 2000-2068, 69-99 to 1969-1999). One
+    leading UTF-8 byte-order mark is skipped, from a path or a stream
+    alike. Blank lines are skipped. Parse failures raise
+    :class:`CsvError` naming the 1-based line.
     """
     if hasattr(source, "read"):
         return _load_csv_stream(source, name=getattr(source, "name", "<stream>"))
-    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(source, "r", encoding="utf-8", newline="") as fh:
         return _load_csv_stream(fh, name=str(source))
 
 
 def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
-    # a stream opened as utf-8, not utf-8-sig, keeps the BOM: drop it before
-    # csv reads the header, so a quoted first name still parses as quoted
+    # the one BOM rule: drop one BOM before csv reads the header, so a
+    # quoted first name still parses as quoted
     lines = iter(fh)
     first = next(lines, "").removeprefix("\ufeff")
     reader = csv.reader(itertools.chain([first] if first else [], lines))

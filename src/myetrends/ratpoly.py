@@ -38,19 +38,15 @@ def coefficients(coeffs: Iterable[CoefficientLike]) -> list[Fraction]:
         If a coefficient is non-finite or unparsable; the message names its
         index.
     """
-    # materialised, so the error path can walk the same items again
-    cs = coeffs if isinstance(coeffs, (list, tuple)) else list(coeffs)
-    try:
-        return [c if isinstance(c, Fraction) else Fraction(c) for c in cs]
-    except (ValueError, OverflowError, ZeroDivisionError):
-        for j, c in enumerate(cs):
+    out = []
+    for j, c in enumerate(coeffs):
+        if not isinstance(c, Fraction):
             try:
-                Fraction(c)
+                c = Fraction(c)
             except (ValueError, OverflowError, ZeroDivisionError):
-                raise ValueError(
-                    f"coefficient {j} must be a finite number, got {c!r}"
-                ) from None
-        raise
+                raise ValueError(f"coefficient {j} must be a finite number, got {c!r}") from None
+        out.append(c)
+    return out
 
 
 class RatPoly:
@@ -125,7 +121,7 @@ class RatPoly:
 
     def coeff(self, j: int) -> Fraction:
         """Coefficient on ``z**j`` (zero outside the stored range)."""
-        if 0 <= j < len(self._nums):
+        if 0 <= check_int(j, "j") < len(self._nums):
             return self.coeffs[j]
         return Fraction(0)
 
@@ -185,8 +181,7 @@ class RatPoly:
 
     def shift(self, power: int) -> "RatPoly":
         """Multiply by ``z**power`` (delay every weight by ``power`` steps)."""
-        if power < 0:
-            raise ValueError(f"shift power must be nonnegative, got {power}")
+        check_int(power, "power", 0)
         if not self._nums:
             return ZERO
         return RatPoly._from_ints([0] * power + list(self._nums), self._den)
@@ -212,8 +207,7 @@ class RatPoly:
         ``c_j * j! / (j - order)!``, so no intermediate polynomial is built.
         Order 0 returns the plain evaluation at 1 (the weight sum).
         """
-        if order < 0:
-            raise ValueError(f"derivative order must be nonnegative, got {order}")
+        check_int(order, "order", 0)
         total = sum(n * math.perm(j, order)
                     for j, n in enumerate(self._nums[order:], order))
         return Fraction(total, self._den)
@@ -239,10 +233,10 @@ class RatPoly:
         Raises
         ------
         ValueError
-            If ``degree`` is negative or ``self`` is not 1 at ``z = 1``.
+            If ``degree`` is not an integer >= 0 or ``self`` is not 1 at
+            ``z = 1``.
         """
-        if degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {degree}")
+        check_int(degree, "degree", 0)
         t, d = self._nums, self._den
         a = [(-1) ** i * sum(n * math.comb(j, i) for j, n in enumerate(t[i:], i))
              for i in range(degree + 1)]

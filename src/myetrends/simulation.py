@@ -48,8 +48,8 @@ class SimulationSpec(Record):
     is stored as a tuple of fractions; ``noise_sd`` may be a map or pairs and
     is stored as ``(period, sd)`` pairs sorted by period, so a spec is
     immutable and hashable. ``mode``, ``t0`` and the two periods are
-    validated as the :class:`ComparisonSpec` that :meth:`comparison_spec`
-    builds from them.
+    validated, and a ``reference_period`` of ``None`` resolved, as the
+    :class:`ComparisonSpec` that :meth:`comparison_spec` builds from them.
     """
 
     _fields = ("trend", "noise_sd", "mode", "t0", "replicates", "seed", "reference_period",
@@ -63,7 +63,7 @@ class SimulationSpec(Record):
         t0: int,
         replicates: int,
         seed: int,
-        reference_period: int = 1,
+        reference_period: Optional[int] = None,
         other_period: int = 3,
     ) -> None:
         _set(self, "trend", tuple(coefficients(trend)))
@@ -78,13 +78,13 @@ class SimulationSpec(Record):
                 raise ValueError(f"noise sd for period {k} must be >= 0 and finite, got {sd}")
             sds[k] = sd
         _set(self, "noise_sd", tuple(sorted(sds.items())))
+        cspec = ComparisonSpec(mode, t0, reference_period, other_period)
         _set(self, "mode", mode)
         _set(self, "t0", t0)
         _set(self, "replicates", replicates)
         _set(self, "seed", seed)
-        _set(self, "reference_period", reference_period)
+        _set(self, "reference_period", cspec.reference_period)
         _set(self, "other_period", other_period)
-        self.comparison_spec()
         check_int(self.replicates, "replicates", 1)
         if check_int(self.seed, "seed", 0) >= 2**64:
             raise ValueError(f"seed must be an integer < 2**64, got {self.seed!r}")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from myetrends.analysis import (
     ComparisonResult,
     ComparisonSpec,
+    SimulationSpec,
     apply_filter,
     compare,
     compatibility,
@@ -395,6 +396,19 @@ class TestComparisonSpec:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             ComparisonSpec("bogus", 2007)
+
+    @pytest.mark.parametrize("mode, other, want", [
+        ("untimely", 5, 5), ("untimely", 3, 3), ("inapt", 5, 1), ("proper", 5, 1), ("proper", 1, 1),
+    ])
+    def test_reference_period_default_follows_the_mode(self, mode, other, want):
+        # an untimely comparison used to default to reference_period 1 and fail
+        spec = ComparisonSpec(mode, 2007, other_period=other)
+        assert spec.reference_period == want
+        assert spec == ComparisonSpec(mode, 2007, want, other)
+        sim = SimulationSpec(trend=[0, 1], noise_sd={}, mode=mode, t0=2007, replicates=5, seed=0,
+                             other_period=other)
+        assert sim.reference_period == want
+        assert sim.comparison_spec() == spec
 
 
 class TestCompare:

@@ -68,6 +68,10 @@ ENTRY_POINTS = [
     ("FilterSet.from_dict.degree", lambda v: FilterSet.from_dict({**FAMILY.to_dict(), "degree": v}),
      "degree", 0, ValueError),
     ("sma", sma, "k", 1, ValueError),
+    ("RatPoly.shift", lambda v: sma(3).shift(v), "power", 0, ValueError),
+    ("RatPoly.coeff", lambda v: sma(3).coeff(v), "j", None, ValueError),
+    ("RatPoly.derivative_at_one", lambda v: sma(3).derivative_at_one(v), "order", 0, ValueError),
+    ("RatPoly.inverse_near_one", lambda v: sma(3).inverse_near_one(v), "degree", 0, ValueError),
     ("render_value", lambda v: render_value(1.25, v), "decimals", 0, ValueError),
     ("round_half_away", lambda v: round_half_away(1.25, v), "decimals", 0, ValueError),
     ("impute_random_walk.period", lambda v: impute_random_walk(INCOME, [(v, 2008)]),

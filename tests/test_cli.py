@@ -505,8 +505,11 @@ class TestImportGuard:
     MAIN = "from myetrends.cli import main\ncode = main(sys.argv[1:])"
     HEAVY = ("numpy", "scipy")
     # standard modules no command but simulate needs: the records are plain
-    # classes, annotations are strings, and only JSON output imports json
-    UNUSED = {"dataclasses", "inspect", "typing", "json"}
+    # classes, annotations are strings, only JSON output imports json, and a
+    # bundled sample is read from its path, not through importlib.resources
+    # (which loads pathlib, tempfile, zipfile and typing)
+    UNUSED = {"dataclasses", "inspect", "typing", "json", "importlib.resources", "pathlib",
+              "tempfile", "zipfile"}
     # the package modules each command loads, beside the package itself
     LOADS = {
         "design": {"cli", "exceptions", "filterdesign", "ratpoly"},
@@ -548,7 +551,7 @@ class TestImportGuard:
         loads = {"myetrends": set(), "myetrends.cli": {"cli", "exceptions"}}[module]
         assert self.package(modules) == loads
         assert not self.heavy(modules)
-        assert not ({"importlib.resources"} | self.UNUSED) & modules
+        assert not self.UNUSED & modules
 
     @pytest.mark.parametrize(
         "command", ["design", "impute", "trends", "compat", "compare", "demo"]
@@ -559,7 +562,7 @@ class TestImportGuard:
         f = str(filled)
         argv = {
             "design": ["design", "--degree", "1", "--periods", "1,3,5"],
-            "impute": ["impute", "--in", f, "--targets", "3:2008"],
+            "impute": ["impute", "--in", "income", "--targets", "3:2006"],
             "trends": ["trends", "--in", f, "--t0", "2007"],
             "compat": ["compat", "--in", f],
             "compare": ["compare", "--in-a", f, "--in-b", f, "--mode", "proper",
@@ -572,11 +575,7 @@ class TestImportGuard:
         assert out.read_text()
         assert self.package(modules) == self.LOADS[command]
         assert not self.heavy(modules)
-        # only the bundled samples are read as package resources, and
-        # importlib.resources imports typing
-        assert ("importlib.resources" in modules) == (command == "demo")
-        unused = self.UNUSED - {"typing"} if command == "demo" else self.UNUSED
-        assert not unused & modules
+        assert not self.UNUSED & modules
         if command == "design":
             assert "csv" not in modules
 

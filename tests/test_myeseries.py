@@ -105,50 +105,6 @@ class TestMyeSeries:
         assert "thing" in repr(tiny_series())
 
 
-def _scan_periods(series):
-    return tuple(sorted({k for (k, _), _ in series.items()}))
-
-
-def _scan_years(series, period):
-    return tuple(sorted(t for (k, t), _ in series.items() if k == period))
-
-
-observation_maps = st.dictionaries(
-    st.tuples(st.integers(1, 7), st.integers(1990, 2020)),
-    st.builds(ObservedValue, st.floats(-1e6, 1e6), st.sampled_from([PUBLISHED, IMPUTED])),
-    min_size=1,
-    max_size=60,
-)
-
-
-class TestPeriodIndex:
-    """periods() and years(k) equal sorted scans of every observation."""
-
-    @staticmethod
-    def assert_matches_scans(s):
-        assert type(s.periods()) is tuple
-        assert s.periods() == _scan_periods(s)
-        for k in range(0, 10):  # present and absent periods
-            assert type(s.years(k)) is tuple
-            assert s.years(k) == _scan_years(s, k)
-
-    @given(observation_maps)
-    @settings(max_examples=100, deadline=None)
-    def test_matches_scans(self, obs):
-        self.assert_matches_scans(MyeSeries("x", "count", obs))
-
-    @given(observation_maps, observation_maps)
-    @settings(max_examples=100, deadline=None)
-    def test_matches_scans_after_with_observations(self, obs, extra):
-        s = MyeSeries("x", "count", obs)
-        merged = s.with_observations({key: ov for key, ov in extra.items() if key not in obs})
-        self.assert_matches_scans(merged)
-        self.assert_matches_scans(s)
-
-    def test_absent_period_is_empty_tuple(self):
-        assert tiny_series().years(5) == ()
-
-
 class TestLoadCsv:
     def test_samples_load(self):
         for name in sample_names():
@@ -268,6 +224,17 @@ class TestWriteCsv:
         with open(target, encoding="utf-8", newline="") as fh:
             assert load_csv(fh) == from_path
         assert len(from_path) == 2
+
+    def test_only_one_byte_order_mark_is_skipped(self, tmp_path):
+        # one rule for paths and streams: a second BOM stays in the first
+        # header name, so both fail alike (a path used to skip two)
+        target = tmp_path / "two_boms.csv"
+        target.write_text("\ufeff\ufeff" + HEADER + "x,count,1,2000,1.0\n", encoding="utf-8")
+        want = re.escape("header lacks required columns ['variable']")
+        with pytest.raises(CsvError, match=want):
+            load_csv(target)
+        with open(target, encoding="utf-8", newline="") as fh, pytest.raises(CsvError, match=want):
+            load_csv(fh)
 
     def test_write_to_stream(self):
         buf = io.StringIO()
@@ -449,92 +416,6 @@ class TestImputation:
         # precedes them; (3, 2006.0) was filled before MyeSeries refused it
         with pytest.raises(ValueError, match=rf"target {re.escape(repr(target))}: {what}"):
             impute_random_walk(load_sample("income"), [(3, 2006), target])
-
-
-def _scan_impute(series, targets):
-    """impute_random_walk as it was written before the period index: every
-    target rescans the series for its published anchors."""
-    filled = {}
-    for key in targets:
-        k, t = key
-        if series.has(k, t) or key in filled:
-            prov = filled[key].provenance if key in filled else series.provenance(k, t)
-            raise ImputationError(
-                f"{series.name}: target {k}y ending {t} already has a {prov} value"
-            )
-        anchors = [yr for yr in _scan_years(series, k) if series.provenance(k, yr) == PUBLISHED]
-        before = [yr for yr in anchors if yr < t]
-        after = [yr for yr in anchors if yr > t]
-        if before and after:
-            lo, hi = before[-1], after[0]
-            value = (series.value(k, lo) + series.value(k, hi)) / 2.0
-        elif len(before) >= 2:
-            first, last = before[0], before[-1]
-            step = (series.value(k, last) - series.value(k, first)) / (last - first)
-            value = series.value(k, last) + (t - last) * step
-        elif before:
-            raise ImputationError(
-                f"{series.name}: cannot extrapolate {k}y ending {t}: only one "
-                f"published {k}y value (ending {before[-1]}) precedes it"
-            )
-        else:
-            raise ImputationError(
-                f"{series.name}: cannot impute {k}y ending {t}: no published "
-                f"{k}y value precedes it"
-            )
-        filled[key] = ObservedValue(value, IMPUTED)
-    return series.with_observations(filled) if filled else series
-
-
-@st.composite
-def gap_patterns(draw):
-    """A series over 1990-2019 whose 1y/3y/5y sub-series have random gaps
-    after 1991 and some values marked imputed, with targets in random order:
-    its gaps, a few years past the end, and at times one target that fails."""
-    obs, gaps = {}, []
-    for k in draw(st.sets(st.sampled_from([1, 3, 5]), min_size=1)):
-        obs[(k, 1990)] = obs[(k, 1991)] = ObservedValue(draw(st.floats(-1e6, 1e6)))
-        for t in range(1992, 2020):
-            if draw(st.integers(0, 9)) < 3:
-                gaps.append((k, t))
-            else:
-                prov = IMPUTED if draw(st.integers(0, 9)) == 0 else PUBLISHED
-                obs[(k, t)] = ObservedValue(draw(st.floats(-1e6, 1e6)), prov)
-    targets = draw(st.lists(st.sampled_from(gaps), unique=True)) if gaps else []
-    periods = sorted({k for k, _ in obs})
-    targets += draw(st.lists(st.tuples(st.sampled_from(periods), st.integers(2020, 2024)),
-                             unique=True, max_size=3))
-    failing = draw(st.sampled_from(
-        [None, None, None, "existing", "repeat", "absent", "early", "lone"]))
-    if failing == "existing":
-        targets.append(draw(st.sampled_from(sorted(obs))))
-    elif failing == "repeat" and targets:
-        targets.append(draw(st.sampled_from(targets)))
-    elif failing == "absent":
-        targets.append((7, draw(st.integers(1980, 2024))))
-    elif failing == "early":
-        targets.append((draw(st.sampled_from(periods)), draw(st.integers(1980, 1989))))
-    elif failing == "lone":
-        obs[(9, 2000)] = ObservedValue(1.0)
-        targets.append((9, draw(st.integers(2001, 2024))))
-    return MyeSeries("x", "count", obs), draw(st.permutations(targets))
-
-
-def _imputation_outcome(fn, series, targets):
-    try:
-        out = fn(series, targets)
-    except ImputationError as exc:
-        return ("error", str(exc))
-    return [(key, ov.value.hex(), ov.provenance) for key, ov in out.items()]
-
-
-class TestImputationReference:
-    @given(gap_patterns())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_scan_implementation(self, case):
-        series, targets = case
-        assert (_imputation_outcome(impute_random_walk, series, targets)
-                == _imputation_outcome(_scan_impute, series, targets))
 
 
 class TestRendering:

@@ -287,7 +287,7 @@ class TestInverseNearOne:
             p.inverse_near_one(2)
 
     def test_rejects_a_negative_degree(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"^degree must be an integer >= 0, got -1$"):
             sma(3).inverse_near_one(-1)
 
 

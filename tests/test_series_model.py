@@ -192,6 +192,15 @@ def ref_impute(s, targets):
     return s.with_observations(filled) if filled else s
 
 
+def assert_same_index(s, ref):
+    """periods(), years(k) and column(k) agree, for present and absent k."""
+    assert type(s.periods()) is tuple and s.periods() == ref.periods()
+    for k in range(0, 8):
+        assert type(s.years(k)) is tuple and s.years(k) == ref.years(k)
+        assert [(t, v.hex(), p) for t, v, p in s.column(k)] == [
+            (t, v.hex(), p) for t, v, p in ref.column(k)]
+
+
 def rows(series):
     """Every observation, with its value's exact bits."""
     return [(key, ov.value.hex(), ov.provenance) for key, ov in series.items()]
@@ -230,6 +239,43 @@ audit_maps = st.dictionaries(
     min_size=1, max_size=60)
 
 
+
+@st.composite
+def gap_patterns(draw):
+    """Observations over 1990-2019 whose 1y/3y/5y sub-series have random
+    gaps after 1991 and some values marked imputed, with targets in random
+    order: its gaps, a few years past the end, and at times one target that
+    fails (already present, repeated, of an absent period, before every
+    anchor, or after a lone anchor)."""
+    obs, gaps = {}, []
+    for k in draw(st.sets(st.sampled_from([1, 3, 5]), min_size=1)):
+        obs[(k, 1990)] = obs[(k, 1991)] = ObservedValue(draw(st.floats(-1e6, 1e6)))
+        for t in range(1992, 2020):
+            if draw(st.integers(0, 9)) < 3:
+                gaps.append((k, t))
+            else:
+                prov = IMPUTED if draw(st.integers(0, 9)) == 0 else PUBLISHED
+                obs[(k, t)] = ObservedValue(draw(st.floats(-1e6, 1e6)), prov)
+    targets = draw(st.lists(st.sampled_from(gaps), unique=True)) if gaps else []
+    periods = sorted({k for k, _ in obs})
+    targets += draw(st.lists(st.tuples(st.sampled_from(periods), st.integers(2020, 2024)),
+                             unique=True, max_size=3))
+    failing = draw(st.sampled_from(
+        [None, None, None, "existing", "repeat", "absent", "early", "lone"]))
+    if failing == "existing":
+        targets.append(draw(st.sampled_from(sorted(obs))))
+    elif failing == "repeat" and targets:
+        targets.append(draw(st.sampled_from(targets)))
+    elif failing == "absent":
+        targets.append((7, draw(st.integers(1980, 2024))))
+    elif failing == "early":
+        targets.append((draw(st.sampled_from(periods)), draw(st.integers(1980, 1989))))
+    elif failing == "lone":
+        obs[(9, 2000)] = ObservedValue(1.0)
+        targets.append((9, draw(st.integers(2001, 2024))))
+    return obs, draw(st.permutations(targets))
+
+
 class TestAgainstDictReference:
     @given(observation_maps)
     @MODEL
@@ -238,11 +284,7 @@ class TestAgainstDictReference:
         assert rows(s) == rows(ref)
         assert all(type(ov) is ObservedValue for _, ov in s.items())
         assert len(s) == len(ref) and repr(s) == repr(ref)
-        assert s.periods() == ref.periods()
-        for k in range(0, 8):
-            assert s.years(k) == ref.years(k)
-            assert [(t, v.hex(), p) for t, v, p in s.column(k)] == [
-                (t, v.hex(), p) for t, v, p in ref.column(k)]
+        assert_same_index(s, ref)
         probes = {key for k, t in obs for key in ((k, t), (k, t - 1), (k, t + 1), (k + 1, t))}
         for k, t in sorted(probes) + [(4, 2000), (1, 2000.0), (True, 2000), (1, 2000.5)]:
             assert (s.get(k, t), s.get(k, t, "none")) == (ref.get(k, t), ref.get(k, t, "none"))
@@ -263,6 +305,9 @@ class TestAgainstDictReference:
         fresh = {key: ov for key, ov in extra.items() if key not in obs}
         for add in (extra, fresh):
             assert outcome(s.with_observations, add) == outcome(ref.with_observations, add)
+        # the merged index is rebuilt, and the original's is left as it was
+        assert_same_index(s.with_observations(fresh), ref.with_observations(fresh))
+        assert_same_index(s, ref)
 
     @given(st.dictionaries(st.one_of(keys, st.just("k"), st.tuples(st.integers(1, 3))), observed,
                            max_size=4),
@@ -304,6 +349,13 @@ class TestAgainstDictReference:
         absent = [key for key in targets if key not in obs]
         for chosen in (targets, absent, absent[::-1]):
             assert outcome(impute_random_walk, s, chosen) == outcome(ref_impute, ref, chosen)
+
+    @given(gap_patterns())
+    @settings(MODEL, max_examples=200)
+    def test_impute_random_walk_on_gap_patterns(self, case):
+        obs, targets = case
+        s, ref = MyeSeries("x", "count", obs), DictSeries("x", "count", obs)
+        assert outcome(impute_random_walk, s, targets) == outcome(ref_impute, ref, targets)
 
     @given(observation_maps)
     @MODEL
