@@ -85,12 +85,12 @@ def __getattr__(name: str):
 # filter application and trend estimates
 
 
-def apply_filter(weights: RatPoly, series: MyeSeries, period: int, t: int) -> float:
-    """Weighted average of ``series``' ``period``-length values ending at ``t``.
+def apply_filter(weights: RatPoly, series: MyeSeries, period: int, end_year: int) -> float:
+    """Weighted average of ``series``' ``period``-length values ending at ``end_year``.
 
     The coefficient on ``z**j`` weights the observation ending ``j`` years
-    before ``t``. Weights are floated once and the dot product is summed
-    exactly (``math.fsum``) before the final rounding.
+    before ``end_year``. Weights are floated once and the dot product is
+    summed exactly (``math.fsum``) before the final rounding.
 
     Raises
     ------
@@ -98,21 +98,25 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, t: int) -> fl
         Listing every absent ``(period, year)`` the window needs.
     DomainError
         If the weighted sum leaves the float range.
+    ValueError
+        If ``period`` or ``end_year`` is not an integer.
     """
     ws = weights.as_floats()
-    found = series.window(period, t, len(ws))
+    found = series.window(period, end_year, len(ws))
     if found is None:
-        missing = [(period, t - j) for j in range(len(ws)) if (period, t - j) not in series]
+        missing = [(period, end_year - j) for j in range(len(ws))
+                   if (period, end_year - j) not in series]
         raise MissingDataError(
             f"{series.name}: filter window needs missing observations {missing}"
         )
     try:
-        # the window is oldest first and w_j weights the value j years before t
+        # the window is oldest first and w_j weights the value j years before end_year
         total = math.fsum(map(mul, ws, reversed(found[0])))
     except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
         total = math.inf
     if not math.isfinite(total):
-        raise DomainError(f"{series.name}: {period}y filter ending {t} overflows the float range")
+        raise DomainError(
+            f"{series.name}: {period}y filter ending {end_year} overflows the float range")
     return total
 
 

@@ -212,50 +212,23 @@ def verify_filter_set(fs: FilterSet) -> VerificationReport:
     Residuals are reported exactly, so a failure is attributable.
     """
     checks: list[VerificationCheck] = []
-    d = fs.spec.degree
 
+    def check(name: str, passed: bool, residual: str) -> None:
+        checks.append(VerificationCheck(name, passed, residual))
+
+    d = fs.spec.degree
     total = fs.common.derivative_at_one(0)
-    checks.append(
-        VerificationCheck(
-            name="weight-sum",
-            passed=total == 1,
-            residual=f"sum(common) - 1 = {total - 1}",
-        )
-    )
+    check("weight-sum", total == 1, f"sum(common) - 1 = {total - 1}")
     for j in range(1, d + 1):
         val = fs.common.derivative_at_one(j)
-        checks.append(
-            VerificationCheck(
-                name=f"vanishing-derivative-{j}",
-                passed=val == 0,
-                residual=f"d^{j}/dz^{j} common at z=1 = {val}",
-            )
-        )
+        check(f"vanishing-derivative-{j}", val == 0, f"d^{j}/dz^{j} common at z=1 = {val}")
     for k in fs.spec.periods:
         if k not in fs.psi:
-            checks.append(
-                VerificationCheck(
-                    name=f"composition-{k}",
-                    passed=False,
-                    residual=f"no filter stored for period {k}",
-                )
-            )
+            check(f"composition-{k}", False, f"no filter stored for period {k}")
             continue
         diff = fs.psi[k] * sma(k) - fs.common
-        checks.append(
-            VerificationCheck(
-                name=f"composition-{k}",
-                passed=not diff,
-                residual=f"psi[{k}]*avg({k}) - common = {diff}",
-            )
-        )
-    checks.append(
-        VerificationCheck(
-            name="phi-degree",
-            passed=fs.phi.degree <= d,
-            residual=f"degree(phi) = {fs.phi.degree}, allowed <= {d}",
-        )
-    )
+        check(f"composition-{k}", not diff, f"psi[{k}]*avg({k}) - common = {diff}")
+    check("phi-degree", fs.phi.degree <= d, f"degree(phi) = {fs.phi.degree}, allowed <= {d}")
     return VerificationReport(checks=tuple(checks))
 
 

@@ -163,16 +163,6 @@ def _pack(rows: Iterable[_Row]) -> _Runs:
     return runs
 
 
-def _as_year(t) -> Optional[int]:
-    """The integer end year a lookup of ``t`` matches, or None if no integer
-    equals ``t`` (a float such as ``2007.0`` matches 2007, as a dict key would)."""
-    try:
-        year = int(t)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return year if year == t else None
-
-
 class MyeSeries:
     """Observations of one variable, keyed by ``(period, end_year)``.
 
@@ -195,6 +185,11 @@ class MyeSeries:
     number of observations, however far apart their end years lie.
     :class:`ObservedValue` objects are built only when :meth:`items` yields
     them.
+
+    A key is read as it is stored: both parts must be integers (an ``int``
+    subclass other than ``bool`` is accepted). A lookup with a ``bool``, a
+    float or a string raises ``ValueError`` naming ``period`` or
+    ``end_year``; ``key in series`` answers False for it.
     """
 
     def __init__(
@@ -234,9 +229,9 @@ class MyeSeries:
     def __contains__(self, key: tuple[int, int]) -> bool:
         try:
             k, t = key
+            return self.window(k, t, 1) is not None
         except (TypeError, ValueError):
             return False
-        return self.window(k, t, 1) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MyeSeries):
@@ -271,13 +266,18 @@ class MyeSeries:
         Returns ``(values, provenances)``, oldest end year first, as new
         lists sliced from one run; ``None`` if any of the end years is
         absent. A ``length`` of 0 gives two empty lists.
+
+        Every lookup reads through here, so here the key rule holds:
+        ``period`` and ``end_year`` must be integers, or a ``ValueError``
+        names the argument (``in`` answers False instead).
         """
+        if type(period) is not int or type(end_year) is not int:
+            check_int(period, "period")
+            check_int(end_year, "end_year")
         if not length:
             return [], []
-        if type(end_year) is not int:
-            end_year = _as_year(end_year)
         runs = self._runs.get(period)
-        if runs is None or end_year is None:
+        if runs is None:
             return None
         starts, values, provs = runs
         i = bisect.bisect_right(starts, end_year) - 1
@@ -489,7 +489,6 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
         If ``period`` is not an integer >= 1 or ``end_year`` is not an integer.
     """
     check_int(period, "period", 1)
-    check_int(end_year, "end_year")
     found = series.window(1, end_year, period)
     if found is None:
         gaps = [t for t in range(end_year - period + 1, end_year + 1) if (1, t) not in series]

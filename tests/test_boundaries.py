@@ -3,8 +3,10 @@
 Each entry point below takes a period, degree, year or count and routes it
 through ``exceptions.check_int``. Each gets the same four bad values: a
 ``bool``, a float, a numeric string and, where there is a minimum, the
-integer just below it. Each must raise ``ValueError`` (``DataError`` for a
-``MyeSeries``) with a message that starts with the argument's name.
+integer just below it. Each must raise ``ValueError`` (``DataError`` for the
+``MyeSeries`` constructor) with a message that starts with the argument's name.
+A series is read with the keys it stores, so its lookups, and
+``apply_filter`` through them, reject the same values.
 """
 
 import re
@@ -14,6 +16,7 @@ import pytest
 from myetrends.analysis import (
     ComparisonSpec,
     SimulationSpec,
+    apply_filter,
     compatibility,
     nsr,
     synthetic_series,
@@ -80,6 +83,19 @@ ENTRY_POINTS = [
      "target (3, {!r}): end year", None, ValueError),
     ("MyeSeries.period", lambda v: MyeSeries("x", "count", {(v, 2000): 1.0}), "period", 1, DataError),
     ("MyeSeries.end_year", lambda v: MyeSeries("x", "count", {(1, v): 1.0}), "end_year", None, DataError),
+    ("apply_filter", lambda v: apply_filter(FAMILY.psi[3], INCOME, v, 2007), "period", None, ValueError),
+    ("apply_filter.end_year", lambda v: apply_filter(FAMILY.psi[3], INCOME, 3, v),
+     "end_year", None, ValueError),
+    ("MyeSeries.value", lambda v: INCOME.value(v, 2007), "period", None, ValueError),
+    ("MyeSeries.value.end_year", lambda v: INCOME.value(3, v), "end_year", None, ValueError),
+    ("MyeSeries.get", lambda v: INCOME.get(v, 2007), "period", None, ValueError),
+    ("MyeSeries.get.end_year", lambda v: INCOME.get(3, v), "end_year", None, ValueError),
+    ("MyeSeries.has", lambda v: INCOME.has(v, 2007), "period", None, ValueError),
+    ("MyeSeries.has.end_year", lambda v: INCOME.has(3, v), "end_year", None, ValueError),
+    ("MyeSeries.provenance", lambda v: INCOME.provenance(v, 2007), "period", None, ValueError),
+    ("MyeSeries.provenance.end_year", lambda v: INCOME.provenance(3, v), "end_year", None, ValueError),
+    ("MyeSeries.window", lambda v: INCOME.window(v, 2007, 3), "period", None, ValueError),
+    ("MyeSeries.window.end_year", lambda v: INCOME.window(3, v, 3), "end_year", None, ValueError),
 ]
 
 CASES = [
@@ -95,6 +111,12 @@ def test_bad_integer_named(call, name, minimum, error, value):
     want = f"{name.format(value)} must be an integer{bound}, got {value!r}"
     with pytest.raises(error, match=f"^{re.escape(want)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("key", [(1, 2000.0), (True, 2000), (1, "2000")])
+def test_malformed_key_is_not_in_a_series(key):
+    # ``in`` answers False, as a container does, where a lookup raises
+    assert key not in MyeSeries("x", "count", {(1, 2000): 1.0})
 
 
 def test_from_dict_names_the_bad_coefficient():

@@ -1,6 +1,7 @@
 """The package's public names, each loaded on first use."""
 
 import importlib
+import pathlib
 import re
 import subprocess
 import sys
@@ -68,3 +69,16 @@ def test_import_profile_lists_lazily_loaded_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert re.search(r"\| myetrends\.filterdesign$", proc.stderr, re.MULTILINE), proc.stderr
+
+
+def test_package_source_keeps_its_one_place_rules():
+    # every "an int, not a bool" test goes through exceptions.check_int, and
+    # no record is a dataclass: importing dataclasses loads inspect, which
+    # every short command would pay for
+    broken = []
+    for path in sorted(pathlib.Path(myetrends.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if (re.search(r"isinstance\(.*bool\)", line) and path.name != "exceptions.py"
+                    or "dataclasses" in line):
+                broken.append(f"{path.name}:{number}: {line.strip()}")
+    assert not broken, broken

@@ -71,19 +71,30 @@ class DictSeries:
     def items(self):
         return iter(self.obs.items())
 
+    @staticmethod
+    def check_key(k, t):
+        """A key is read as it is stored: two integers, neither a bool."""
+        for what, part in (("period", k), ("end_year", t)):
+            if not isinstance(part, int) or isinstance(part, bool):
+                raise ValueError(f"{what} must be an integer, got {part!r}")
+
     def has(self, k, t):
+        self.check_key(k, t)
         return (k, t) in self.obs
 
     def get(self, k, t, default=None):
+        self.check_key(k, t)
         ov = self.obs.get((k, t))
         return default if ov is None else ov.value
 
     def value(self, k, t):
+        self.check_key(k, t)
         if (k, t) not in self.obs:
             raise MissingDataError(f"{self.name}: no {k}y observation ending {t}")
         return self.obs[(k, t)].value
 
     def provenance(self, k, t):
+        self.check_key(k, t)
         if (k, t) not in self.obs:
             raise MissingDataError(f"{self.name}: no {k}y observation ending {t}")
         return self.obs[(k, t)].provenance
@@ -287,8 +298,11 @@ class TestAgainstDictReference:
         assert_same_index(s, ref)
         probes = {key for k, t in obs for key in ((k, t), (k, t - 1), (k, t + 1), (k + 1, t))}
         for k, t in sorted(probes) + [(4, 2000), (1, 2000.0), (True, 2000), (1, 2000.5)]:
-            assert (s.get(k, t), s.get(k, t, "none")) == (ref.get(k, t), ref.get(k, t, "none"))
-            assert s.has(k, t) == ref.has(k, t) == ((k, t) in s)
+            assert outcome(s.get, k, t) == outcome(ref.get, k, t)
+            assert outcome(s.get, k, t, "none") == outcome(ref.get, k, t, "none")
+            assert outcome(s.has, k, t) == outcome(ref.has, k, t)
+            # ``in`` answers False where ``has`` raises
+            assert ((k, t) in s) == (outcome(ref.has, k, t) is True)
             assert outcome(s.value, k, t) == outcome(ref.value, k, t)
             assert outcome(s.provenance, k, t) == outcome(ref.provenance, k, t)
 
