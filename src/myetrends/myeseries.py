@@ -269,11 +269,14 @@ class MyeSeries:
 
         Every lookup reads through here, so here the key rule holds:
         ``period`` and ``end_year`` must be integers, or a ``ValueError``
-        names the argument (``in`` answers False instead).
+        names the argument (``in`` answers False instead). ``length`` must
+        be an integer >= 0, or a ``ValueError`` names it.
         """
-        if type(period) is not int or type(end_year) is not int:
+        if (type(period) is not int or type(end_year) is not int
+                or type(length) is not int or length < 0):
             check_int(period, "period")
             check_int(end_year, "end_year")
+            check_int(length, "length", 0)
         if not length:
             return [], []
         runs = self._runs.get(period)
@@ -439,14 +442,17 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
 
     ``target`` may be a path or an open text stream; with ``None`` the text
     is only returned. Values use shortest round-trip formatting, so
-    ``load_csv`` on the output reproduces the series exactly.
+    ``load_csv`` on the output reproduces the series exactly. The text is
+    byte for byte what ``csv.writer`` (``QUOTE_MINIMAL``, line terminator
+    ``"\\n"``) writes for the header and one row per observation.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    # csv writes a float as its repr, the shortest round-trip form
-    writer.writerows(map((series.name, series.unit).__add__, series._rows()))
-    text = buf.getvalue()
+    # csv quotes the name and unit once, in the prefix "name,unit," of every
+    # row; it writes an int as its str and a float as its repr (the shortest
+    # round-trip form), and neither a finite float, an int nor a tag needs
+    # quoting, so the rest of each row is formatted directly
+    prefix = _csv_line((series.name, series.unit, ""))[:-1]
+    text = _csv_line(_CSV_COLUMNS) + "".join(
+        [f"{prefix}{k},{t},{v!r},{p}\n" for k, t, v, p in series._rows()])
     if target is None:
         pass
     elif hasattr(target, "write"):
@@ -455,6 +461,13 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
         with open(target, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return text
+
+
+def _csv_line(fields: Sequence[object]) -> str:
+    """``fields`` as the one line ``csv.writer`` writes for them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
 
 
 def _base_mean(name: str, xs: Sequence[float], period: int, end_year: int) -> float:

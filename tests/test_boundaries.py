@@ -96,6 +96,7 @@ ENTRY_POINTS = [
     ("MyeSeries.provenance.end_year", lambda v: INCOME.provenance(3, v), "end_year", None, ValueError),
     ("MyeSeries.window", lambda v: INCOME.window(v, 2007, 3), "period", None, ValueError),
     ("MyeSeries.window.end_year", lambda v: INCOME.window(3, v, 3), "end_year", None, ValueError),
+    ("MyeSeries.window.length", lambda v: INCOME.window(1, 2007, v), "length", 0, ValueError),
 ]
 
 CASES = [

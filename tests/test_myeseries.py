@@ -4,9 +4,11 @@ import csv
 import io
 import math
 import re
+import sys
+from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myetrends.datasets import STANDARD_TARGETS, load_sample, sample_names
@@ -39,6 +41,38 @@ def tiny_series(extra=None):
     obs = {(1, 2000): 10.0, (1, 2001): 12.0, (1, 2002): 14.0, (3, 2002): 11.5}
     obs.update(extra or {})
     return MyeSeries("thing", "count", obs)
+
+
+def reference_csv(series):
+    """The interchange text as ``csv.writer`` writes every field of every row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("variable", "unit", "period", "end_year", "value", "provenance"))
+    rows = ((k, t, ov.value, ov.provenance) for (k, t), ov in series.items())
+    writer.writerows(map((series.name, series.unit).__add__, rows))
+    return buf.getvalue()
+
+
+# names and units that csv must quote, or that load_csv strips; no NUL,
+# which Python 3.10's csv.writer refuses to write at all
+csv_texts = st.text(
+    st.one_of(
+        st.sampled_from(',"\r\n \t\u00e9\u6f22'),
+        st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+    ),
+    min_size=1, max_size=10,
+).filter(str.strip)
+csv_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**20), 10**20).map(float),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+)
+# end years 0-99 load back as two-digit shorthand, so they are left out
+csv_rows = st.dictionaries(
+    st.tuples(st.integers(1, 10**6), st.integers(-(10**6), 10**6).filter(lambda t: not 0 <= t <= 99)),
+    st.tuples(csv_values, st.sampled_from([PUBLISHED, IMPUTED])),
+    min_size=1, max_size=8,
+)
 
 
 class TestObservedValue:
@@ -103,6 +137,17 @@ class TestMyeSeries:
 
     def test_repr_mentions_name(self):
         assert "thing" in repr(tiny_series())
+
+    @pytest.mark.parametrize("length", [-2, True, 2.5])
+    def test_window_length_is_checked(self, length):
+        # -2 read as an empty window, True as 1, and 2.5 escaped the slice
+        # as a bare TypeError
+        s = load_sample("income")
+        want = f"length must be an integer >= 0, got {length!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            s.window(1, 2007, length)
+        assert (1, 2007) in s
+        assert s.value(1, 2007) == s.window(1, 2007, 1)[0][0]
 
 
 class TestLoadCsv:
@@ -241,6 +286,41 @@ class TestWriteCsv:
         text = write_csv(tiny_series(), buf)
         assert buf.getvalue() == text
         assert text.startswith(HEADER)
+
+    @given(csv_texts, csv_texts, csv_rows)
+    @example('a,"b', "per 1,000", {(3, 2000): (-0.0, PUBLISHED), (3, 2001): (5e-324, IMPUTED)})
+    @example(" lead", "trail ", {(1, 2000): (1.7976931348623157e308, IMPUTED)})
+    @example("bare\rreturn", "count", {(1, 2000): (2.5, PUBLISHED)})
+    @example("line\nbreak", "carriage\r\nreturn", {(5, 1999): (3.0, PUBLISHED), (5, 100): (-2.0, IMPUTED)})
+    @example("\u00e9\u6f22 \"q\"", "\r\nu", {(1, -7): (1e16, PUBLISHED), (2, 2000): (-1e22, IMPUTED)})
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_are_csv_writers(self, name, unit, rows):
+        obs = {key: ObservedValue(v, p) for key, (v, p) in rows.items()}
+        s = MyeSeries(name, unit, obs)
+        text = write_csv(s)
+        assert text == reference_csv(s)
+        if "\r" in name + unit:
+            return  # csv before 3.13 leaves a bare "\r" unquoted; see below
+        again = load_csv(io.StringIO(text))
+        assert (again.name, again.unit) == (name.strip(), unit.strip())
+        assert list(again.items()) == list(s.items())
+
+    @pytest.mark.xfail(
+        sys.version_info < (3, 13), strict=True, raises=csv.Error,
+        reason="csv.writer before Python 3.13 does not quote a bare \\r, which its reader rejects",
+    )
+    def test_bare_carriage_return_round_trips(self):
+        s = MyeSeries("carriage\rreturn", "count", {(1, 2000): 1.0})
+        assert load_csv(io.StringIO(write_csv(s))) == s
+
+    def test_int_subclass_period_is_written_as_csv_writes_it(self):
+        class Tagged(int):
+            def __str__(self):
+                return f"k{int(self)}"
+
+        for period in (Tagged(3), IntEnum("Period", {"THREE": 3}).THREE):
+            s = MyeSeries("x", "count", {(period, 2000): 1.0})
+            assert write_csv(s) == reference_csv(s)
 
     @given(
         st.lists(
