@@ -299,7 +299,7 @@ class TestWriteCsv:
         s = MyeSeries(name, unit, obs)
         text = write_csv(s)
         assert text == reference_csv(s)
-        if "\r" in name + unit:
+        if any("\r" in f and not {",", '"', "\n"} & set(f) for f in (name, unit)):
             return  # csv before 3.13 leaves a bare "\r" unquoted; see below
         again = load_csv(io.StringIO(text))
         assert (again.name, again.unit) == (name.strip(), unit.strip())
