@@ -447,12 +447,13 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     ``"\\n"``) writes for the header and one row per observation.
     """
     # csv quotes the name and unit once, in the prefix "name,unit," of every
-    # row; it writes an int as its str and a float as its repr (the shortest
+    # row; it writes an int as its str (hence !s: an int subclass such as an
+    # IntEnum may format otherwise) and a float as its repr (the shortest
     # round-trip form), and neither a finite float, an int nor a tag needs
     # quoting, so the rest of each row is formatted directly
     prefix = _csv_line((series.name, series.unit, ""))[:-1]
     text = _csv_line(_CSV_COLUMNS) + "".join(
-        [f"{prefix}{k},{t},{v!r},{p}\n" for k, t, v, p in series._rows()])
+        [f"{prefix}{k!s},{t!s},{v!r},{p}\n" for k, t, v, p in series._rows()])
     if target is None:
         pass
     elif hasattr(target, "write"):

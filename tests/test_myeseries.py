@@ -322,6 +322,19 @@ class TestWriteCsv:
             s = MyeSeries("x", "count", {(period, 2000): 1.0})
             assert write_csv(s) == reference_csv(s)
 
+    def test_int_subclass_key_is_written_as_its_str_not_its_format(self):
+        # csv writes str(key); on Python 3.10 an IntEnum formats as its value
+        class Formatted(int):
+            def __str__(self):
+                return f"s{int(self)}"
+
+            def __format__(self, spec):
+                return f"f{int(self)}"
+
+        s = MyeSeries("x", "count", {(Formatted(3), 2000): 1.0})
+        assert write_csv(s) == reference_csv(s)
+        assert write_csv(s).splitlines()[1] == "x,count,s3,2000,1.0,published"
+
     @given(
         st.lists(
             st.floats(
