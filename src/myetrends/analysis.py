@@ -123,8 +123,6 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, end_year: int
 class TrendEstimates(Record):
     """Filtered trend values for one end year, one value per period."""
 
-    _fields = ("at", "values", "design")
-
     def __init__(self, at: int, values: dict[int, float], design: DesignSpec) -> None:
         _set(self, "at", at)
         _set(self, "values", values)
@@ -212,8 +210,6 @@ def _log_ratio(name: str, period: int, t: int, y: float, base_mean: float,
 class CompatibilityEntry(Record):
     """NSR by end year for one period, and the max absolute value."""
 
-    _fields = ("nsr", "c")
-
     def __init__(self, nsr: dict[int, float], c: float) -> None:
         _set(self, "nsr", nsr)
         _set(self, "c", c)
@@ -221,8 +217,6 @@ class CompatibilityEntry(Record):
 
 class CompatibilityReport(Record):
     """Cross-period compatibility diagnostics for one series."""
-
-    _fields = ("series", "log_base", "include_imputed", "entries")
 
     def __init__(self, series: str, log_base: str, include_imputed: bool,
                  entries: dict[int, CompatibilityEntry]) -> None:
@@ -313,8 +307,6 @@ class ComparisonSpec(Record):
     ``reference_period=None`` stores ``other_period`` if untimely, else 1.
     """
 
-    _fields = ("mode", "t0", "reference_period", "other_period")
-
     def __init__(self, mode: str, t0: int, reference_period: Optional[int] = None,
                  other_period: int = 3) -> None:
         if reference_period is None:
@@ -345,9 +337,6 @@ class ComparisonSpec(Record):
 
 class ComparisonResult(Record):
     """Two compared values and their relative discrepancy ``b/a - 1``."""
-
-    _fields = ("spec", "value_a", "value_b", "discrepancy", "reference_period_used",
-               "other_period_used")
 
     def __init__(self, spec: ComparisonSpec, value_a: float, value_b: float, discrepancy: float,
                  reference_period_used: int, other_period_used: int) -> None:

@@ -32,7 +32,6 @@ from .exceptions import MODES, MyeTrendsError, check_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Optional, Sequence
 
     from .analysis import ComparisonSpec
@@ -102,19 +101,11 @@ def _parse_targets(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(targets)
 
 
-def _parse_trend(text: str) -> tuple[Fraction, ...]:
-    from fractions import Fraction
-
-    try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"trend must be comma-separated numbers (fractions allowed), got {text!r}"
-        )
-
-
 def _parse_noise(text: str):
-    """Either one standard deviation for every period, or PERIOD:SD pairs."""
+    """Either one standard deviation for every period, or PERIOD:SD pairs.
+
+    Each SD stays a string, which :class:`SimulationSpec` converts and checks.
+    """
     toks = [t.strip() for t in text.split(",") if t.strip()]
     if not toks:
         raise argparse.ArgumentTypeError("noise must not be empty")
@@ -123,15 +114,12 @@ def _parse_noise(text: str):
         for t in toks:
             k, sd = t.split(":", 1)
             try:
-                out[int(k)] = float(sd)
+                out[int(k)] = sd
             except ValueError:
                 raise argparse.ArgumentTypeError(f"noise entry {t!r} is not PERIOD:SD")
         return out
-    if len(toks) == 1 and ":" not in toks[0]:
-        try:
-            return float(toks[0])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"noise {text!r} is not a number")
+    if len(toks) == 1:
+        return toks[0]
     raise argparse.ArgumentTypeError(
         f"noise must be a single number or PERIOD:SD pairs, got {text!r}"
     )
@@ -171,7 +159,7 @@ def cmd_design(args) -> int:
 
     fs = design_filters(DesignSpec(args.periods, args.degree))
     report = verify_filter_set(fs)
-    checks = [{"name": c.name, "passed": c.passed, "residual": c.residual} for c in report.checks]
+    checks = [dict(vars(c)) for c in report.checks]
     payload = {"filters": fs.to_dict(), "verification": {"passed": report.passed, "checks": checks}}
     lines = [f"design: {fs.spec}", f"phi    : {fs.phi}"]
     lines += [f"psi[{k}] : {fs.psi[k]}" for k in fs.spec.periods]
@@ -274,10 +262,10 @@ def cmd_simulate(args) -> int:
 
     cspec, fs = _comparison_from_args(args)
     noise = args.noise
-    if isinstance(noise, float):
+    if not isinstance(noise, dict):
         noise = {k: noise for k in {cspec.reference_period, cspec.other_period}}
     sspec = SimulationSpec(
-        trend=args.trend,
+        trend=args.trend.split(","),
         noise_sd=noise,
         mode=cspec.mode,
         t0=cspec.t0,
@@ -452,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="Monte Carlo comparison-bias experiment")
-    p.add_argument("--trend", type=_parse_trend, required=True, help="trend coefficients a0,a1,... (fractions allowed)")
-    p.add_argument("--noise", type=_parse_noise, default=0.0, help="noise sd: one number for all periods, or PERIOD:SD pairs")
+    p.add_argument("--trend", required=True, help="trend coefficients a0,a1,... (fractions allowed)")
+    p.add_argument("--noise", type=_parse_noise, default="0", help="noise sd: one number for all periods, or PERIOD:SD pairs")
     p.add_argument("--replicates", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     _add_comparison_args(p)

@@ -23,19 +23,18 @@ _set = object.__setattr__
 
 
 class Record:
-    """Frozen record: fields named by ``_fields``, compared and hashed by value.
+    """Frozen record, compared and hashed by value.
 
-    Each subclass lists its fields in ``_fields`` and writes its own
-    ``__init__``, which stores every field with ``_set`` in that order.
-    Assignment and deletion raise :class:`AttributeError`; ``==`` compares
-    the fields with a record of the same class only; ``hash`` hashes the
-    field tuple, so it raises :class:`TypeError` if a field is unhashable.
+    A record stores nothing but its fields: each subclass writes its own
+    ``__init__``, which stores every field with ``_set``, in order, so a
+    record's fields are ``vars(record)``. Assignment and deletion raise
+    :class:`AttributeError`; ``==`` compares the fields with a record of the
+    same class only; ``hash`` hashes the field tuple, so it raises
+    :class:`TypeError` if a field is unhashable.
     """
 
-    _fields: tuple[str, ...] = ()
-
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return tuple(vars(self).values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -52,7 +51,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        fields = ", ".join([f"{name}={value!r}" for name, value in vars(self).items()])
         return f"{self.__class__.__qualname__}({fields})"
 
 

@@ -63,8 +63,6 @@ class DesignSpec(Record):
         Highest polynomial trend degree the composite must reproduce.
     """
 
-    _fields = ("periods", "degree")
-
     def __init__(self, periods: Iterable[int], degree: int) -> None:
         ps = tuple(check_int(k, "periods", 1) for k in periods)
         if not ps:
@@ -96,8 +94,6 @@ class FilterSet(Record):
         The composite weights that every ``psi[k]`` composed with its
         period's averaging polynomial must equal.
     """
-
-    _fields = ("spec", "phi", "psi", "common")
 
     def __init__(self, spec: DesignSpec, phi: RatPoly, psi: dict[int, RatPoly],
                  common: RatPoly) -> None:
@@ -170,8 +166,6 @@ def design_filters(spec: DesignSpec) -> FilterSet:
 class VerificationCheck(Record):
     """One verified property: a name, a pass flag, and the exact residual."""
 
-    _fields = ("name", "passed", "residual")
-
     def __init__(self, name: str, passed: bool, residual: str) -> None:
         _set(self, "name", name)
         _set(self, "passed", passed)
@@ -180,8 +174,6 @@ class VerificationCheck(Record):
 
 class VerificationReport(Record):
     """Outcome of re-deriving every property of a filter set from scratch."""
-
-    _fields = ("checks",)
 
     def __init__(self, checks: tuple[VerificationCheck, ...]) -> None:
         _set(self, "checks", checks)

@@ -83,8 +83,6 @@ _DEFAULT_DECIMALS = 2
 class ObservedValue(Record):
     """A single estimate with its provenance tag."""
 
-    _fields = ("value", "provenance")
-
     def __init__(self, value: float, provenance: str = PUBLISHED) -> None:
         _set(self, "value", _checked_value(value, provenance))
         _set(self, "provenance", provenance)
@@ -363,74 +361,80 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
     # the one BOM rule: drop one BOM before csv reads the header, so a
     # quoted first name still parses as quoted
     lines = iter(fh)
-    first = next(lines, "").removeprefix("\ufeff")
-    reader = csv.reader(itertools.chain([first] if first else [], lines))
-    header = next(reader, None)
-    if header is None:
-        raise CsvError(f"{name}: empty file, expected a header row")
-    fields = [f.strip() for f in header]
-    missing = [c for c in _CSV_COLUMNS[:-1] if c not in fields]
-    if missing:
-        raise CsvError(f"{name}: header lacks required columns {missing}")
-    # a name given twice reads its last column; a short row reads None past
-    # its end, as csv.DictReader gives them
-    column = {f: i for i, f in enumerate(fields)}
-    iv, iu, ik, it, ix = (column[c] for c in _CSV_COLUMNS[:-1])
-    ip = column.get("provenance")
-    pad = [None] * len(fields)
+    try:
+        first = next(lines, "").removeprefix("\ufeff")
+        reader = csv.reader(itertools.chain([first] if first else [], lines))
+        header = next(reader, None)
+        if header is None:
+            raise CsvError(f"{name}: empty file, expected a header row")
+        fields = [f.strip() for f in header]
+        missing = [c for c in _CSV_COLUMNS[:-1] if c not in fields]
+        if missing:
+            raise CsvError(f"{name}: header lacks required columns {missing}")
+        # a name given twice reads its last column; a short row reads None past
+        # its end, as csv.DictReader gives them
+        column = {f: i for i, f in enumerate(fields)}
+        iv, iu, ik, it, ix = (column[c] for c in _CSV_COLUMNS[:-1])
+        ip = column.get("provenance")
+        pad = [None] * len(fields)
 
-    variable = unit = None
-    rows: list[_Row] = []
-    seen: set[tuple[int, int]] = set()
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) < len(pad):
-            row += pad[len(row):]
-        var = (row[iv] or "").strip()
-        un = (row[iu] or "").strip()
-        if var != variable or un != unit:
-            if not var or not un:
-                raise CsvError(f"{name} line {line}: variable and unit must be nonempty")
-            if variable is not None:
+        variable = unit = None
+        rows: list[_Row] = []
+        seen: set[tuple[int, int]] = set()
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) < len(pad):
+                row += pad[len(row):]
+            var = (row[iv] or "").strip()
+            un = (row[iu] or "").strip()
+            if var != variable or un != unit:
+                if not var or not un:
+                    raise CsvError(f"{name} line {line}: variable and unit must be nonempty")
+                if variable is not None:
+                    raise CsvError(
+                        f"{name} line {line}: row has variable/unit {var!r}/{un!r}, "
+                        f"expected {variable!r}/{unit!r}"
+                    )
+                variable, unit = var, un
+            try:
+                k = int((row[ik] or "").strip())
+            except ValueError:
+                raise CsvError(f"{name} line {line}: period {row[ik]!r} is not an integer")
+            if k < 1:
+                raise CsvError(f"{name} line {line}: period must be >= 1, got {k}")
+            try:
+                t = int((row[it] or "").strip())
+            except ValueError:
                 raise CsvError(
-                    f"{name} line {line}: row has variable/unit {var!r}/{un!r}, "
-                    f"expected {variable!r}/{unit!r}"
+                    f"{name} line {line}: end_year {row[it]!r} is not an integer"
                 )
-            variable, unit = var, un
-        try:
-            k = int((row[ik] or "").strip())
-        except ValueError:
-            raise CsvError(f"{name} line {line}: period {row[ik]!r} is not an integer")
-        if k < 1:
-            raise CsvError(f"{name} line {line}: period must be >= 1, got {k}")
-        try:
-            t = int((row[it] or "").strip())
-        except ValueError:
-            raise CsvError(
-                f"{name} line {line}: end_year {row[it]!r} is not an integer"
-            )
-        if 0 <= t <= 99:
-            # two-digit shorthand; same century pivot as strptime's %y
-            t += 2000 if t <= 68 else 1900
-        try:
-            v = float((row[ix] or "").strip())
-        except ValueError:
-            raise CsvError(f"{name} line {line}: value {row[ix]!r} is not a number")
-        prov = (ip is not None and (row[ip] or "").strip()) or PUBLISHED
-        key = (k, t)
-        if key in seen:
-            raise CsvError(
-                f"{name} line {line}: duplicate observation for period {k}, end year {t}"
-            )
-        seen.add(key)
-        try:
-            v = _checked_value(v, prov)
-        except DataError as exc:
-            raise CsvError(f"{name} line {line}: {exc}") from None
-        # one shared string per tag, not one per row
-        rows.append((k, t, v, IMPUTED if prov == IMPUTED else PUBLISHED))
+            if 0 <= t <= 99:
+                # two-digit shorthand; same century pivot as strptime's %y
+                t += 2000 if t <= 68 else 1900
+            try:
+                v = float((row[ix] or "").strip())
+            except ValueError:
+                raise CsvError(f"{name} line {line}: value {row[ix]!r} is not a number")
+            prov = (ip is not None and (row[ip] or "").strip()) or PUBLISHED
+            key = (k, t)
+            if key in seen:
+                raise CsvError(
+                    f"{name} line {line}: duplicate observation for period {k}, end year {t}"
+                )
+            seen.add(key)
+            try:
+                v = _checked_value(v, prov)
+            except DataError as exc:
+                raise CsvError(f"{name} line {line}: {exc}") from None
+            # one shared string per tag, not one per row
+            rows.append((k, t, v, IMPUTED if prov == IMPUTED else PUBLISHED))
+    except csv.Error as exc:
+        raise CsvError(f"{name} line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise CsvError(f"{name}: not {exc.encoding} text: {exc.reason} {bad!r}") from None
     if not rows:
         raise CsvError(f"{name}: no observation rows")
     rows.sort()
@@ -629,8 +633,6 @@ class RegionPair(Record):
     one being compared against it. Both must measure the same variable in
     the same unit.
     """
-
-    _fields = ("a", "b")
 
     def __init__(self, a: MyeSeries, b: MyeSeries) -> None:
         _set(self, "a", a)

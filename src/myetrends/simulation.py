@@ -52,9 +52,6 @@ class SimulationSpec(Record):
     :class:`ComparisonSpec` that :meth:`comparison_spec` builds from them.
     """
 
-    _fields = ("trend", "noise_sd", "mode", "t0", "replicates", "seed", "reference_period",
-               "other_period")
-
     def __init__(
         self,
         trend: Iterable[CoefficientLike],
@@ -97,9 +94,6 @@ class SimulationSpec(Record):
 class SimulationSummary(Record):
     """Empirical results of a bias experiment."""
 
-    _fields = ("mode", "replicates", "seed", "bias", "std_error", "mean_a", "mean_b", "var_a",
-               "var_b")
-
     def __init__(self, mode: str, replicates: int, seed: int, bias: float, std_error: float,
                  mean_a: float, mean_b: float, var_a: float, var_b: float) -> None:
         _set(self, "mode", mode)
@@ -113,7 +107,7 @@ class SimulationSummary(Record):
         _set(self, "var_b", var_b)
 
     def to_dict(self) -> dict:
-        return dict(zip(self._fields, self._values()))
+        return dict(vars(self))
 
 
 # Replicates per generation batch. Fixed so that accumulation order, and

@@ -90,11 +90,22 @@ class TestAggregateTraces:
         }
         assert bench_pairs.aggregate_traces(runs) == {
             "a_ms": {"unit": "ms", "parent": {"median": 3.0, "min": 1.0, "max": 8.0},
-                     "change": {"median": 1.0, "min": 0.5, "max": 2.0}},
+                     "change": {"median": 1.0, "min": 0.5, "max": 2.0}, "ranges_overlap": True},
             # the two sides may differ; one side's runs may not
             "draws": {"unit": "count", "parent": 240, "change": 120},
             "bits": {"unit": "bits", "parent": 59, "change": 59},
         }
+
+    @pytest.mark.parametrize("parent,change,overlap", [
+        ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), False),
+        ((4.0, 5.0, 6.0), (1.0, 2.0, 3.0), False),
+        ((1.0, 2.0, 3.0), (3.0, 4.0, 5.0), True),
+        ((1.0, 5.0, 9.0), (4.0, 4.5, 6.0), True),
+    ])
+    def test_ranges_overlap(self, parent, change, overlap):
+        runs = {"parent": [traced(a_ms=(v, "ms")) for v in parent],
+                "change": [traced(a_ms=(v, "ms")) for v in change]}
+        assert bench_pairs.aggregate_traces(runs)["a_ms"]["ranges_overlap"] is overlap
 
     def test_a_metric_missing_from_any_run_is_left_out(self):
         runs = {"parent": [traced(a_ms=(1.0, "ms"), b_ms=(1.0, "ms"))] * 3,
@@ -122,6 +133,14 @@ class TestParseArgs:
             bench_pairs.parse_args(BASE + ["--pairs", pairs])
         assert exc.value.code == 2
         assert "--pairs must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", ["2", "9"])
+    def test_rejects_a_claim_on_fewer_than_ten_pairs(self, pairs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_args(BASE + ["--pairs", pairs, "--claim", "series_audit:work_per_s"])
+        assert exc.value.code == 2
+        assert f"--claim needs at least 10 pairs, got --pairs {pairs}" in capsys.readouterr().err
+        assert bench_pairs.parse_args(BASE + ["--pairs", pairs]).pairs == int(pairs)
 
     @pytest.mark.parametrize("claim", ["series_audit", ":work_per_s", "series_audit:",
                                        "series_audit:work_per_s:x", ""])

@@ -405,6 +405,9 @@ class TestExitContract:
         NONE + ["--mode", "proper", "--degree", "-1"],
         NONE + ["--mode", "proper", "--periods", "1,5,5"],
         SIM + ["--degree", "-2"],
+        ["simulate", "--trend", "0,x", "--mode", "inapt", "--t0", "2010"],
+        SIM + ["--noise", "3:x"],
+        SIM + ["--noise", "abc"],
     ], ids=lambda argv: " ".join(argv))
     def test_library_rejected_flag_exits_two(self, capsys, one_period, tmp_path, argv):
         subs = {"ONE_PERIOD": one_period, "MISSING": str(tmp_path / "missing.csv")}
@@ -430,6 +433,15 @@ class TestExitContract:
         assert code == 1 and out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_undecodable_input_returns_one(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("variable,unit,period,end_year,value\ncaf\u00e9,count,1,2000,5\n"
+                         .encode("latin-1"))
+        code, out, err = run(capsys, ["impute", "--in", str(path), "--targets", "1:2001"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: not utf-8 text")
+        assert "usage:" not in err and "Traceback" not in err
 
 
 class TestFormatsAndPlumbing:
@@ -491,8 +503,9 @@ class TestImportGuard:
     modules it loaded, by name and not by how long that took, so a busy
     machine cannot make it fail. ``-S`` skips ``site``, whose ``.pth`` files
     may preload standard modules (such as ``importlib.resources``) and so
-    hide a regression; the caller's import path is passed on instead. The
-    probe lists the modules before it imports ``json`` to print them.
+    hide a regression; the caller's import path is passed on instead.
+    ``-X dev -W error`` turns every warning into a failure. The probe lists
+    the modules before it imports ``json`` to print them.
     """
 
     PROBE = (
@@ -531,7 +544,8 @@ class TestImportGuard:
         src = str(Path(myetrends.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, sys.path)])}
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", self.PROBE.format(body=body), *argv],
+            [sys.executable, "-S", "-X", "dev", "-W", "error", "-c", self.PROBE.format(body=body),
+             *argv],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr

@@ -223,6 +223,28 @@ class TestLoadCsv:
         with pytest.raises(CsvError, match="line 3"):
             load_csv(io.StringIO(text))
 
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("variable,unit,period,end_year,value\ncaf\u00e9,count,1,2000,5\n"
+                         .encode("latin-1"))
+        with pytest.raises(CsvError, match=re.escape(f"{path}: not utf-8 text")):
+            load_csv(path)
+
+    def test_oversized_field_names_the_path_and_line(self, tmp_path):
+        text = "variable,unit,period,end_year,value\nx,count,1,2000," + "1" * 200_000 + "\n"
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        want = "line 2: field larger than field limit"
+        with pytest.raises(CsvError, match=re.escape(f"{path} {want}")):
+            load_csv(path)
+        with pytest.raises(CsvError, match=f"<stream> {want}"):
+            load_csv(io.StringIO(text))
+
+    def test_bare_carriage_return_in_stream_names_the_line(self):
+        text = "variable,unit,period,end_year,value\nbare\rreturn,count,1,2000,5\n"
+        with pytest.raises(CsvError, match="<stream> line 2: new-line character"):
+            load_csv(io.StringIO(text))
+
 
 class TestWriteCsv:
     def test_round_trip_samples(self):
@@ -306,7 +328,7 @@ class TestWriteCsv:
         assert list(again.items()) == list(s.items())
 
     @pytest.mark.xfail(
-        sys.version_info < (3, 13), strict=True, raises=csv.Error,
+        sys.version_info < (3, 13), strict=True, raises=CsvError,
         reason="csv.writer before Python 3.13 does not quote a bare \\r, which its reader rejects",
     )
     def test_bare_carriage_return_round_trips(self):

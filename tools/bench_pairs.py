@@ -18,11 +18,12 @@ result goes to ``BENCH_<pr>.json`` at the root of the repository.
 A gain is claimed only for ``--claim WORKLOAD:METRIC``: the change must be
 better in at least nine tenths of the pairs (ties count for neither side),
 and its median must differ from the parent's, in the better direction, by
-more than the parent's quartile spread. ``--trace W`` adds three ``--trace 1``
-runs per side on workload ``W``, on seeds ``--seed`` to ``--seed + 2`` in the
-pairs' alternating order, for the per-layer metrics: each timing is written
-as its median, min and max per side, and each exact count once per side,
-failing if one side's runs disagree on it.
+more than the parent's quartile spread; a claim needs at least ten pairs.
+``--trace W`` adds three ``--trace 1`` runs per side on workload ``W``, on
+seeds ``--seed`` to ``--seed + 2`` in the pairs' alternating order, for the
+per-layer metrics: each timing is written as its median, min and max per side,
+and whether the two sides' min-max ranges overlap, and each exact count once
+per side, failing if one side's runs disagree on it.
 """
 
 from __future__ import annotations
@@ -59,13 +60,16 @@ def parse_args(argv=None) -> argparse.Namespace:
                    help=f"also take {TRACED_RUNS} traced runs per side on this workload")
     p.add_argument("--note", action="append", default=[], help="free-text note; repeatable")
     args = p.parse_args(argv)
-    # statistics.quantiles needs two runs a side; both checks fail before any export or run
+    # statistics.quantiles needs two runs a side; every check fails before any export or run
     if args.pairs < 2:
         p.error(f"--pairs must be at least 2, got {args.pairs}")
     if args.claim is not None:
         workload, _, metric = args.claim.partition(":")
         if not workload or not metric or ":" in metric:
             p.error(f"--claim must be WORKLOAD:METRIC, got {args.claim!r}")
+        # the rule asks for nine tenths of ten pairs, not of two
+        if args.pairs < 10:
+            p.error(f"--claim needs at least 10 pairs, got --pairs {args.pairs}")
     return args
 
 
@@ -120,7 +124,9 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
 
 def aggregate_traces(runs: dict[str, list[dict]]) -> dict:
     """Per-layer metrics of several traced runs per side: each timing's median,
-    min and max per side, and each exact count once per side.
+    min and max per side, and each exact count once per side. A timing's
+    ``ranges_overlap`` is true when the two sides' min-max ranges overlap, so
+    a difference of medians within the runs' noise is not read as a change.
 
     ``runs`` maps each side to its runs' ``metrics`` objects. A metric goes in
     only if every run of both sides reports it. Exits if one side's runs
@@ -142,6 +148,9 @@ def aggregate_traces(runs: dict[str, list[dict]]) -> dict:
             else:
                 entry[side] = {"median": statistics.median(values),
                                "min": min(values), "max": max(values)}
+        if unit not in EXACT_UNITS:
+            p, c = entry["parent"], entry["change"]
+            entry["ranges_overlap"] = p["min"] <= c["max"] and c["min"] <= p["max"]
         out[name] = entry
     return out
 
@@ -249,7 +258,8 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
             "with the seed (odd seeds: change first). Medians and quartiles are over the pairs "
             "(statistics.quantiles, n=4, inclusive). Per-layer metrics come from "
             f"{TRACED_RUNS} `--trace 1` runs per side on seeds S, S+1 and S+2 in the same "
-            "alternating order: timings as median, min and max per side, exact counts once. "
+            "alternating order: timings as median, min and max per side and whether the "
+            "sides' min-max ranges overlap, exact counts once. "
             "Written by tools/bench_pairs.py."
         ),
         "claim": None,
