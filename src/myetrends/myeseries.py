@@ -349,7 +349,8 @@ def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
     to four digits (00-68 map to 2000-2068, 69-99 to 1969-1999). One
     leading UTF-8 byte-order mark is skipped, from a path or a stream
     alike. Blank lines are skipped. Parse failures raise
-    :class:`CsvError` naming the 1-based line.
+    :class:`CsvError` naming the source and the 1-based line; so does text
+    that csv cannot parse, and undecodable text names only the source.
     """
     if hasattr(source, "read"):
         return _load_csv_stream(source, name=getattr(source, "name", "<stream>"))
