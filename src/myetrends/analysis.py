@@ -465,10 +465,11 @@ def _deterministic_sides(
     """Noise-free values of the resolved ``sides`` under the trend at ``t0``,
     in exact arithmetic.
 
-    A side weights the trend by its composite ``w * sma(k)``; in proper mode
-    both composites are ``fs.common``, so the two sides are equal.
+    A side weights the trend by its composite ``w.averaged(k)``, that is
+    ``w * sma(k)``; in proper mode both composites are ``fs.common``, so the
+    two sides are equal.
     """
-    return tuple(_weighted_trend(trend, w * sma(k), t0) for k, w in sides)
+    return tuple(_weighted_trend(trend, w.averaged(k), t0) for k, w in sides)
 
 
 def expected_bias(

@@ -114,9 +114,12 @@ def _parse_noise(text: str):
         for t in toks:
             k, sd = t.split(":", 1)
             try:
-                out[int(k)] = sd
+                k = int(k)
             except ValueError:
                 raise argparse.ArgumentTypeError(f"noise entry {t!r} is not PERIOD:SD")
+            if k in out:
+                raise argparse.ArgumentTypeError(f"noise period {k} is repeated, got {text!r}")
+            out[k] = sd
         return out
     if len(toks) == 1:
         return toks[0]

@@ -20,13 +20,14 @@ inverse of ``theta`` about ``z = 1``, cut after the ``d``-th power of
 ``1 - z``: only polynomial algebra, and a solution for every period set and
 degree. The filter for period ``k`` is then ``phi`` times the product of the
 *other* periods' averaging polynomials, and the shared composite is
-``phi * theta``. All arithmetic is exact, and :func:`verify_filter_set`
-re-checks every property from scratch.
+``phi * theta``. Each product by an average is formed as an exact running
+sum over the numerators (:meth:`RatPoly.averaged`). All arithmetic is exact,
+and :func:`verify_filter_set` re-checks every property from scratch with
+general polynomial products.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from fractions import Fraction
 
@@ -152,14 +153,11 @@ def design_filters(spec: DesignSpec) -> FilterSet:
             "results are exact but amplify noise enormously",
             stacklevel=2,
         )
-    averages = {k: sma(k) for k in spec.periods}
-    theta = math.prod(averages.values(), start=ONE)
+    periods = spec.periods
+    theta = ONE.averaged(*periods)
     phi = theta.inverse_near_one(spec.degree)
-    psi = {
-        k: phi * math.prod((a for m, a in averages.items() if m != k), start=ONE)
-        for k in spec.periods
-    }
-    common = phi * theta
+    psi = {k: phi.averaged(*(m for m in periods if m != k)) for k in periods}
+    common = phi.averaged(*periods)
     return FilterSet(spec=spec, phi=phi, psi=psi, common=common)
 
 

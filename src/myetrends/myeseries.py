@@ -550,6 +550,9 @@ def impute_random_walk(
         If a target already exists or lacks the anchors its position needs
         (an interior gap needs one published value on each side; a trailing
         gap needs two published values before it).
+    DomainError
+        If an extrapolated value lies beyond the float range; the message
+        names the series and the target.
     """
     filled: dict[tuple[int, int], ObservedValue] = {}
     # per period, the published end years and their values, read from the
@@ -575,11 +578,23 @@ def impute_random_walk(
         # t is absent from the series, so years[:i] < t < years[i:]
         i = bisect.bisect_left(years, t)
         if 0 < i < len(years):
-            value = (values[i - 1] + values[i]) / 2.0
+            a, b = values[i - 1], values[i]
+            value = (a + b) / 2.0
+            if not math.isfinite(value):
+                # the sum overflowed; the sum of the halves cannot
+                value = a / 2.0 + b / 2.0
         elif i >= 2:
-            first, last = years[0], years[i - 1]
-            step = (values[i - 1] - values[0]) / (last - first)
-            value = values[i - 1] + (t - last) * step
+            a, b, last = values[0], values[i - 1], years[i - 1]
+            span = last - years[0]
+            value = b + (t - last) * ((b - a) / span)
+            if not math.isfinite(value):
+                if not math.isfinite(b - a):
+                    # the difference overflowed; scale the ends first
+                    value = b + (t - last) * (b / span - a / span)
+                if not math.isfinite(value):
+                    raise DomainError(
+                        f"{series.name}: imputed {k}y ending {t} is beyond the float range"
+                    )
         elif i == 1:
             raise ImputationError(
                 f"{series.name}: cannot extrapolate {k}y ending {t}: only one "

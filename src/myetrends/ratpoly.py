@@ -9,7 +9,8 @@ they are handed out as :class:`fractions.Fraction`; nothing is rounded
 until a filter is finally applied to floating-point data.
 
 The polynomial for the equal-weight average of the ``k`` most recent values
-is produced by :func:`sma`.
+is produced by :func:`sma`; :meth:`RatPoly.averaged` multiplies by such
+averages as running sums over the numerators.
 """
 
 from __future__ import annotations
@@ -178,6 +179,39 @@ class RatPoly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def averaged(self, *periods: int) -> "RatPoly":
+        """``self * sma(k1) * sma(k2) * ...``, exactly.
+
+        Multiplying by ``(1 + z + ... + z**(k-1))/k`` sums each run of ``k``
+        consecutive numerators, so each factor is one running sum over the
+        integer numerators, in O(degree + k) additions, and the product is
+        put in canonical form once at the end.
+
+        Raises
+        ------
+        ValueError
+            If a period is not a positive integer.
+        """
+        for k in periods:
+            check_int(k, "k", 1)
+        if not periods:
+            return self
+        if not self._nums:
+            return ZERO
+        nums, den = self._nums, self._den
+        for k in periods:
+            n = len(nums)
+            out = []
+            acc = 0
+            for j in range(n + k - 1):
+                if j < n:
+                    acc += nums[j]
+                if j >= k:
+                    acc -= nums[j - k]
+                out.append(acc)
+            nums, den = out, den * k
+        return RatPoly._from_ints(nums, den)
 
     def shift(self, power: int) -> "RatPoly":
         """Multiply by ``z**power`` (delay every weight by ``power`` steps)."""

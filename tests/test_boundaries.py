@@ -71,6 +71,7 @@ ENTRY_POINTS = [
     ("FilterSet.from_dict.degree", lambda v: FilterSet.from_dict({**FAMILY.to_dict(), "degree": v}),
      "degree", 0, ValueError),
     ("sma", sma, "k", 1, ValueError),
+    ("RatPoly.averaged", lambda v: sma(3).averaged(2, v), "k", 1, ValueError),
     ("RatPoly.shift", lambda v: sma(3).shift(v), "power", 0, ValueError),
     ("RatPoly.coeff", lambda v: sma(3).coeff(v), "j", None, ValueError),
     ("RatPoly.derivative_at_one", lambda v: sma(3).derivative_at_one(v), "order", 0, ValueError),

@@ -316,6 +316,16 @@ class TestSimulate:
                   "--mode", "inapt", "--t0", "1"])
         assert exc.value.code == 2
 
+    def test_repeated_noise_period_usage_error(self, capsys):
+        # the later SD used to replace the earlier one without a word
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--trend", "0,1", "--noise", "1:0.5,1:0",
+                  "--mode", "inapt", "--t0", "2010"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "noise period 1 is repeated" in err
+
     def test_negative_replicates_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--trend", "0,1", "--mode", "inapt",

@@ -512,6 +512,28 @@ class TestImputation:
         s = MyeSeries("x", "count", {(3, 2000): 10.0, (3, 2002): 20.0})
         assert impute_random_walk(s, [(3, 2001)]).value(3, 2001) == 15.0
 
+    def test_interior_midpoint_whose_sum_overflows(self):
+        # 1.7e308 + 1.7e308 overflows; the midpoint itself is in range
+        s = MyeSeries("x", "count", {(3, 2000): 1.7e308, (3, 2002): 1.7e308})
+        assert impute_random_walk(s, [(3, 2001)]).value(3, 2001) == 1.7e308
+
+    def test_trailing_step_whose_difference_overflows(self):
+        # 1.7e308 - -1.7e308 overflows; the step over 100 years is 3.4e306
+        s = MyeSeries("x", "count", {(3, 1900): -1.7e308, (3, 2000): 1.7e308})
+        value = impute_random_walk(s, [(3, 2001)]).value(3, 2001)
+        assert value == pytest.approx(1.734e308, rel=1e-15)
+
+    @pytest.mark.parametrize("published, target", [
+        ({(3, 1900): -1.7e308, (3, 2000): 1.7e308}, 2005),
+        ({(3, 1999): -1.7e308, (3, 2000): 1.7e308}, 2001),
+        ({(3, 1999): 1e308, (3, 2000): 1.5e308}, 2001),
+    ])
+    def test_trailing_value_beyond_the_float_range_named(self, published, target):
+        s = MyeSeries("x", "count", published)
+        want = f"x: imputed 3y ending {target} is beyond the float range"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            impute_random_walk(s, [(3, target)])
+
     @pytest.mark.parametrize("target, what", [
         (("3", "2006"), "period"),
         ((0, 2006), "period"),

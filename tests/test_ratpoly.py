@@ -10,7 +10,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myetrends.ratpoly import ONE, ZERO, RatPoly, sma
@@ -125,6 +125,31 @@ class TestSma:
     def test_rejects_bad_lengths(self, bad):
         with pytest.raises(ValueError):
             sma(bad)
+
+
+class TestAveraged:
+    @given(polys(), st.lists(st.integers(min_value=1, max_value=9), max_size=4))
+    @example(ZERO, [3, 1])
+    @example(RatPoly([F(4, 3), F(-1, 3)]), [1])
+    @example(RatPoly([F(1, 2), 0, F(-1, 6)]), [1, 3, 5])
+    def test_matches_general_products(self, p, ks):
+        got = p.averaged(*ks)
+        assert got == p * math.prod((sma(k) for k in ks), start=ONE)
+        assert_canonical(got)
+
+    def test_no_periods_is_self(self):
+        p = RatPoly([1, 2])
+        assert p.averaged() is p
+
+    def test_zero_stays_zero(self):
+        assert ZERO.averaged(1, 3, 5) is ZERO
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.0, "3", None, True])
+    def test_rejects_bad_periods(self, bad):
+        # checked as sma checks them, on the zero polynomial too
+        for p in (ONE, ZERO):
+            with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {bad!r}$"):
+                p.averaged(3, bad)
 
 
 class TestArithmetic:
