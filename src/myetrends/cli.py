@@ -153,14 +153,30 @@ def _load_series_arg(path: str):
     return load_csv(path)
 
 
+def _design(periods: Sequence[int], degree: int) -> FilterSet:
+    """The filter family for ``periods`` and ``degree``. Each warning the
+    design issues goes to stderr as one ``warning:`` line, whatever the
+    interpreter's warning filters say."""
+    import warnings
+
+    from .filterdesign import DesignSpec, design_filters
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fs = design_filters(DesignSpec(periods, degree))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return fs
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_design(args) -> int:
-    from .filterdesign import DesignSpec, design_filters, variance_inflation, verify_filter_set
+    from .filterdesign import variance_inflation, verify_filter_set
 
-    fs = design_filters(DesignSpec(args.periods, args.degree))
+    fs = _design(args.periods, args.degree)
     report = verify_filter_set(fs)
     checks = [dict(vars(c)) for c in report.checks]
     payload = {"filters": fs.to_dict(), "verification": {"passed": report.passed, "checks": checks}}
@@ -187,12 +203,11 @@ def cmd_impute(args) -> int:
 
 def cmd_trends(args) -> int:
     from .analysis import trend_estimates
-    from .filterdesign import DesignSpec, design_filters
     from .myeseries import display_decimals, render_value
 
     series = _load_series_arg(args.input)
-    spec = DesignSpec(args.periods or series.periods(), args.degree)
-    fs = design_filters(spec)
+    fs = _design(args.periods or series.periods(), args.degree)
+    spec = fs.spec
     te = trend_estimates(series, fs, args.t0)
     dec = display_decimals(series.unit)
     rendered = {k: render_value(v, dec) for k, v in te.values.items()}
@@ -234,10 +249,8 @@ def _comparison_from_args(args) -> tuple[ComparisonSpec, Optional[FilterSet]]:
     cspec = ComparisonSpec(args.mode, args.t0, args.reference_period, args.other_period)
     fs = None
     if args.mode == "proper":
-        from .filterdesign import DesignSpec, design_filters
-
         periods = args.periods or tuple(sorted({1, cspec.reference_period, args.other_period}))
-        fs = design_filters(DesignSpec(periods, args.degree))
+        fs = _design(periods, args.degree)
     return cspec, fs
 
 

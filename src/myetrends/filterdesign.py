@@ -20,10 +20,16 @@ inverse of ``theta`` about ``z = 1``, cut after the ``d``-th power of
 ``1 - z``: only polynomial algebra, and a solution for every period set and
 degree. The filter for period ``k`` is then ``phi`` times the product of the
 *other* periods' averaging polynomials, and the shared composite is
-``phi * theta``. Each product by an average is formed as an exact running
-sum over the numerators (:meth:`RatPoly.averaged`). All arithmetic is exact,
-and :func:`verify_filter_set` re-checks every property from scratch with
-general polynomial products.
+``phi * theta``, formed as the first period's filter times that period's
+average. Each product by an average is an exact running sum over the
+numerators (:meth:`RatPoly.averaged`), and ``phi`` comes from ``theta``'s
+binomial Taylor coefficients about ``z = 1``, expanded by Horner's rule in
+``1 - z`` (:meth:`RatPoly.inverse_near_one`).
+
+All arithmetic is exact. :func:`verify_filter_set` re-checks every property
+by other algorithms: the derivatives at ``z = 1`` by repeated suffix sums
+(:meth:`RatPoly.derivatives_at_one`) and each composition by a general
+polynomial product.
 """
 
 from __future__ import annotations
@@ -157,7 +163,8 @@ def design_filters(spec: DesignSpec) -> FilterSet:
     theta = ONE.averaged(*periods)
     phi = theta.inverse_near_one(spec.degree)
     psi = {k: phi.averaged(*(m for m in periods if m != k)) for k in periods}
-    common = phi.averaged(*periods)
+    # the first period's filter lacks only that period's average
+    common = psi[periods[0]].averaged(periods[0])
     return FilterSet(spec=spec, phi=phi, psi=psi, common=common)
 
 
@@ -195,11 +202,20 @@ def verify_filter_set(fs: FilterSet) -> VerificationReport:
     """Independently re-check every designed property of ``fs``.
 
     Recomputes, with exact arithmetic and without reusing the design path's
-    intermediates, that the composite weights sum to one, that derivatives
-    at ``z = 1`` vanish through the trend degree, that each period's filter
-    composed with its averaging polynomial equals the composite, and that
-    the correction polynomial is no longer than the trend degree allows.
-    Residuals are reported exactly, so a failure is attributable.
+    intermediates or algorithms:
+
+    * that the composite weights sum to one and its derivatives at ``z = 1``
+      vanish through the trend degree, all from one
+      :meth:`RatPoly.derivatives_at_one` call (repeated suffix sums, not
+      the design's inverse);
+    * that each period's filter, multiplied by its averaging polynomial
+      with general ``*`` (not the design's running sums), equals the
+      composite;
+    * that the correction polynomial is no longer than the trend degree
+      allows.
+
+    Residuals are reported exactly, so a failure is attributable; a passing
+    check reads ``0``, and a difference is formed only when a check fails.
     """
     checks: list[VerificationCheck] = []
 
@@ -207,17 +223,20 @@ def verify_filter_set(fs: FilterSet) -> VerificationReport:
         checks.append(VerificationCheck(name, passed, residual))
 
     d = fs.spec.degree
-    total = fs.common.derivative_at_one(0)
-    check("weight-sum", total == 1, f"sum(common) - 1 = {total - 1}")
-    for j in range(1, d + 1):
-        val = fs.common.derivative_at_one(j)
+    common = fs.common
+    total, *derivatives = common.derivatives_at_one(d)
+    passed = total == 1
+    check("weight-sum", passed, f"sum(common) - 1 = {0 if passed else total - 1}")
+    for j, val in enumerate(derivatives, 1):
         check(f"vanishing-derivative-{j}", val == 0, f"d^{j}/dz^{j} common at z=1 = {val}")
     for k in fs.spec.periods:
         if k not in fs.psi:
             check(f"composition-{k}", False, f"no filter stored for period {k}")
             continue
-        diff = fs.psi[k] * sma(k) - fs.common
-        check(f"composition-{k}", not diff, f"psi[{k}]*avg({k}) - common = {diff}")
+        composed = fs.psi[k] * sma(k)
+        passed = composed == common
+        check(f"composition-{k}", passed,
+              f"psi[{k}]*avg({k}) - common = {0 if passed else composed - common}")
     check("phi-degree", fs.phi.degree <= d, f"degree(phi) = {fs.phi.degree}, allowed <= {d}")
     return VerificationReport(checks=tuple(checks))
 

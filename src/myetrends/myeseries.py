@@ -518,6 +518,17 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     return _base_mean(series.name, found[0], period, end_year)
 
 
+def _exact_drift_from(a: float, b: float, span: int, steps: int) -> float:
+    """``b + steps * (b - a) / span`` with the drift formed exactly, for
+    integers too large to convert to float; infinite if it is out of range."""
+    from fractions import Fraction
+
+    try:
+        return b + float((Fraction(b) - Fraction(a)) * steps / span)
+    except OverflowError:
+        return math.inf
+
+
 def impute_random_walk(
     series: MyeSeries, targets: Iterable[tuple[int, int]]
 ) -> MyeSeries:
@@ -551,8 +562,8 @@ def impute_random_walk(
         (an interior gap needs one published value on each side; a trailing
         gap needs two published values before it).
     DomainError
-        If an extrapolated value lies beyond the float range; the message
-        names the series and the target.
+        If an extrapolated value lies beyond the float range, however far
+        its end year; the message names the series and the target.
     """
     filled: dict[tuple[int, int], ObservedValue] = {}
     # per period, the published end years and their values, read from the
@@ -586,15 +597,19 @@ def impute_random_walk(
         elif i >= 2:
             a, b, last = values[0], values[i - 1], years[i - 1]
             span = last - years[0]
-            value = b + (t - last) * ((b - a) / span)
-            if not math.isfinite(value):
-                if not math.isfinite(b - a):
+            try:
+                value = b + (t - last) * ((b - a) / span)
+                if not math.isfinite(value) and not math.isfinite(b - a):
                     # the difference overflowed; scale the ends first
                     value = b + (t - last) * (b / span - a / span)
-                if not math.isfinite(value):
-                    raise DomainError(
-                        f"{series.name}: imputed {k}y ending {t} is beyond the float range"
-                    )
+            except OverflowError:
+                # t - last or span is beyond the float range, but the drift,
+                # formed exactly, may not be (a flat series has none)
+                value = _exact_drift_from(a, b, span, t - last)
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"{series.name}: imputed {k}y ending {t} is beyond the float range"
+                )
         elif i == 1:
             raise ImputationError(
                 f"{series.name}: cannot extrapolate {k}y ending {t}: only one "

@@ -10,14 +10,16 @@ until a filter is finally applied to floating-point data.
 
 The polynomial for the equal-weight average of the ``k`` most recent values
 is produced by :func:`sma`; :meth:`RatPoly.averaged` multiplies by such
-averages as running sums over the numerators.
+averages as running sums over the numerators, and
+:meth:`RatPoly.derivatives_at_one` takes every derivative at ``z = 1`` by
+repeated suffix sums.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from .exceptions import check_int
 
@@ -186,7 +188,8 @@ class RatPoly:
         Multiplying by ``(1 + z + ... + z**(k-1))/k`` sums each run of ``k``
         consecutive numerators, so each factor is one running sum over the
         integer numerators, in O(degree + k) additions, and the product is
-        put in canonical form once at the end.
+        put in canonical form once at the end. A period of 1 is checked and
+        then skipped, and with no other period the result is ``self``.
 
         Raises
         ------
@@ -195,12 +198,14 @@ class RatPoly:
         """
         for k in periods:
             check_int(k, "k", 1)
-        if not periods:
+        # sma(1) is the identity
+        ks = [k for k in periods if k != 1]
+        if not ks:
             return self
         if not self._nums:
             return ZERO
         nums, den = self._nums, self._den
-        for k in periods:
+        for k in ks:
             n = len(nums)
             out = []
             acc = 0
@@ -234,17 +239,41 @@ class RatPoly:
             qpow *= q
         return Fraction(acc, self._den * (qpow // q))
 
+    def derivatives_at_one(self, order: int) -> tuple[Fraction, ...]:
+        """Exact values of the derivatives of orders ``0..order`` at ``z = 1``.
+
+        Synthetic division by ``z - 1`` is a running sum over the numerators
+        from the highest power down: the last sum, the remainder, is the
+        polynomial's value at 1, and the others are the quotient's
+        numerators. Repeating it on the quotient gives the Taylor
+        coefficients about ``z = 1`` one by one (the Taylor shift by 1), and
+        the ``r``-th derivative is ``r!`` times the ``r``-th of them. Orders
+        past the degree are zero.
+        """
+        check_int(order, "order", 0)
+        den = self._den
+        rest = self._nums[::-1]
+        out = []
+        factorial = 1
+        for r in range(min(order + 1, len(rest))):
+            if r:
+                factorial *= r
+            rest = list(accumulate(rest))
+            out.append(Fraction(rest.pop() * factorial, den))
+        # one shared zero for every order past the degree
+        out += [Fraction(0)] * (order + 1 - len(out))
+        return tuple(out)
+
     def derivative_at_one(self, order: int = 1) -> Fraction:
         """Exact value of the ``order``-th derivative at ``z = 1``.
 
-        Term by term, the ``order``-th derivative of ``c_j z**j`` at 1 is
-        ``c_j * j! / (j - order)!``, so no intermediate polynomial is built.
-        Order 0 returns the plain evaluation at 1 (the weight sum).
+        The last of :meth:`derivatives_at_one`; order 0 is the plain
+        evaluation at 1 (the weight sum).
         """
         check_int(order, "order", 0)
-        total = sum(n * math.perm(j, order)
-                    for j, n in enumerate(self._nums[order:], order))
-        return Fraction(total, self._den)
+        if order > self.degree:
+            return Fraction(0)
+        return self.derivatives_at_one(order)[-1]
 
     def squared_norm(self) -> Fraction:
         """Sum of the squared coefficients, exactly."""
@@ -260,9 +289,9 @@ class RatPoly:
         and ``a_0 = 1``. Its power-series inverse ``sum b_n w**n`` follows
         from ``b_0 = 1`` and ``b_n = -sum_{i=1..n} a_i b_{n-i}``; in integers
         ``B_n = b_n D**n`` obeys ``B_n = -sum_{i=1..n} A_i B_{n-i} D**(i-1)``.
-        Cutting after ``w**degree`` and expanding ``(1 - z)**n`` binomially,
-        ``phi``'s numerator on ``z**m`` over ``D**degree`` is ``sum_{n>=m}
-        (-1)**m C(n, m) B_n D**(degree-n)``.
+        Cut after ``w**degree``, ``phi``'s numerator over ``D**degree`` is
+        ``sum_n B_n D**(degree-n) (1 - z)**n``, expanded by Horner's rule in
+        ``1 - z``.
 
         Raises
         ------
@@ -280,9 +309,11 @@ class RatPoly:
         b = [1]
         for n in range(1, degree + 1):
             b.append(-sum(a[i] * b[n - i] * dpow[i - 1] for i in range(1, n + 1)))
-        scaled = [b[n] * dpow[degree - n] for n in range(degree + 1)]
-        nums = [(-1) ** m * sum(math.comb(n, m) * scaled[n] for n in range(m, degree + 1))
-                for m in range(degree + 1)]
+        # Horner's rule in w = 1 - z: times (1 - z) is one shift-and-subtract
+        nums = [b[degree]]
+        for n in range(degree - 1, -1, -1):
+            nums = ([b[n] * dpow[degree - n] + nums[0]]
+                    + [hi - lo for lo, hi in zip(nums, nums[1:])] + [-nums[-1]])
         return RatPoly._from_ints(nums, dpow[degree])
 
     def as_floats(self) -> tuple[float, ...]:

@@ -75,6 +75,7 @@ ENTRY_POINTS = [
     ("RatPoly.shift", lambda v: sma(3).shift(v), "power", 0, ValueError),
     ("RatPoly.coeff", lambda v: sma(3).coeff(v), "j", None, ValueError),
     ("RatPoly.derivative_at_one", lambda v: sma(3).derivative_at_one(v), "order", 0, ValueError),
+    ("RatPoly.derivatives_at_one", lambda v: sma(3).derivatives_at_one(v), "order", 0, ValueError),
     ("RatPoly.inverse_near_one", lambda v: sma(3).inverse_near_one(v), "degree", 0, ValueError),
     ("render_value", lambda v: render_value(1.25, v), "decimals", 0, ValueError),
     ("round_half_away", lambda v: round_half_away(1.25, v), "decimals", 0, ValueError),

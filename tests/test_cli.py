@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,37 @@ class TestDesign:
         with pytest.raises(SystemExit) as exc:
             main(["design", "--degree", "1", "--periods", "1,x"])
         assert exc.value.code == 2
+
+    HIGH_DEGREE_WARNING = ("warning: trend degree 12 yields extreme filter weights; "
+                           "results are exact but amplify noise enormously\n")
+
+    def test_high_degree_warning_is_one_stderr_line(self):
+        # under -W error the design's UserWarning escaped as a traceback
+        argv = ["design", "--degree", "12", "--periods", "1,3,5"]
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "myetrends", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == self.HIGH_DEGREE_WARNING
+        assert "all checks passed" in proc.stdout
+
+    @pytest.mark.parametrize("argv, want", [
+        (["design", "--periods", "1,3,5"], 0),
+        (["simulate", "--trend", "0,1", "--mode", "proper", "--t0", "100",
+          "--replicates", "50"], 0),
+        # the bundled sample is too short for a degree-12 window
+        (["trends", "--in", "income", "--t0", "2007"], 1),
+        (["compare", "--in-a", "income", "--in-b", "income", "--mode", "proper",
+          "--t0", "2007"], 1),
+    ])
+    def test_every_design_warns_on_stderr(self, capsys, argv, want):
+        # the warning line comes before the command's own result or error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, argv + ["--degree", "12"])
+        assert code == want
+        assert err.startswith(self.HIGH_DEGREE_WARNING)
 
 
 class TestImpute:

@@ -1,5 +1,6 @@
 """The package's public names, each loaded on first use."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -82,3 +83,30 @@ def test_package_source_keeps_its_one_place_rules():
                     or "dataclasses" in line):
                 broken.append(f"{path.name}:{number}: {line.strip()}")
     assert not broken, broken
+
+
+def called_names(path, *functions):
+    """Names of the functions and methods that ``functions`` in ``path`` call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    f = call.func
+                    names.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return names
+
+
+def test_design_and_verification_stay_independent():
+    # verification re-derives each property by its own algorithm: it never
+    # multiplies by running sums or inverts theta, and the design never
+    # takes derivatives, so a fault in one cannot hide in both
+    package = pathlib.Path(myetrends.__file__).parent
+    verify = called_names(package / "filterdesign.py", "verify_filter_set")
+    assert "derivatives_at_one" in verify
+    assert not verify & {"averaged", "inverse_near_one"}, verify
+    design = (called_names(package / "filterdesign.py", "design_filters")
+              | called_names(package / "ratpoly.py", "averaged", "inverse_near_one"))
+    assert {"averaged", "inverse_near_one"} <= design
+    assert not design & {"derivatives_at_one", "derivative_at_one"}, design

@@ -274,6 +274,53 @@ class TestVerifierDetectsDamage:
         failed = {c.name for c in report.failures()}
         assert "weight-sum" in failed
 
+    @staticmethod
+    def damaged(periods, degree, **parts):
+        fs = design_filters(DesignSpec(periods, degree))
+        return FilterSet(**{"spec": fs.spec, "phi": fs.phi, "psi": fs.psi,
+                            "common": fs.common, **parts})
+
+    def test_failing_reports_are_pinned(self):
+        fs1 = design_filters(DesignSpec((1, 3, 5), 1))
+        fs2 = design_filters(DesignSpec((1, 3, 5), 2))
+        perturbed_psi = self.damaged(
+            (1, 3, 5), 1, psi={**fs1.psi, 3: fs1.psi[3] + RatPoly([F(1, 100)])})
+        assert str(verify_filter_set(perturbed_psi)) == (
+            "[ok  ] weight-sum: sum(common) - 1 = 0\n"
+            "[ok  ] vanishing-derivative-1: d^1/dz^1 common at z=1 = 0\n"
+            "[ok  ] composition-1: psi[1]*avg(1) - common = 0\n"
+            "[FAIL] composition-3: psi[3]*avg(3) - common = (1 + z + z^2)/300\n"
+            "[ok  ] composition-5: psi[5]*avg(5) - common = 0\n"
+            "[ok  ] phi-degree: degree(phi) = 1, allowed <= 1")
+        perturbed_common = self.damaged(
+            (1, 3, 5), 2, common=fs2.common + RatPoly([0, 0, F(1, 7)]))
+        assert str(verify_filter_set(perturbed_common)) == (
+            "[FAIL] weight-sum: sum(common) - 1 = 1/7\n"
+            "[FAIL] vanishing-derivative-1: d^1/dz^1 common at z=1 = 2/7\n"
+            "[FAIL] vanishing-derivative-2: d^2/dz^2 common at z=1 = 2/7\n"
+            "[FAIL] composition-1: psi[1]*avg(1) - common = -z^2/7\n"
+            "[FAIL] composition-3: psi[3]*avg(3) - common = -z^2/7\n"
+            "[FAIL] composition-5: psi[5]*avg(5) - common = -z^2/7\n"
+            "[ok  ] phi-degree: degree(phi) = 2, allowed <= 2")
+        long_phi = self.damaged((1, 3, 5), 1, phi=fs1.phi.shift(2))
+        assert str(verify_filter_set(long_phi)) == (
+            "[ok  ] weight-sum: sum(common) - 1 = 0\n"
+            "[ok  ] vanishing-derivative-1: d^1/dz^1 common at z=1 = 0\n"
+            "[ok  ] composition-1: psi[1]*avg(1) - common = 0\n"
+            "[ok  ] composition-3: psi[3]*avg(3) - common = 0\n"
+            "[ok  ] composition-5: psi[5]*avg(5) - common = 0\n"
+            "[FAIL] phi-degree: degree(phi) = 3, allowed <= 1")
+        missing_psi = self.damaged(
+            (1, 3, 5), 2, psi={k: p for k, p in fs2.psi.items() if k != 5})
+        assert str(verify_filter_set(missing_psi)) == (
+            "[ok  ] weight-sum: sum(common) - 1 = 0\n"
+            "[ok  ] vanishing-derivative-1: d^1/dz^1 common at z=1 = 0\n"
+            "[ok  ] vanishing-derivative-2: d^2/dz^2 common at z=1 = 0\n"
+            "[ok  ] composition-1: psi[1]*avg(1) - common = 0\n"
+            "[ok  ] composition-3: psi[3]*avg(3) - common = 0\n"
+            "[FAIL] composition-5: no filter stored for period 5\n"
+            "[ok  ] phi-degree: degree(phi) = 2, allowed <= 2")
+
     def test_report_renders_residuals(self):
         fs = design_filters(DesignSpec((1, 3), 1))
         text = str(verify_filter_set(fs))

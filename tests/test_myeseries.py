@@ -6,6 +6,7 @@ import math
 import re
 import sys
 from enum import IntEnum
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
@@ -533,6 +534,28 @@ class TestImputation:
         want = f"x: imputed 3y ending {target} is beyond the float range"
         with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
             impute_random_walk(s, [(3, target)])
+
+    def test_trailing_target_beyond_the_float_range_of_years_named(self):
+        # t - last converted to float raised a bare OverflowError
+        far = 10**309
+        s = MyeSeries("x", "count", {(3, 2000): 10.0, (3, 2002): 20.0})
+        want = f"x: imputed 3y ending {far} is beyond the float range"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            impute_random_walk(s, [(3, far)])
+
+    @pytest.mark.parametrize("published, target, want", [
+        # no drift: the value is the last one, however far the end year
+        ({(3, 2000): 10.0, (3, 2002): 10.0}, 10**309, 10.0),
+        # a drift small enough that the far end year stays in range (the
+        # last value, 1e-300, is lost in rounding)
+        ({(3, 2000): 0.0, (3, 2001): 1e-300}, 2001 + 10**309, float(F(1e-300) * 10**309)),
+        # a span of end years beyond the float range
+        ({(3, -10**309): 10.0, (3, 0): 20.0}, 5, 20.0 + float(F(50, 10**309))),
+    ], ids=["flat", "small-drift", "far-span"])
+    def test_trailing_drift_formed_exactly_past_the_float_range_of_years(
+            self, published, target, want):
+        s = MyeSeries("x", "count", published)
+        assert impute_random_walk(s, [(3, target)]).value(3, target) == want
 
     @pytest.mark.parametrize("target, what", [
         (("3", "2006"), "period"),

@@ -61,6 +61,13 @@ def ref_evaluate(cs, x):
     return acc
 
 
+def ref_derivatives_at_one(cs, order):
+    """Derivatives of orders 0..order at z = 1, term by term: the r-th
+    derivative of c_j z**j at 1 is c_j j!/(j - r)!."""
+    return tuple(sum((c * math.perm(j, r) for j, c in enumerate(cs)), F(0))
+                 for r in range(order + 1))
+
+
 def ref_inverse_near_one(cs, degree):
     """The truncated series inverse about z = 1, from Taylor coefficients."""
     a = [(-1) ** i * sum((c * math.comb(j, i) for j, c in enumerate(cs)), F(0))
@@ -143,6 +150,11 @@ class TestAveraged:
 
     def test_zero_stays_zero(self):
         assert ZERO.averaged(1, 3, 5) is ZERO
+
+    def test_period_one_is_skipped(self):
+        p = RatPoly([1, 2])
+        assert p.averaged(1) is p
+        assert p.averaged(1, 3, 1) == p.averaged(3)
 
     @pytest.mark.parametrize("bad", [0, -2, 2.0, "3", None, True])
     def test_rejects_bad_periods(self, bad):
@@ -283,6 +295,28 @@ class TestEvaluationAndDerivatives:
             for i in range(n + 1)
         )
         assert lhs == rhs
+
+
+class TestDerivativesAtOne:
+    @given(polys(), st.integers(min_value=0, max_value=10))
+    @example(ZERO, 0)
+    @example(ZERO, 3)
+    @example(ONE, 2)
+    @example(RatPoly([F(1, 3), F(-2, 7), 0, 5]), 3)
+    def test_match_the_term_by_term_reference(self, p, order):
+        got = p.derivatives_at_one(order)
+        assert got == ref_derivatives_at_one(p.coeffs, order)
+        assert all(type(v) is F for v in got)
+        assert p.derivative_at_one(order) == got[-1]
+
+    def test_product_of_averages(self):
+        # weight sum 1, mean lag 1 + 2, then the term-by-term sums over
+        # the numerators (1, 2, 3, 3, 3, 2, 1)/15
+        assert (sma(3) * sma(5)).derivatives_at_one(3) == (1, 3, F(26, 3), 22)
+
+    def test_orders_past_the_degree_are_zero(self):
+        assert sma(3).derivatives_at_one(5)[3:] == (0, 0, 0)
+        assert ZERO.derivatives_at_one(2) == (0, 0, 0)
 
 
 class TestInverseNearOne:
