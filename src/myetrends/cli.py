@@ -155,14 +155,16 @@ def _load_series_arg(path: str):
 
 def _design(periods: Sequence[int], degree: int) -> FilterSet:
     """The filter family for ``periods`` and ``degree``. Each warning the
-    design issues goes to stderr as one ``warning:`` line, whatever the
-    interpreter's warning filters say."""
+    design issues goes to stderr as one ``warning:`` line; the interpreter's
+    warning filters still apply, but one that turns a warning into an error
+    prints it instead."""
     import warnings
 
     from .filterdesign import DesignSpec, design_filters
 
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.filters[:] = [("default", *f[1:]) if f[0] == "error" else f
+                               for f in warnings.filters]
         fs = design_filters(DesignSpec(periods, degree))
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)

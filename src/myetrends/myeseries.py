@@ -519,8 +519,9 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
 
 
 def _exact_drift_from(a: float, b: float, span: int, steps: int) -> float:
-    """``b + steps * (b - a) / span`` with the drift formed exactly, for
-    integers too large to convert to float; infinite if it is out of range."""
+    """``b + steps * (b - a) / span`` with the drift formed exactly, for ends
+    whose difference overflows or integers too large to convert to float;
+    infinite if it is out of range."""
     from fractions import Fraction
 
     try:
@@ -599,12 +600,12 @@ def impute_random_walk(
             span = last - years[0]
             try:
                 value = b + (t - last) * ((b - a) / span)
-                if not math.isfinite(value) and not math.isfinite(b - a):
-                    # the difference overflowed; scale the ends first
-                    value = b + (t - last) * (b / span - a / span)
+                exact = not math.isfinite(value) and not math.isfinite(b - a)
             except OverflowError:
-                # t - last or span is beyond the float range, but the drift,
-                # formed exactly, may not be (a flat series has none)
+                exact = True
+            if exact:
+                # b - a, t - last or span is beyond the float range, but the
+                # drift, formed exactly, may not be (a flat series has none)
                 value = _exact_drift_from(a, b, span, t - last)
             if not math.isfinite(value):
                 raise DomainError(

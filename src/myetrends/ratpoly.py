@@ -270,9 +270,6 @@ class RatPoly:
         The last of :meth:`derivatives_at_one`; order 0 is the plain
         evaluation at 1 (the weight sum).
         """
-        check_int(order, "order", 0)
-        if order > self.degree:
-            return Fraction(0)
         return self.derivatives_at_one(order)[-1]
 
     def squared_norm(self) -> Fraction:

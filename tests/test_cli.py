@@ -72,6 +72,16 @@ class TestDesign:
         assert proc.stderr == self.HIGH_DEGREE_WARNING
         assert "all checks passed" in proc.stdout
 
+    def test_high_degree_warning_obeys_ignore(self):
+        argv = ["design", "--degree", "12", "--periods", "1,3,5"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "myetrends", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "all checks passed" in proc.stdout
+
     @pytest.mark.parametrize("argv, want", [
         (["design", "--periods", "1,3,5"], 0),
         (["simulate", "--trend", "0,1", "--mode", "proper", "--t0", "100",
