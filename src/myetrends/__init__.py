@@ -53,7 +53,6 @@ _EXPORTS = {
         "sma_of_base",
         "display_decimals",
         "render_value",
-        "round_half_away",
     ),
     # bundled data
     "datasets": ("load_sample", "sample_names", "STANDARD_TARGETS"),

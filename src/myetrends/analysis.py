@@ -137,23 +137,16 @@ class TrendEstimates(Record):
         }
 
 
-def trend_estimates(
-    series: MyeSeries,
-    fs: FilterSet,
-    t0: int,
-    periods: Optional[Iterable[int]] = None,
-) -> TrendEstimates:
+def trend_estimates(series: MyeSeries, fs: FilterSet, t0: int) -> TrendEstimates:
     """Apply each period's filter to its own sub-series, all ending at ``t0``.
 
     By the design identity, every period's result estimates the same
     present-day trend value, so the returned values are directly
-    comparable. ``periods`` restricts to a subset of the family (default:
-    every period in the design); a period that is not an integer >= 1 in
-    the family, or a ``t0`` that is not an integer, raises ``ValueError``.
+    comparable. A ``t0`` that is not an integer, or a filter set that lacks
+    one of its design's periods, raises ``ValueError``.
     """
     check_int(t0, "t0")
-    ks = (fs.spec.periods if periods is None
-          else tuple(check_int(k, "periods", 1) for k in periods))
+    ks = fs.spec.periods
     for k in ks:
         if k not in fs.psi:
             raise ValueError(f"filter set {fs.spec} has no period {k}")

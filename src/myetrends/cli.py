@@ -49,11 +49,15 @@ def _finite_or_null(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _report(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    """Write a command's result: ``payload`` as JSON, or ``lines`` as text."""
+def _report(args: argparse.Namespace, payload: dict, lines: list[str],
+            warned: Sequence[str] = ()) -> None:
+    """Write a command's result: ``payload`` as JSON, or ``lines`` as text.
+    Nonempty ``warned`` messages go into the JSON under ``"warnings"``."""
     if args.format == "json":
         import json
 
+        if warned:
+            payload = {**payload, "warnings": warned}
         text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     else:
         text = "\n".join(lines)
@@ -153,11 +157,11 @@ def _load_series_arg(path: str):
     return load_csv(path)
 
 
-def _design(periods: Sequence[int], degree: int) -> FilterSet:
-    """The filter family for ``periods`` and ``degree``. Each warning the
-    design issues goes to stderr as one ``warning:`` line; the interpreter's
-    warning filters still apply, but one that turns a warning into an error
-    prints it instead."""
+def _design(periods: Sequence[int], degree: int) -> tuple[FilterSet, list[str]]:
+    """The filter family for ``periods`` and ``degree``, and the message of
+    each warning the design issued. Each also goes to stderr as one
+    ``warning:`` line; the interpreter's warning filters still apply, but
+    one that turns a warning into an error prints it instead."""
     import warnings
 
     from .filterdesign import DesignSpec, design_filters
@@ -166,9 +170,10 @@ def _design(periods: Sequence[int], degree: int) -> FilterSet:
         warnings.filters[:] = [("default", *f[1:]) if f[0] == "error" else f
                                for f in warnings.filters]
         fs = design_filters(DesignSpec(periods, degree))
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return fs
+    warned = [str(w.message) for w in caught]
+    for message in warned:
+        print(f"warning: {message}", file=sys.stderr)
+    return fs, warned
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +183,7 @@ def _design(periods: Sequence[int], degree: int) -> FilterSet:
 def cmd_design(args) -> int:
     from .filterdesign import variance_inflation, verify_filter_set
 
-    fs = _design(args.periods, args.degree)
+    fs, warned = _design(args.periods, args.degree)
     report = verify_filter_set(fs)
     checks = [dict(vars(c)) for c in report.checks]
     payload = {"filters": fs.to_dict(), "verification": {"passed": report.passed, "checks": checks}}
@@ -190,7 +195,7 @@ def cmd_design(args) -> int:
         lines.append(f"variance inflation psi[{k}]: {vif} ({float(vif):.2f})")
     lines += ["verification:", str(report)]
     lines.append("all checks passed" if report.passed else "VERIFICATION FAILED")
-    _report(args, payload, lines)
+    _report(args, payload, lines, warned)
     return 0 if report.passed else 1
 
 
@@ -208,7 +213,7 @@ def cmd_trends(args) -> int:
     from .myeseries import display_decimals, render_value
 
     series = _load_series_arg(args.input)
-    fs = _design(args.periods or series.periods(), args.degree)
+    fs, warned = _design(args.periods or series.periods(), args.degree)
     spec = fs.spec
     te = trend_estimates(series, fs, args.t0)
     dec = display_decimals(series.unit)
@@ -220,7 +225,7 @@ def cmd_trends(args) -> int:
         f"(degree {spec.degree}, periods {','.join(map(str, spec.periods))})"
     ]
     lines += [f"  {k}y: {rendered[k]}" for k in spec.periods]
-    _report(args, payload, lines)
+    _report(args, payload, lines, warned)
     return 0
 
 
@@ -244,23 +249,24 @@ def cmd_compat(args) -> int:
     return 0
 
 
-def _comparison_from_args(args) -> tuple[ComparisonSpec, Optional[FilterSet]]:
-    """The comparison the flags describe, and the filter family proper mode needs."""
+def _comparison_from_args(args) -> tuple[ComparisonSpec, Optional[FilterSet], list[str]]:
+    """The comparison the flags describe, the filter family proper mode
+    needs, and that design's warning messages."""
     from .analysis import ComparisonSpec
 
     cspec = ComparisonSpec(args.mode, args.t0, args.reference_period, args.other_period)
-    fs = None
+    fs, warned = None, []
     if args.mode == "proper":
         periods = args.periods or tuple(sorted({1, cspec.reference_period, args.other_period}))
-        fs = _design(periods, args.degree)
-    return cspec, fs
+        fs, warned = _design(periods, args.degree)
+    return cspec, fs, warned
 
 
 def cmd_compare(args) -> int:
     from .analysis import compare
     from .myeseries import RegionPair, display_decimals, render_value
 
-    cspec, fs = _comparison_from_args(args)
+    cspec, fs, warned = _comparison_from_args(args)
     series_a = _load_series_arg(args.input_a)
     series_b = _load_series_arg(args.input_b)
     result = compare(RegionPair(series_a, series_b), cspec, fs)
@@ -270,7 +276,7 @@ def cmd_compare(args) -> int:
         f"a({result.reference_period_used}y) = {render_value(result.value_a, dec)}, "
         f"b({result.other_period_used}y) = {render_value(result.value_b, dec)}, "
         f"discrepancy = {result.percent()}%"
-    ])
+    ], warned)
     return 0
 
 
@@ -278,7 +284,7 @@ def cmd_simulate(args) -> int:
     from .analysis import expected_bias
     from .simulation import SimulationSpec, simulate_bias
 
-    cspec, fs = _comparison_from_args(args)
+    cspec, fs, warned = _comparison_from_args(args)
     noise = args.noise
     if not isinstance(noise, dict):
         noise = {k: noise for k in {cspec.reference_period, cspec.other_period}}
@@ -300,7 +306,7 @@ def cmd_simulate(args) -> int:
         f"  expected bias : {analytic!r}",
         f"  std error     : {summary.std_error!r}",
         f"  var(a), var(b): {summary.var_a!r}, {summary.var_b!r}",
-    ])
+    ], warned)
     return 0
 
 

@@ -119,10 +119,10 @@ class FilterSet(Record):
             "common": _poly_strings(self.common),
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         import json
 
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FilterSet":
@@ -186,9 +186,6 @@ class VerificationReport(Record):
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[VerificationCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
     def __str__(self) -> str:
         lines = []

@@ -58,7 +58,6 @@ __all__ = [
     "write_csv",
     "sma_of_base",
     "impute_random_walk",
-    "round_half_away",
     "render_value",
     "display_decimals",
 ]
@@ -301,10 +300,6 @@ class MyeSeries:
         if found is None:
             raise self._missing(period, end_year)
         return found[0][0]
-
-    def get(self, period: int, end_year: int, default=None):
-        found = self.window(period, end_year, 1)
-        return default if found is None else found[0][0]
 
     def provenance(self, period: int, end_year: int) -> str:
         found = self.window(period, end_year, 1)
@@ -625,11 +620,6 @@ def impute_random_walk(
     return series.with_observations(filled) if filled else series
 
 
-def round_half_away(x: float, decimals: int = 0) -> float:
-    """Round with ties moving away from zero (0.5 -> 1, -0.5 -> -1)."""
-    return float(_decimal_render(x, decimals))
-
-
 def render_value(x: float, decimals: int = 0) -> str:
     """Fixed-point string with half-away-from-zero ties, e.g. 41327.5 -> '41328'.
 
@@ -638,10 +628,6 @@ def render_value(x: float, decimals: int = 0) -> str:
     DomainError
         If ``x`` is NaN or infinite.
     """
-    return str(_decimal_render(x, decimals))
-
-
-def _decimal_render(x: float, decimals: int) -> Decimal:
     check_int(decimals, "decimals", 0)
     x = float(x)
     if not math.isfinite(x):
@@ -650,7 +636,7 @@ def _decimal_render(x: float, decimals: int) -> Decimal:
     # digits before the point, the decimals and a carry, so quantize never
     # runs out of the default context's 28 digits
     ctx = Context(prec=max(d.adjusted(), 0) + decimals + 2)
-    return d.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP, context=ctx)
+    return str(d.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP, context=ctx))
 
 
 def display_decimals(unit: str) -> int:

@@ -122,12 +122,6 @@ class RatPoly:
         """Degree of the polynomial; ``-1`` for the zero polynomial."""
         return len(self._nums) - 1
 
-    def coeff(self, j: int) -> Fraction:
-        """Coefficient on ``z**j`` (zero outside the stored range)."""
-        if 0 <= check_int(j, "j") < len(self._nums):
-            return self.coeffs[j]
-        return Fraction(0)
-
     def __bool__(self) -> bool:
         return bool(self._nums)
 
@@ -159,9 +153,6 @@ class RatPoly:
             return NotImplemented
         pairs, den = self._aligned(other)
         return RatPoly._from_ints([a - b for a, b in pairs], den)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly._from_ints([-n for n in self._nums], self._den)
 
     def __mul__(self, other: Union["RatPoly", int, Fraction]) -> "RatPoly":
         if isinstance(other, RatPoly):
@@ -217,13 +208,6 @@ class RatPoly:
                 out.append(acc)
             nums, den = out, den * k
         return RatPoly._from_ints(nums, den)
-
-    def shift(self, power: int) -> "RatPoly":
-        """Multiply by ``z**power`` (delay every weight by ``power`` steps)."""
-        check_int(power, "power", 0)
-        if not self._nums:
-            return ZERO
-        return RatPoly._from_ints([0] * power + list(self._nums), self._den)
 
     def evaluate(self, x: CoefficientLike) -> Fraction:
         """Evaluate at ``x`` exactly (Horner's rule)."""

@@ -27,7 +27,7 @@ from myetrends.analysis import (
 )
 from myetrends.datasets import STANDARD_TARGETS, load_sample
 from myetrends.exceptions import DomainError, MissingDataError
-from myetrends.filterdesign import DesignSpec, design_filters
+from myetrends.filterdesign import DesignSpec, FilterSet, design_filters
 from myetrends.myeseries import MyeSeries, RegionPair, impute_random_walk, render_value
 from myetrends.ratpoly import RatPoly, sma
 
@@ -205,13 +205,12 @@ class TestTrendEstimates:
         b = trend_estimates(s, LINEAR, 2007)
         assert a.values == b.values
 
-    def test_period_subset(self):
-        te = trend_estimates(full_sample("income"), LINEAR, 2007, periods=(3,))
-        assert set(te.values) == {3}
-
     def test_unknown_period_rejected(self):
-        with pytest.raises(ValueError, match="no period 7"):
-            trend_estimates(full_sample("income"), LINEAR, 2007, periods=(7,))
+        # a hand-built family that lacks one of its design's filters
+        psi = {k: p for k, p in LINEAR.psi.items() if k != 5}
+        fs = FilterSet(spec=LINEAR.spec, phi=LINEAR.phi, psi=psi, common=LINEAR.common)
+        with pytest.raises(ValueError, match="no period 5"):
+            trend_estimates(full_sample("income"), fs, 2007)
 
     def test_to_dict(self):
         te = trend_estimates(full_sample("age"), LINEAR, 2007)

@@ -26,7 +26,7 @@ from myetrends.cli import main
 from myetrends.datasets import load_sample
 from myetrends.exceptions import DataError
 from myetrends.filterdesign import DesignSpec, FilterSet, design_filters
-from myetrends.myeseries import MyeSeries, impute_random_walk, render_value, round_half_away, sma_of_base
+from myetrends.myeseries import MyeSeries, impute_random_walk, render_value, sma_of_base
 from myetrends.ratpoly import sma
 
 INCOME = load_sample("income")
@@ -46,8 +46,6 @@ ENTRY_POINTS = [
     ("compatibility", lambda v: compatibility(INCOME, [3, v]), "period", 1, ValueError),
     ("sma_of_base", lambda v: sma_of_base(INCOME, v, 2007), "period", 1, ValueError),
     ("sma_of_base.end_year", lambda v: sma_of_base(INCOME, 3, v), "end_year", None, ValueError),
-    ("trend_estimates", lambda v: trend_estimates(INCOME, FAMILY, 2007, periods=(v,)),
-     "periods", 1, ValueError),
     ("trend_estimates.t0", lambda v: trend_estimates(INCOME, FAMILY, v), "t0", None, ValueError),
     ("synthetic_series.periods", lambda v: synthetic_series((0, 1), (1, v), 2000, 2010),
      "periods", 1, ValueError),
@@ -72,13 +70,10 @@ ENTRY_POINTS = [
      "degree", 0, ValueError),
     ("sma", sma, "k", 1, ValueError),
     ("RatPoly.averaged", lambda v: sma(3).averaged(2, v), "k", 1, ValueError),
-    ("RatPoly.shift", lambda v: sma(3).shift(v), "power", 0, ValueError),
-    ("RatPoly.coeff", lambda v: sma(3).coeff(v), "j", None, ValueError),
     ("RatPoly.derivative_at_one", lambda v: sma(3).derivative_at_one(v), "order", 0, ValueError),
     ("RatPoly.derivatives_at_one", lambda v: sma(3).derivatives_at_one(v), "order", 0, ValueError),
     ("RatPoly.inverse_near_one", lambda v: sma(3).inverse_near_one(v), "degree", 0, ValueError),
     ("render_value", lambda v: render_value(1.25, v), "decimals", 0, ValueError),
-    ("round_half_away", lambda v: round_half_away(1.25, v), "decimals", 0, ValueError),
     ("impute_random_walk.period", lambda v: impute_random_walk(INCOME, [(v, 2008)]),
      "target ({!r}, 2008): period", 1, ValueError),
     ("impute_random_walk.end_year", lambda v: impute_random_walk(INCOME, [(3, v)]),
@@ -90,8 +85,6 @@ ENTRY_POINTS = [
      "end_year", None, ValueError),
     ("MyeSeries.value", lambda v: INCOME.value(v, 2007), "period", None, ValueError),
     ("MyeSeries.value.end_year", lambda v: INCOME.value(3, v), "end_year", None, ValueError),
-    ("MyeSeries.get", lambda v: INCOME.get(v, 2007), "period", None, ValueError),
-    ("MyeSeries.get.end_year", lambda v: INCOME.get(3, v), "end_year", None, ValueError),
     ("MyeSeries.has", lambda v: INCOME.has(v, 2007), "period", None, ValueError),
     ("MyeSeries.has.end_year", lambda v: INCOME.has(3, v), "end_year", None, ValueError),
     ("MyeSeries.provenance", lambda v: INCOME.provenance(v, 2007), "period", None, ValueError),

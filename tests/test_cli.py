@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from myetrends.analysis import synthetic_series
 from myetrends.cli import main
 from myetrends.filterdesign import FilterSet
-from myetrends.myeseries import IMPUTED, load_csv
+from myetrends.myeseries import IMPUTED, load_csv, write_csv
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 INCOME_ARGS = ["--in", "income", "--targets", "3:2006,5:2006,5:2007"]
@@ -98,6 +99,36 @@ class TestDesign:
             code, _, err = run(capsys, argv + ["--degree", "12"])
         assert code == want
         assert err.startswith(self.HIGH_DEGREE_WARNING)
+
+    DESIGNING = [
+        ["design", "--periods", "1,3,5"],
+        ["trends", "--in", "{csv}", "--t0", "2020"],
+        ["compare", "--in-a", "{csv}", "--in-b", "{csv}", "--mode", "proper", "--t0", "2020"],
+        ["simulate", "--trend", "0,1", "--mode", "proper", "--t0", "100", "--replicates", "50"],
+    ]
+
+    @pytest.fixture
+    def long_csv(self, tmp_path):
+        # 5y values from 1990 on: enough for a degree-12 window at 2020
+        path = tmp_path / "long.csv"
+        write_csv(synthetic_series((100, 1), (1, 3, 5), 1990, 2020), path)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", DESIGNING, ids=lambda argv: argv[0])
+    def test_design_warning_reaches_json(self, capsys, long_csv, argv):
+        argv = [a.format(csv=long_csv) for a in argv]
+        code, out, err = run(capsys, argv + ["--degree", "12", "--format", "json"])
+        assert code == 0
+        # the stderr line stays, and the JSON carries the same message
+        assert err == self.HIGH_DEGREE_WARNING
+        assert json.loads(out)["warnings"] == [self.HIGH_DEGREE_WARNING[len("warning: "):-1]]
+
+    @pytest.mark.parametrize("argv", DESIGNING, ids=lambda argv: argv[0])
+    def test_no_warnings_key_without_a_warning(self, capsys, long_csv, argv):
+        argv = [a.format(csv=long_csv) for a in argv]
+        code, payload, _ = run_json(capsys, argv + ["--degree", "1"])
+        assert code == 0
+        assert "warnings" not in payload
 
 
 class TestImpute:

@@ -17,6 +17,33 @@ def test_every_exported_name_resolves():
         assert getattr(myetrends, name) is not None, name
 
 
+@pytest.mark.parametrize("module", sorted(myetrends._EXPORTS))
+def test_every_submodule_name_resolves(module):
+    # a stale name left in a submodule's __all__ fails here
+    mod = importlib.import_module(f"myetrends.{module}")
+    for name in getattr(mod, "__all__", ()):
+        assert getattr(mod, name) is not None, f"{module}.{name}"
+
+
+def test_public_surface_is_pinned():
+    # adding or removing a public name is a visible edit here
+    assert set(myetrends.__all__) == {
+        "__version__",
+        "RatPoly", "sma",
+        "DesignSpec", "FilterSet", "VerificationReport", "design_filters",
+        "variance_inflation", "verify_filter_set",
+        "MyeSeries", "ObservedValue", "RegionPair", "PUBLISHED", "IMPUTED", "load_csv",
+        "write_csv", "impute_random_walk", "sma_of_base", "display_decimals", "render_value",
+        "load_sample", "sample_names", "STANDARD_TARGETS",
+        "TrendEstimates", "CompatibilityReport", "ComparisonSpec", "ComparisonResult",
+        "apply_filter", "trend_estimates", "nsr", "compatibility", "compare",
+        "expected_bias", "synthetic_series",
+        "SimulationSpec", "SimulationSummary", "simulate_bias",
+        "MODES", "MyeTrendsError", "DesignInfeasibleError", "DataError", "CsvError",
+        "MissingDataError", "ImputationError", "DomainError",
+    }
+
+
 def test_dir_lists_every_exported_name():
     assert set(myetrends.__all__) <= set(dir(myetrends))
 

@@ -102,11 +102,6 @@ class TestConstruction:
     def test_string_coefficients(self):
         assert RatPoly(["4/3", "-1/3"]).coeffs == (F(4, 3), F(-1, 3))
 
-    def test_coeff_out_of_range_is_zero(self):
-        p = RatPoly([1, 2])
-        assert p.coeff(5) == 0
-        assert p.coeff(1) == 2
-
     @pytest.mark.parametrize("coeffs, index", [
         ([math.nan], 0), ([math.inf], 0), ([1, -math.inf], 1),
         (["1", "abc"], 1), (iter([0, 1, "1/0"]), 2),
@@ -191,12 +186,6 @@ class TestArithmetic:
     def test_degree_of_product(self):
         assert (sma(3) * sma(5)).degree == 6
 
-    def test_shift(self):
-        assert RatPoly([1, 2]).shift(2) == RatPoly([0, 0, 1, 2])
-        assert ZERO.shift(3) == ZERO
-        with pytest.raises(ValueError):
-            RatPoly([1]).shift(-1)
-
     @given(polys(), polys())
     def test_mul_commutes(self, a, b):
         assert a * b == b * a
@@ -211,9 +200,9 @@ class TestArithmetic:
     def test_mul_distributes(self, a, b, c):
         assert a * (b + c) == a * b + a * c
 
-    @given(polys(), polys(), scalars(), st.integers(min_value=0, max_value=4))
-    def test_coefficients_stay_canonical(self, a, b, s, k):
-        results = (a, b, a + b, a - b, a - a, -a, a * b, a * s, s * a, a * 0, a.shift(k))
+    @given(polys(), polys(), scalars())
+    def test_coefficients_stay_canonical(self, a, b, s):
+        results = (a, b, a + b, a - b, a - a, a * b, a * s, s * a, a * 0)
         for p in results:
             assert_canonical(p)
             # coefficients are reduced Fractions, which the serialization
@@ -222,27 +211,24 @@ class TestArithmetic:
                 assert c.denominator > 0
                 assert math.gcd(abs(c.numerator), c.denominator) == 1
 
-    @given(polys(), polys(), scalars(), st.integers(min_value=0, max_value=4))
-    def test_coefficients_match_the_fraction_reference(self, a, b, s, k):
+    @given(polys(), polys(), scalars())
+    def test_coefficients_match_the_fraction_reference(self, a, b, s):
         ca, cb = a.coeffs, b.coeffs
         assert (a + b).coeffs == ref_add(ca, cb)
         assert (a - b).coeffs == ref_add(ca, cb, -1)
-        assert (-a).coeffs == ref_trim(-c for c in ca)
         assert (a * b).coeffs == ref_mul(ca, cb)
         assert (a * s).coeffs == (s * a).coeffs == ref_trim(c * s for c in ca)
-        assert a.shift(k).coeffs == ref_trim((0,) * k + ca)
 
     @given(st.lists(fractions(), max_size=7))
     def test_construction_matches_the_fraction_reference(self, cs):
         p = RatPoly(cs)
         assert_canonical(p)
         assert p.coeffs == ref_trim(cs)
-        assert all(p.coeff(j) == c for j, c in enumerate(ref_trim(cs)))
 
     @given(polys(), polys(), st.integers(min_value=1, max_value=9))
     def test_equal_polynomials_hash_equal(self, a, b, m):
         # the same polynomial reached by other routes, and from unreduced input
-        same = ((a + b) - b, b + a - b, a * ONE, a.shift(0), -(-a), RatPoly(a.coeffs),
+        same = ((a + b) - b, b + a - b, a * ONE, RatPoly(a.coeffs),
                 RatPoly([F(c.numerator * m, c.denominator * m) for c in a.coeffs] + [0]))
         for p in same:
             assert p == a
@@ -272,7 +258,7 @@ class TestEvaluationAndDerivatives:
         theta = sma(3) * sma(5)
         # shifting multiplies by z, so order-1 derivatives at 1 differ by
         # exactly the weight sum (product rule).
-        assert theta.shift(1).derivative_at_one(1) == theta.derivative_at_one(1) + 1
+        assert (RatPoly([0, 1]) * theta).derivative_at_one(1) == theta.derivative_at_one(1) + 1
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

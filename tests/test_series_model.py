@@ -298,8 +298,6 @@ class TestAgainstDictReference:
         assert_same_index(s, ref)
         probes = {key for k, t in obs for key in ((k, t), (k, t - 1), (k, t + 1), (k + 1, t))}
         for k, t in sorted(probes) + [(4, 2000), (1, 2000.0), (True, 2000), (1, 2000.5)]:
-            assert outcome(s.get, k, t) == outcome(ref.get, k, t)
-            assert outcome(s.get, k, t, "none") == outcome(ref.get, k, t, "none")
             assert outcome(s.has, k, t) == outcome(ref.has, k, t)
             # ``in`` answers False where ``has`` raises
             assert ((k, t) in s) == (outcome(ref.has, k, t) is True)
