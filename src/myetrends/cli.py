@@ -313,11 +313,11 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # demo: recompute every reference value from the bundled data
 
-# Expected values at printed precision. Each percentage row carries its own
-# decimal count, matching the precision the reference results use.
+# Expected values at printed precision: values print at their unit's display
+# decimals, and each percentage row carries its own decimal count, matching
+# the precision the reference results use.
 _DEMO_REFERENCE = {
     "income": {
-        "decimals": 0,
         "imputed": ("42395", "41328", "42600"),
         "trends": ("43570", "45223", "45320"),
         "c": ("0.017", "0.020"),
@@ -325,7 +325,6 @@ _DEMO_REFERENCE = {
         "proper": ((3, "3.8", 1), (5, "4.0", 1)),
     },
     "divorce": {
-        "decimals": 0,
         "imputed": ("17371", "16181", "16417"),
         "trends": ("19331", "19217", "16695"),
         "c": ("0.008", "0.042"),
@@ -333,7 +332,6 @@ _DEMO_REFERENCE = {
         "proper": ((3, "-0.59", 2), (5, "-13.6", 1)),
     },
     "age": {
-        "decimals": 2,
         "imputed": ("37.35", "37.45", "37.70"),
         "trends": ("37.59", "37.59", "38.25"),
         "c": ("0.002", "0.004"),
@@ -353,7 +351,7 @@ def demo_rows() -> list[dict]:
     from .analysis import ComparisonSpec, compare, compatibility, trend_estimates
     from .datasets import STANDARD_TARGETS, load_sample
     from .filterdesign import DesignSpec, design_filters
-    from .myeseries import RegionPair, impute_random_walk, render_value
+    from .myeseries import RegionPair, display_decimals, impute_random_walk, render_value
 
     fs = design_filters(DesignSpec((1, 3, 5), 1))
     rows: list[dict] = []
@@ -370,8 +368,8 @@ def demo_rows() -> list[dict]:
         )
 
     for name, ref in _DEMO_REFERENCE.items():
-        dec = ref["decimals"]
         series = load_sample(name)
+        dec = display_decimals(series.unit)
         full = impute_random_walk(series, STANDARD_TARGETS)
         for (k, t), expected in zip(STANDARD_TARGETS, ref["imputed"]):
             add(name, f"imputed {k}y {t}", render_value(full.value(k, t), dec), expected)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import io
 import itertools
 import math
 import os
@@ -66,6 +65,7 @@ PUBLISHED = "published"
 IMPUTED = "imputed"
 
 _CSV_COLUMNS = ("variable", "unit", "period", "end_year", "value", "provenance")
+_HEADER = ",".join(_CSV_COLUMNS) + "\n"
 
 # Display precision by unit. Counts and currency print as whole numbers;
 # anything unlisted gets two decimals.
@@ -367,12 +367,11 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
         missing = [c for c in _CSV_COLUMNS[:-1] if c not in fields]
         if missing:
             raise CsvError(f"{name}: header lacks required columns {missing}")
-        # a name given twice reads its last column; a short row reads None past
-        # its end, as csv.DictReader gives them
+        # a name given twice reads its last column
         column = {f: i for i, f in enumerate(fields)}
         iv, iu, ik, it, ix = (column[c] for c in _CSV_COLUMNS[:-1])
         ip = column.get("provenance")
-        pad = [None] * len(fields)
+        need = max(iv, iu, ik, it, ix) + 1
 
         variable = unit = None
         rows: list[_Row] = []
@@ -381,10 +380,13 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
             if not row:
                 continue
             line = reader.line_num
-            if len(row) < len(pad):
-                row += pad[len(row):]
-            var = (row[iv] or "").strip()
-            un = (row[iu] or "").strip()
+            if len(row) < need:
+                raise CsvError(
+                    f"{name} line {line}: row ends after {len(row)} fields, "
+                    f"but the header's required columns need {need}"
+                )
+            var = row[iv].strip()
+            un = row[iu].strip()
             if var != variable or un != unit:
                 if not var or not un:
                     raise CsvError(f"{name} line {line}: variable and unit must be nonempty")
@@ -395,13 +397,13 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
                     )
                 variable, unit = var, un
             try:
-                k = int((row[ik] or "").strip())
+                k = int(row[ik].strip())
             except ValueError:
                 raise CsvError(f"{name} line {line}: period {row[ik]!r} is not an integer")
             if k < 1:
                 raise CsvError(f"{name} line {line}: period must be >= 1, got {k}")
             try:
-                t = int((row[it] or "").strip())
+                t = int(row[it].strip())
             except ValueError:
                 raise CsvError(
                     f"{name} line {line}: end_year {row[it]!r} is not an integer"
@@ -410,10 +412,10 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
                 # two-digit shorthand; same century pivot as strptime's %y
                 t += 2000 if t <= 68 else 1900
             try:
-                v = float((row[ix] or "").strip())
+                v = float(row[ix].strip())
             except ValueError:
                 raise CsvError(f"{name} line {line}: value {row[ix]!r} is not a number")
-            prov = (ip is not None and (row[ip] or "").strip()) or PUBLISHED
+            prov = (ip is not None and ip < len(row) and row[ip].strip()) or PUBLISHED
             key = (k, t)
             if key in seen:
                 raise CsvError(
@@ -443,16 +445,17 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     ``target`` may be a path or an open text stream; with ``None`` the text
     is only returned. Values use shortest round-trip formatting, so
     ``load_csv`` on the output reproduces the series exactly. The text is
-    byte for byte what ``csv.writer`` (``QUOTE_MINIMAL``, line terminator
-    ``"\\n"``) writes for the header and one row per observation.
+    the same on every supported Python: byte for byte what Python 3.13's
+    ``csv`` writer (``QUOTE_MINIMAL``, line terminator ``"\\n"``) writes
+    for the header and one row per observation.
     """
-    # csv quotes the name and unit once, in the prefix "name,unit," of every
-    # row; it writes an int as its str (hence !s: an int subclass such as an
-    # IntEnum may format otherwise) and a float as its repr (the shortest
-    # round-trip form), and neither a finite float, an int nor a tag needs
-    # quoting, so the rest of each row is formatted directly
-    prefix = _csv_line((series.name, series.unit, ""))[:-1]
-    text = _csv_line(_CSV_COLUMNS) + "".join(
+    # the name and unit are quoted once, in the prefix "name,unit," of every
+    # row; as csv does, an int is written as its str (hence !s: an int
+    # subclass such as an IntEnum may format otherwise) and a float as its
+    # repr (the shortest round-trip form), and neither a finite float, an int
+    # nor a tag needs quoting, so the rest of each row is formatted directly
+    prefix = f"{_quoted(series.name)},{_quoted(series.unit)},"
+    text = _HEADER + "".join(
         [f"{prefix}{k!s},{t!s},{v!r},{p}\n" for k, t, v, p in series._rows()])
     if target is None:
         pass
@@ -464,11 +467,12 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     return text
 
 
-def _csv_line(fields: Sequence[object]) -> str:
-    """``fields`` as the one line ``csv.writer`` writes for them."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+def _quoted(field: str) -> str:
+    """``field`` as a CSV cell: in quotes, with its quotes doubled, if it
+    holds a comma, a quote or a line break (RFC 4180), else as it is."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 def _base_mean(name: str, xs: Sequence[float], period: int, end_year: int) -> float:

@@ -78,9 +78,9 @@ class RatPoly:
     (4 + z + z^2 - 3z^3)/3
     """
 
-    # _coeffs and _floats are filled by the first coeffs or as_floats() use,
-    # so exact arithmetic that never needs them pays nothing for them
-    __slots__ = ("_nums", "_den", "_coeffs", "_floats")
+    # _floats is filled by the first as_floats() use, so exact arithmetic
+    # that never needs it pays nothing for it
+    __slots__ = ("_nums", "_den", "_floats")
 
     def __init__(self, coeffs: Iterable[CoefficientLike] = ()) -> None:
         cs = coefficients(coeffs)
@@ -110,12 +110,8 @@ class RatPoly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients in ascending powers, with no trailing zeros."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self._den
-            self._coeffs = tuple(Fraction(n, den) for n in self._nums)
-            return self._coeffs
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums)
 
     @property
     def degree(self) -> int:

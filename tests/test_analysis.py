@@ -392,6 +392,11 @@ class TestComparisonSpec:
             ComparisonSpec("untimely", 2007, 1, 3)
         ComparisonSpec("untimely", 2007, 3, 3)
 
+    def test_untimely_requires_periods_above_one(self):
+        # the reference period defaults to the other period, here 1
+        with pytest.raises(ValueError, match="untimely comparisons need periods > 1"):
+            ComparisonSpec("untimely", 2007, None, 1)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             ComparisonSpec("bogus", 2007)

@@ -468,8 +468,14 @@ class TestExitContract:
         )
         return str(path)
 
-    # flag values argparse accepts and the library then rejects
+    # flag values a type parser rejects, or argparse accepts and the library
+    # then rejects
     @pytest.mark.parametrize("argv", [
+        ["design", "--degree", "x", "--periods", "1"],
+        ["impute", "--in", "income", "--targets", "3:x"],
+        SIM + ["--noise", ""],
+        SIM + ["--noise", "x:1"],
+        SIM + ["--noise", "1,2"],
         ["design", "--degree", "-1", "--periods", "1,3"],
         ["trends", "--in", "income", "--t0", "2007", "--periods", "1,1"],
         ["compat", "--in", "income", "--periods", "0"],

@@ -166,6 +166,24 @@ class TestLoadCsv:
         text = HEADER + "x,count,1,2000,5,\n"
         assert load_csv(io.StringIO(text)).provenance(1, 2000) == PUBLISHED
 
+    def test_provenance_cell_may_be_omitted(self):
+        # a row may end before the header's trailing provenance column
+        text = HEADER + "x,count,1,2000,5\nx,count,1,2001,6,imputed\n"
+        s = load_csv(io.StringIO(text))
+        assert (s.provenance(1, 2000), s.provenance(1, 2001)) == (PUBLISHED, IMPUTED)
+
+    def test_blank_lines_are_skipped(self):
+        text = HEADER + "x,count,1,2000,5,\n\nx,count,1,2001,6,\n\nx,count,1,x,7,\n"
+        with pytest.raises(CsvError, match="line 6: end_year"):
+            load_csv(io.StringIO(text))
+        s = load_csv(io.StringIO(text.rsplit("\n\n", 1)[0] + "\n"))
+        assert s.years(1) == (2000, 2001)
+
+    def test_unknown_sample_names_the_available_ones(self):
+        want = f"unknown sample 'nope'; available: {', '.join(sample_names())}"
+        with pytest.raises(KeyError, match=want):
+            load_sample("nope")
+
     def test_provenance_column_optional(self):
         text = "variable,unit,period,end_year,value\nx,count,1,2000,5\n"
         assert load_csv(io.StringIO(text)).provenance(1, 2000) == PUBLISHED
@@ -202,6 +220,7 @@ class TestLoadCsv:
             ("x,count,1,2000,lots,", "value"),
             ("x,count,1,2000,5,rumor", "provenance"),
             (",count,1,2000,5,", "nonempty"),
+            ("x,count,1,2000", "row ends after 4 fields, but the header's required columns need 5"),
         ],
     )
     def test_bad_rows_name_line_two(self, row, fragment):
@@ -244,6 +263,14 @@ class TestLoadCsv:
         text = "variable,unit,period,end_year,value\nbare\rreturn,count,1,2000,5\n"
         with pytest.raises(CsvError, match="<stream> line 2: new-line character"):
             load_csv(io.StringIO(text))
+
+    def test_bare_carriage_return_in_file_ends_the_row(self, tmp_path):
+        # read from a path, a bare "\r" ends a line, so the row is short
+        path = tmp_path / "bare_cr.csv"
+        path.write_bytes(b"variable,unit,period,end_year,value\nbare\rreturn,count,1,2000,5\n")
+        want = f"{path} line 2: row ends after 1 fields, but the header's required columns need 5"
+        with pytest.raises(CsvError, match=re.escape(want)):
+            load_csv(path)
 
 
 class TestWriteCsv:
@@ -320,17 +347,17 @@ class TestWriteCsv:
         obs = {key: ObservedValue(v, p) for key, (v, p) in rows.items()}
         s = MyeSeries(name, unit, obs)
         text = write_csv(s)
-        assert text == reference_csv(s)
-        if any("\r" in f and not {",", '"', "\n"} & set(f) for f in (name, unit)):
-            return  # csv before 3.13 leaves a bare "\r" unquoted; see below
+        # csv.writer before 3.13 leaves a bare "\r" unquoted; write_csv quotes
+        # it on every Python, as 3.13 does
+        if sys.version_info >= (3, 13) or not any(
+                "\r" in f and not {",", '"', "\n"} & set(f) for f in (name, unit)):
+            assert text == reference_csv(s)
+        if (name, unit, rows) == ("bare\rreturn", "count", {(1, 2000): (2.5, PUBLISHED)}):
+            assert text == HEADER + '"bare\rreturn",count,1,2000,2.5,published\n'
         again = load_csv(io.StringIO(text))
         assert (again.name, again.unit) == (name.strip(), unit.strip())
         assert list(again.items()) == list(s.items())
 
-    @pytest.mark.xfail(
-        sys.version_info < (3, 13), strict=True, raises=CsvError,
-        reason="csv.writer before Python 3.13 does not quote a bare \\r, which its reader rejects",
-    )
     def test_bare_carriage_return_round_trips(self):
         s = MyeSeries("carriage\rreturn", "count", {(1, 2000): 1.0})
         assert load_csv(io.StringIO(write_csv(s))) == s
