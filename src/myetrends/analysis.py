@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .exceptions import MODES, DomainError, MissingDataError, Record, _set, check_int
+from .exceptions import MODES, DomainError, MissingDataError, Record, _set, _to_float, check_int
 from .myeseries import IMPUTED, MyeSeries, RegionPair, _base_mean, render_value, sma_of_base
 from .ratpoly import ONE, RatPoly, sma
 
@@ -436,15 +436,6 @@ def compare(
 
 # ---------------------------------------------------------------------------
 # expected bias under a polynomial trend
-
-
-def _to_float(x: Fraction, what: str) -> float:
-    """``float(x)``, or a :class:`DomainError` naming ``what`` when ``x`` lies
-    beyond the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise DomainError(f"{what} is beyond the float range") from None
 
 
 def _weighted_trend(trend: RatPoly, weights: RatPoly, t: int) -> Fraction:

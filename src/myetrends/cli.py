@@ -28,7 +28,7 @@ import math
 import sys
 
 from . import __version__
-from .exceptions import MODES, MyeTrendsError, check_int
+from .exceptions import MODES, MyeTrendsError, _to_float, check_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -192,7 +192,8 @@ def cmd_design(args) -> int:
     lines.append(f"common : {fs.common}")
     for k in fs.spec.periods:
         vif = variance_inflation(fs.psi[k])
-        lines.append(f"variance inflation psi[{k}]: {vif} ({float(vif):.2f})")
+        vif_f = _to_float(vif, f"variance inflation psi[{k}]")
+        lines.append(f"variance inflation psi[{k}]: {vif} ({vif_f:.2f})")
     lines += ["verification:", str(report)]
     lines.append("all checks passed" if report.passed else "VERIFICATION FAILED")
     _report(args, payload, lines, warned)

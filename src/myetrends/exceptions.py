@@ -8,6 +8,9 @@ the usual built-ins.
 Every integer argument (a period, a degree, an end year, a count) is checked
 by :func:`check_int`, so each boundary rejects a ``bool``, a float or a
 string with the same message, which starts with the argument's name.
+Every exact value (a ``Fraction`` or an ``int``) becomes a float through
+:func:`_to_float`, rounded once, so one beyond the float range raises
+:class:`DomainError` naming it, never ``OverflowError``.
 :data:`MODES` names the three comparison modes, here so that the command
 line can offer them without loading the analysis code.
 
@@ -97,3 +100,13 @@ def check_int(value, what: str, minimum=None, error=ValueError):
         return value
     bound = "" if minimum is None else f" >= {minimum}"
     raise error(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def _to_float(x, what: str) -> float:
+    """The exact ``x`` rounded once to the nearest float, or a
+    :class:`DomainError` naming ``what`` when ``x`` lies beyond the float
+    range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} is beyond the float range") from None

@@ -40,6 +40,7 @@ from .exceptions import (
     MissingDataError,
     Record,
     _set,
+    _to_float,
     check_int,
 )
 
@@ -517,18 +518,6 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     return _base_mean(series.name, found[0], period, end_year)
 
 
-def _exact_drift_from(a: float, b: float, span: int, steps: int) -> float:
-    """``b + steps * (b - a) / span`` with the drift formed exactly, for ends
-    whose difference overflows or integers too large to convert to float;
-    infinite if it is out of range."""
-    from fractions import Fraction
-
-    try:
-        return b + float((Fraction(b) - Fraction(a)) * steps / span)
-    except OverflowError:
-        return math.inf
-
-
 def impute_random_walk(
     series: MyeSeries, targets: Iterable[tuple[int, int]]
 ) -> MyeSeries:
@@ -543,6 +532,11 @@ def impute_random_walk(
     before the target. Only published observations anchor the fill; values
     imputed earlier (in the input or in this call) are never used as
     anchors.
+
+    Each fill is the exact value of its formula rounded once to the nearest
+    float: the midpoint ``(Y_before + Y_after) / 2``, or the trailing value
+    ``Y_last + (t - t_last) * step`` formed exactly from the published
+    floats and end years, however large.
 
     Parameters
     ----------
@@ -595,21 +589,12 @@ def impute_random_walk(
                 # the sum overflowed; the sum of the halves cannot
                 value = a / 2.0 + b / 2.0
         elif i >= 2:
-            a, b, last = values[0], values[i - 1], years[i - 1]
-            span = last - years[0]
-            try:
-                value = b + (t - last) * ((b - a) / span)
-                exact = not math.isfinite(value) and not math.isfinite(b - a)
-            except OverflowError:
-                exact = True
-            if exact:
-                # b - a, t - last or span is beyond the float range, but the
-                # drift, formed exactly, may not be (a flat series has none)
-                value = _exact_drift_from(a, b, span, t - last)
-            if not math.isfinite(value):
-                raise DomainError(
-                    f"{series.name}: imputed {k}y ending {t} is beyond the float range"
-                )
+            # loaded here, so a call with only interior targets never loads it
+            from fractions import Fraction
+
+            b, last = Fraction(values[i - 1]), years[i - 1]
+            drift = (b - Fraction(values[0])) / (last - years[0])
+            value = _to_float(b + (t - last) * drift, f"{series.name}: imputed {k}y ending {t}")
         elif i == 1:
             raise ImputationError(
                 f"{series.name}: cannot extrapolate {k}y ending {t}: only one "

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 
-from .exceptions import check_int
+from .exceptions import _to_float, check_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -294,13 +294,18 @@ class RatPoly:
         return RatPoly._from_ints(nums, dpow[degree])
 
     def as_floats(self) -> tuple[float, ...]:
-        """Coefficients converted to floats, for applying to float data."""
+        """Coefficients rounded once to floats, for applying to float data.
+
+        Raises
+        ------
+        DomainError
+            If a coefficient lies beyond the float range.
+        """
         try:
             return self._floats
         except AttributeError:
-            # int / int is correctly rounded, as float(Fraction) is
-            den = self._den
-            self._floats = tuple(n / den for n in self._nums)
+            what = f"a weight of a {len(self._nums)}-weight filter"
+            self._floats = tuple(_to_float(c, what) for c in self.coeffs)
             return self._floats
 
     def __str__(self) -> str:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import os
 
-from .analysis import ComparisonSpec, _deterministic_sides, _sides, _to_float
-from .exceptions import Record, _set, check_int
+from .analysis import ComparisonSpec, _deterministic_sides, _sides
+from .exceptions import Record, _set, _to_float, check_int
 from .ratpoly import RatPoly, coefficients
 
 TYPE_CHECKING = False

@@ -59,6 +59,15 @@ class TestDesign:
             main(["design", "--degree", "1", "--periods", "1,x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_variance_inflation_beyond_the_float_range_is_named(self, capsys, fmt):
+        # psi[3]'s variance inflation is about 10**310; floating it raised a
+        # bare OverflowError
+        code, out, err = run(capsys, ["design", "--degree", "673", "--periods", "1,3,5",
+                                      "--format", fmt])
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: variance inflation psi[3] is beyond the float range"
+
     HIGH_DEGREE_WARNING = ("warning: trend degree 12 yields extreme filter weights; "
                            "results are exact but amplify noise enormously\n")
 
@@ -681,6 +690,10 @@ class TestImportGuard:
         assert not self.UNUSED & modules
         if command == "design":
             assert "csv" not in modules
+        if command == "impute":
+            # an interior target is a float midpoint; only a trailing one
+            # forms its value exactly
+            assert "fractions" not in modules
 
     def test_json_output_loads_json(self, tmp_path):
         code, modules = self.probe(self.MAIN, "design", "--degree", "1", "--periods", "1,3,5",

@@ -9,7 +9,7 @@ from enum import IntEnum
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from myetrends.datasets import STANDARD_TARGETS, load_sample, sample_names
@@ -358,6 +358,17 @@ class TestWriteCsv:
         assert (again.name, again.unit) == (name.strip(), unit.strip())
         assert list(again.items()) == list(s.items())
 
+    def test_nul_in_a_name_is_written_as_is(self):
+        # Python 3.10's csv reader rejects any NUL, even a quoted one
+        s = MyeSeries("nul\x00name", "count", {(1, 2000): 1.0})
+        text = write_csv(s)
+        assert text == HEADER + "nul\x00name,count,1,2000,1.0,published\n"
+        if sys.version_info >= (3, 11):
+            assert load_csv(io.StringIO(text)) == s
+        else:
+            with pytest.raises(CsvError, match=r"^<stream> line 2: line contains NUL"):
+                load_csv(io.StringIO(text))
+
     def test_bare_carriage_return_round_trips(self):
         s = MyeSeries("carriage\rreturn", "count", {(1, 2000): 1.0})
         assert load_csv(io.StringIO(write_csv(s))) == s
@@ -548,7 +559,46 @@ class TestImputation:
         # 1.7e308 - -1.7e308 overflows; the step over 100 years is 3.4e306
         s = MyeSeries("x", "count", {(3, 1900): -1.7e308, (3, 2000): 1.7e308})
         value = impute_random_walk(s, [(3, 2001)]).value(3, 2001)
-        assert value == pytest.approx(1.734e308, rel=1e-15)
+        assert value == float(F(1.7e308) + 2 * F(1.7e308) / 100)
+
+    @given(
+        st.dictionaries(
+            st.one_of(st.integers(1900, 2100), st.integers(-(10**400), 10**400)),
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, -0.0])),
+            min_size=2, max_size=4,
+        ),
+        st.one_of(st.integers(1900, 2100), st.integers(-(10**400), 10**400)),
+    )
+    # 48446/29, 0x1.a1a34f72c234fp+10; the float formula, with four
+    # roundings, gave 0x1.a1a34f72c2350p+10
+    @example({1990: 5494.0, 1991: 5494.0, 2019: 2134.0}, 2023)
+    @example({1999: -1.7e308, 2000: 1.7e308}, 2001)
+    @example({1999: 1.7e308, 2001: 1.7e308}, 2000)
+    @example({2000: 5e-324, 2002: 0.0}, 2001)
+    @example({2000: 0.0, 2001: 1e-300}, 2001 + 10**400)
+    @example({-(10**400): 10.0, 0: 20.0}, 5)
+    @settings(max_examples=300, deadline=None)
+    def test_every_fill_is_its_exact_formula_rounded_once(self, published, target):
+        years = sorted(published)
+        before = [t for t in years if t < target]
+        after = [t for t in years if t > target]
+        assume(target not in published and (len(before) >= 2 or before and after))
+        y = {t: F(v) for t, v in published.items()}
+        if before and after:
+            exact = (y[before[-1]] + y[after[0]]) / 2
+        else:
+            first, last = before[0], before[-1]
+            exact = y[last] + (target - last) * (y[last] - y[first]) / (last - first)
+        s = MyeSeries("x", "count", {(3, t): v for t, v in published.items()})
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = f"x: imputed 3y ending {target} is beyond the float range"
+            with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+                impute_random_walk(s, [(3, target)])
+        else:
+            assert impute_random_walk(s, [(3, target)]).value(3, target) == want
 
     @pytest.mark.parametrize("published, target", [
         ({(3, 1900): -1.7e308, (3, 2000): 1.7e308}, 2005),

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from myetrends.exceptions import DomainError
 from myetrends.ratpoly import ONE, ZERO, RatPoly, sma
 
 
@@ -364,6 +365,10 @@ class TestRendering:
     def test_as_floats_are_the_rounded_coefficients(self, cs):
         p = RatPoly(cs)
         assert [x.hex() for x in p.as_floats()] == [float(c).hex() for c in p.coeffs]
+
+    def test_as_floats_beyond_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^a weight of a 1-weight filter is beyond"):
+            RatPoly([10**400]).as_floats()
 
     def test_as_floats_computed_once(self):
         p = RatPoly([F(1, 3), F(-2, 7)])

@@ -13,7 +13,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from myetrends.analysis import (
@@ -189,9 +189,10 @@ def ref_impute(s, targets):
         if before and after:
             value = (s.value(k, before[-1]) + s.value(k, after[0])) / 2.0
         elif len(before) >= 2:
+            # the drift formula, formed exactly and rounded once
             first, last = before[0], before[-1]
-            step = (s.value(k, last) - s.value(k, first)) / (last - first)
-            value = s.value(k, last) + (t - last) * step
+            y_first, y_last = Fraction(s.value(k, first)), Fraction(s.value(k, last))
+            value = float(y_last + (t - last) * (y_last - y_first) / (last - first))
         elif before:
             raise ImputationError(
                 f"{s.name}: cannot extrapolate {k}y ending {t}: only one "
@@ -363,6 +364,10 @@ class TestAgainstDictReference:
             assert outcome(impute_random_walk, s, chosen) == outcome(ref_impute, ref, chosen)
 
     @given(gap_patterns())
+    # the float formula, rounded four times, gives 0x1.a1a34f72c2350p+10 here;
+    # the exact value, 48446/29, rounds to 0x1.a1a34f72c234fp+10
+    @example(({(1, 1990): ObservedValue(5494.0), (1, 1991): ObservedValue(5494.0),
+               (1, 2019): ObservedValue(2134.0)}, [(1, 2023)]))
     @settings(MODEL, max_examples=200)
     def test_impute_random_walk_on_gap_patterns(self, case):
         obs, targets = case
