@@ -146,12 +146,13 @@ def trend_estimates(series: MyeSeries, fs: FilterSet, t0: int) -> TrendEstimates
     one of its design's periods, raises ``ValueError``.
     """
     check_int(t0, "t0")
-    ks = fs.spec.periods
-    for k in ks:
-        if k not in fs.psi:
+    psi = fs.psi
+    values = {}
+    for k in fs.spec.periods:
+        if k not in psi:
             raise ValueError(f"filter set {fs.spec} has no period {k}")
-    values = {k: apply_filter(fs.psi[k], series, k, t0) for k in ks}
-    return TrendEstimates(at=t0, values=values, design=fs.spec)
+        values[k] = apply_filter(psi[k], series, k, t0)
+    return TrendEstimates(t0, values, fs.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +425,7 @@ def compare(
             f"discrepancy of {vb!r} against {va!r} at {t0} is {discrepancy}, "
             "not a finite number"
         )
-    return ComparisonResult(
-        spec=spec,
-        value_a=va,
-        value_b=vb,
-        discrepancy=discrepancy,
-        reference_period_used=ka,
-        other_period_used=kb,
-    )
+    return ComparisonResult(spec, va, vb, discrepancy, ka, kb)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ The parsed argument namespace is the whole configuration. Flags the parser
 can check alone (integers, ``--periods`` distinct and at least 1,
 ``--degree`` at least 0) are checked before any input file is read.
 Each subcommand imports the library modules it runs inside its ``cmd_*``
-function, so a process loads only those.
+function, so a process loads only those, and :func:`main` builds only the
+invoked subcommand's parser.
 """
 
 from __future__ import annotations
@@ -419,70 +420,87 @@ def cmd_demo(args) -> int:
 # parser assembly
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="myetrends",
-        description="Trend-preserving filters and diagnostics for rolling multi-year estimates.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("design", help="design and verify a concurrent filter family")
+def _design_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree", type=_parse_degree, required=True, help="polynomial trend degree to preserve")
     p.add_argument("--periods", type=_parse_periods, required=True, help="comma-separated period lengths, e.g. 1,3,5")
     _add_format_and_out(p)
-    p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("impute", help="fill missing observations by random-walk forecasting")
+
+def _impute_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="input", required=True, help="input CSV path (or bundled sample name)")
     p.add_argument("--targets", type=_parse_targets, required=True, help="comma-separated PERIOD:ENDYEAR keys, e.g. 3:2006,5:2007")
     p.add_argument("-o", "--out", default=None, help="write the CSV to this file instead of stdout")
-    p.set_defaults(func=cmd_impute)
 
-    p = sub.add_parser("trends", help="filtered trend estimates at one end year")
+
+def _trends_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="input", required=True, help="input CSV path (or bundled sample name)")
     p.add_argument("--t0", type=int, required=True, help="end year for the estimates")
     p.add_argument("--degree", type=_parse_degree, default=1, help="trend degree (default 1)")
     p.add_argument("--periods", type=_parse_periods, default=None, help="periods to design for (default: all in the input)")
     _add_format_and_out(p)
-    p.set_defaults(func=cmd_trends)
 
-    p = sub.add_parser("compat", help="NSR compatibility diagnostics")
+
+def _compat_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="input", required=True, help="input CSV path (or bundled sample name)")
     p.add_argument("--periods", type=_parse_periods, default=None, help="periods to audit (default: all above 1)")
     p.add_argument("--log-base", choices=("10", "e"), default="10", help="logarithm base (default 10)")
     p.add_argument("--exclude-imputed", action="store_true", help="drop years whose values touch imputed data")
     _add_format_and_out(p)
-    p.set_defaults(func=cmd_compat)
 
-    p = sub.add_parser("compare", help="compare two regions' estimates at one end year")
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in-a", dest="input_a", required=True, help="region A CSV (reference side)")
     p.add_argument("--in-b", dest="input_b", required=True, help="region B CSV")
     _add_comparison_args(p)
     _add_format_and_out(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("simulate", help="Monte Carlo comparison-bias experiment")
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trend", required=True, help="trend coefficients a0,a1,... (fractions allowed)")
     p.add_argument("--noise", type=_parse_noise, default="0", help="noise sd: one number for all periods, or PERIOD:SD pairs")
     p.add_argument("--replicates", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     _add_comparison_args(p)
     _add_format_and_out(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("demo", help="recompute the bundled reference results and check them")
-    _add_format_and_out(p)
-    p.set_defaults(func=cmd_demo)
 
-    # main reports a flag value the library rejects with its command's usage
-    for p in sub.choices.values():
-        p.set_defaults(parser=p)
+# Each subcommand's help line, flags and function, in the order --help lists them.
+_COMMANDS = {
+    "design": ("design and verify a concurrent filter family", _design_flags, cmd_design),
+    "impute": ("fill missing observations by random-walk forecasting", _impute_flags, cmd_impute),
+    "trends": ("filtered trend estimates at one end year", _trends_flags, cmd_trends),
+    "compat": ("NSR compatibility diagnostics", _compat_flags, cmd_compat),
+    "compare": ("compare two regions' estimates at one end year", _compare_flags, cmd_compare),
+    "simulate": ("Monte Carlo comparison-bias experiment", _simulate_flags, cmd_simulate),
+    "demo": ("recompute the bundled reference results and check them", _add_format_and_out, cmd_demo),
+}
+
+
+def build_parser(commands: Sequence[str] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The command-line parser, with a subparser for each of ``commands``
+    (by default all of them)."""
+    parser = argparse.ArgumentParser(
+        prog="myetrends",
+        description="Trend-preserving filters and diagnostics for rolling multi-year estimates.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name in commands:
+        help_text, add_flags, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        # main reports a flag value the library rejects with its command's usage
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a run builds only its own command's subparser; --help, --version and
+    # a missing or unknown command get the full parser, which lists them all
+    command = argv[0] if argv else None
+    parser = build_parser((command,)) if command in _COMMANDS else build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -162,10 +162,10 @@ def design_filters(spec: DesignSpec) -> FilterSet:
     periods = spec.periods
     theta = ONE.averaged(*periods)
     phi = theta.inverse_near_one(spec.degree)
-    psi = {k: phi.averaged(*(m for m in periods if m != k)) for k in periods}
+    psi = {k: phi.averaged(*[m for m in periods if m != k]) for k in periods}
     # the first period's filter lacks only that period's average
     common = psi[periods[0]].averaged(periods[0])
-    return FilterSet(spec=spec, phi=phi, psi=psi, common=common)
+    return FilterSet(spec, phi, psi, common)
 
 
 class VerificationCheck(Record):
@@ -214,28 +214,29 @@ def verify_filter_set(fs: FilterSet) -> VerificationReport:
     Residuals are reported exactly, so a failure is attributable; a passing
     check reads ``0``, and a difference is formed only when a check fails.
     """
-    checks: list[VerificationCheck] = []
-
-    def check(name: str, passed: bool, residual: str) -> None:
-        checks.append(VerificationCheck(name, passed, residual))
-
     d = fs.spec.degree
     common = fs.common
     total, *derivatives = common.derivatives_at_one(d)
     passed = total == 1
-    check("weight-sum", passed, f"sum(common) - 1 = {0 if passed else total - 1}")
+    checks = [VerificationCheck("weight-sum", passed,
+                                f"sum(common) - 1 = {0 if passed else total - 1}")]
     for j, val in enumerate(derivatives, 1):
-        check(f"vanishing-derivative-{j}", val == 0, f"d^{j}/dz^{j} common at z=1 = {val}")
+        passed = val == 0
+        checks.append(VerificationCheck(f"vanishing-derivative-{j}", passed,
+                                        f"d^{j}/dz^{j} common at z=1 = {0 if passed else val}"))
     for k in fs.spec.periods:
         if k not in fs.psi:
-            check(f"composition-{k}", False, f"no filter stored for period {k}")
+            checks.append(VerificationCheck(f"composition-{k}", False,
+                                            f"no filter stored for period {k}"))
             continue
         composed = fs.psi[k] * sma(k)
         passed = composed == common
-        check(f"composition-{k}", passed,
-              f"psi[{k}]*avg({k}) - common = {0 if passed else composed - common}")
-    check("phi-degree", fs.phi.degree <= d, f"degree(phi) = {fs.phi.degree}, allowed <= {d}")
-    return VerificationReport(checks=tuple(checks))
+        checks.append(VerificationCheck(
+            f"composition-{k}", passed,
+            f"psi[{k}]*avg({k}) - common = {0 if passed else composed - common}"))
+    checks.append(VerificationCheck("phi-degree", fs.phi.degree <= d,
+                                    f"degree(phi) = {fs.phi.degree}, allowed <= {d}"))
+    return VerificationReport(tuple(checks))
 
 
 def variance_inflation(p: RatPoly) -> Fraction:

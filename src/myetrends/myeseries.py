@@ -90,12 +90,16 @@ class ObservedValue(Record):
 
 def _checked_value(value, provenance: str) -> float:
     """``value`` as a float, once ``provenance`` is a known tag and the value
-    is finite; raises :class:`DataError` otherwise."""
+    is finite and within the float range; raises :class:`DataError`
+    otherwise."""
     if provenance not in (PUBLISHED, IMPUTED):
         raise DataError(
             f"provenance must be {PUBLISHED!r} or {IMPUTED!r}, got {provenance!r}"
         )
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise DataError("value is beyond the float range") from None
     if not math.isfinite(v):
         raise DataError(f"value must be finite, got {value!r}")
     return v
@@ -132,7 +136,10 @@ def _validated_rows(
         if isinstance(raw, ObservedValue):
             rows.append((k, t, raw.value, raw.provenance))
         else:
-            rows.append((k, t, _checked_value(float(raw), PUBLISHED), PUBLISHED))
+            try:
+                rows.append((k, t, _checked_value(raw, PUBLISHED), PUBLISHED))
+            except DataError as exc:
+                raise DataError(f"observation for period {k}, end year {t}: {exc}") from None
     return rows
 
 

@@ -31,6 +31,9 @@ if TYPE_CHECKING:
 
 __all__ = ["RatPoly", "sma", "ZERO", "ONE"]
 
+# the one Fraction that derivatives_at_one hands out for every zero order
+_FRACTION_ZERO = Fraction(0)
+
 
 def coefficients(coeffs: Iterable[CoefficientLike]) -> list[Fraction]:
     """``coeffs`` as exact Fractions.
@@ -87,25 +90,23 @@ class RatPoly:
         # math.lcm gets a list: star-args from a generator build a resized
         # tuple, and freeing those grows the tuple free lists
         den = math.lcm(*[c.denominator for c in cs])
-        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+        p = RatPoly._from_ints([c.numerator * (den // c.denominator) for c in cs], den)
+        self._nums, self._den = p._nums, p._den
 
     @classmethod
     def _from_ints(cls, nums: list[int], den: int) -> "RatPoly":
         """``(nums[0] + nums[1]*z + ...)/den`` for a positive ``den``, put in
         canonical form with one gcd."""
-        p = cls.__new__(cls)
-        p._set(nums, den)
-        return p
-
-    def _set(self, nums: list[int], den: int) -> None:
         while nums and not nums[-1]:
             nums.pop()
         g = math.gcd(den, *nums)
         if g != 1:
             den //= g
             nums = [n // g for n in nums]
-        self._nums: tuple[int, ...] = tuple(nums)
-        self._den = den
+        p = cls.__new__(cls)
+        p._nums = tuple(nums)
+        p._den = den
+        return p
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -155,6 +156,9 @@ class RatPoly:
             na, nb = self._nums, other._nums
             if not na or not nb:
                 return ZERO
+            # the shorter operand drives the outer loop, which costs more per step
+            if len(na) > len(nb):
+                na, nb = nb, na
             out = [0] * (len(na) + len(nb) - 1)
             for i, a in enumerate(na):
                 if not a:
@@ -228,7 +232,9 @@ class RatPoly:
         numerators. Repeating it on the quotient gives the Taylor
         coefficients about ``z = 1`` one by one (the Taylor shift by 1), and
         the ``r``-th derivative is ``r!`` times the ``r``-th of them. Orders
-        past the degree are zero.
+        past the degree are zero. Every zero order, whether past the degree
+        or not, is one shared ``Fraction(0)``, so a passing filter family's
+        vanishing derivatives build no Fraction each.
         """
         check_int(order, "order", 0)
         den = self._den
@@ -239,9 +245,9 @@ class RatPoly:
             if r:
                 factorial *= r
             rest = list(accumulate(rest))
-            out.append(Fraction(rest.pop() * factorial, den))
-        # one shared zero for every order past the degree
-        out += [Fraction(0)] * (order + 1 - len(out))
+            n = rest.pop()
+            out.append(Fraction(n * factorial, den) if n else _FRACTION_ZERO)
+        out += [_FRACTION_ZERO] * (order + 1 - len(out))
         return tuple(out)
 
     def derivative_at_one(self, order: int = 1) -> Fraction:

@@ -71,6 +71,8 @@ class SimulationSpec(Record):
                 sd = float(sd)
             except (TypeError, ValueError):
                 raise ValueError(f"noise sd for period {k} must be a number, got {sd!r}") from None
+            except OverflowError:
+                raise ValueError(f"noise sd for period {k} is beyond the float range") from None
             if not math.isfinite(sd) or sd < 0:
                 raise ValueError(f"noise sd for period {k} must be >= 0 and finite, got {sd}")
             sds[k] = sd

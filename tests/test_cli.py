@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from myetrends import cli
 from myetrends.analysis import synthetic_series
 from myetrends.cli import main
 from myetrends.filterdesign import FilterSet
@@ -17,6 +19,7 @@ from myetrends.myeseries import IMPUTED, load_csv, write_csv
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 INCOME_ARGS = ["--in", "income", "--targets", "3:2006,5:2006,5:2007"]
+ALL_COMMANDS = ("design", "impute", "trends", "compat", "compare", "simulate", "demo")
 
 
 def run(capsys, argv):
@@ -561,6 +564,42 @@ class TestFormatsAndPlumbing:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.fixture()
+    def built_commands(self, monkeypatch):
+        """The subcommands of each parser ``main`` builds, one list per parser."""
+        built = []
+        build = cli.build_parser
+
+        def spy(*args):
+            parser = build(*args)
+            sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            built.append(list(sub.choices))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        return built
+
+    def test_a_run_builds_only_its_own_subparser(self, capsys, built_commands):
+        code, out, _ = run(capsys, ["design", "--degree", "1", "--periods", "1,3"])
+        assert code == 0 and "all checks passed" in out
+        assert built_commands == [["design"]]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h", "design"], [], ["nosuch"]],
+                             ids=lambda argv: " ".join(argv) or "none")
+    def test_help_and_unknown_commands_get_the_full_parser(self, capsys, built_commands, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        out, err = capsys.readouterr()
+        assert built_commands == [list(ALL_COMMANDS)]
+        if argv[:1] == ["nosuch"]:
+            # newer Pythons may quote the choices differently
+            line = err.splitlines()[-1]
+            assert line.startswith("myetrends: error: argument COMMAND: invalid choice: 'nosuch'")
+            assert all(name in line for name in ALL_COMMANDS)
+        elif argv:
+            listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+            assert listed == list(ALL_COMMANDS)
 
     def test_module_entry_point(self):
         proc = subprocess.run(

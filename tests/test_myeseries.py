@@ -88,6 +88,12 @@ class TestObservedValue:
         with pytest.raises(DataError, match="finite"):
             ObservedValue(bad)
 
+    @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_rejects_an_int_beyond_the_float_range(self, bad):
+        # float() of such an int escaped as a bare OverflowError
+        with pytest.raises(DataError, match=r"^value is beyond the float range$"):
+            ObservedValue(bad)
+
 
 class TestMyeSeries:
     def test_basic_accessors(self):
@@ -129,6 +135,15 @@ class TestMyeSeries:
     def test_invalid_construction(self, name, unit, obs):
         with pytest.raises(DataError):
             MyeSeries(name, unit, obs)
+
+    @pytest.mark.parametrize("bad,why", [(10**400, "is beyond the float range"),
+                                         (float("inf"), "must be finite, got inf")],
+                             ids=["1e400", "inf"])
+    def test_bad_value_names_its_observation(self, bad, why):
+        # a bare value is checked where its key is known; an int past the
+        # float range escaped as a bare OverflowError
+        with pytest.raises(DataError, match=rf"^observation for period 1, end year 2000: value {why}$"):
+            MyeSeries("x", "c", {(1, 1999): 1.0, (1, 2000): bad})
 
     def test_with_observations_rejects_collisions(self):
         s = tiny_series()

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myetrends.exceptions import DomainError
+from myetrends.filterdesign import DesignSpec, design_filters, variance_inflation
 from myetrends.ratpoly import ONE, ZERO, RatPoly, sma
 
 
@@ -304,6 +305,19 @@ class TestDerivativesAtOne:
     def test_orders_past_the_degree_are_zero(self):
         assert sma(3).derivatives_at_one(5)[3:] == (0, 0, 0)
         assert ZERO.derivatives_at_one(2) == (0, 0, 0)
+
+
+    @pytest.mark.parametrize("p", [
+        ZERO, ONE, sma(3) * sma(5), RatPoly([F(1, 2), 0, F(-1, 2)]),
+        # a composite whose first and second derivatives vanish at 1
+        design_filters(DesignSpec((1, 3), 2)).common,
+    ], ids=["zero", "one", "averages", "odd", "composite"])
+    def test_exact_results_are_fractions_even_when_zero(self, p):
+        # every case but "averages" has zeros among these; == alone would
+        # also pass an int 0
+        values = [*p.derivatives_at_one(4), p.derivative_at_one(0), p.derivative_at_one(4),
+                  p.squared_norm(), variance_inflation(p)]
+        assert [type(v) for v in values] == [F] * len(values)
 
 
 class TestInverseNearOne:

@@ -146,6 +146,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=rf"noise sd for period 1 must be a number, got {re.escape(repr(sd))}"):
             SimulationSpec([1], {1: sd}, "inapt", 2010, 1, 0)
 
+    @pytest.mark.parametrize("sd", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_sd_beyond_the_float_range_names_the_period(self, sd):
+        # float() of such an int escaped as a bare OverflowError
+        with pytest.raises(ValueError, match=r"^noise sd for period 1 is beyond the float range$"):
+            SimulationSpec([0, 1], {1: sd}, "inapt", 2000, 10, 1)
+
     @pytest.mark.parametrize("trend", [(math.inf,), (0, math.nan)])
     def test_non_finite_trend_names_the_coefficient(self, trend):
         with pytest.raises(ValueError, match=f"coefficient {len(trend) - 1} must be a finite number"):
