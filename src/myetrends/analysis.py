@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exceptions import MODES, DomainError, MissingDataError, Record, _set, _to_float, check_int
-from .myeseries import IMPUTED, MyeSeries, RegionPair, _base_mean, render_value, sma_of_base
+from .myeseries import MyeSeries, RegionPair, _base_mean, render_value, sma_of_base
 from .ratpoly import ONE, RatPoly, sma
 
 TYPE_CHECKING = False
@@ -102,8 +102,8 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, end_year: int
         If ``period`` or ``end_year`` is not an integer.
     """
     ws = weights.as_floats()
-    found = series.window(period, end_year, len(ws))
-    if found is None:
+    xs = series._window_values(period, end_year, len(ws))
+    if xs is None:
         missing = [(period, end_year - j) for j in range(len(ws))
                    if (period, end_year - j) not in series]
         raise MissingDataError(
@@ -111,7 +111,7 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, end_year: int
         )
     try:
         # the window is oldest first and w_j weights the value j years before end_year
-        total = math.fsum(map(mul, ws, reversed(found[0])))
+        total = math.fsum(map(mul, ws, reversed(xs)))
     except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
         total = math.inf
     if not math.isfinite(total):
@@ -250,26 +250,25 @@ def compatibility(
     k-year value or 1y window touches an imputed observation are dropped;
     the default keeps them, treating forecast extensions as data.
 
+    Each period's k-year values and their 1y windows are read in one walk
+    over the series, not year by year.
+
     Raises
     ------
     MissingDataError
         If a requested period has no usable end years.
     ValueError
-        If a period is not an integer >= 1.
+        If ``periods`` is empty or a period is not an integer >= 1.
     """
     log, label = _log_for_base(log_base)
-    ks = [check_int(k, "period", 1) for k in periods]
+    ks = {check_int(k, "period", 1) for k in periods}
+    if not ks:
+        raise ValueError("periods must be nonempty")
     name = series.name
     entries: dict[int, CompatibilityEntry] = {}
-    for k in sorted(set(ks)):
+    for k in sorted(ks):
         table: dict[int, float] = {}
-        for t, y, prov in series.column(k):
-            base = series.window(1, t, k)
-            if base is None:
-                continue
-            xs, provs = base
-            if not include_imputed and (prov == IMPUTED or IMPUTED in provs):
-                continue
+        for t, y, xs in series._base_windows(k, not include_imputed):
             table[t] = _log_ratio(name, k, t, y, _base_mean(name, xs, k, t), log)
         if not table:
             raise MissingDataError(

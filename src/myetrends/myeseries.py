@@ -9,9 +9,12 @@ downstream diagnostics can tell real data from forecast extensions.
 Storage is columnar. Each period's observations are kept as runs of
 consecutive end years, each a first end year with a list of values and a
 parallel list of provenance tags; a missing year ends one run and starts
-the next. Every window a filter, an average or an audit reads is one slice
-of one run, found by bisecting the runs' first years, and memory grows with
-the number of observations, not with the span of their end years.
+the next. One lookup bisects the runs' first years; a filter or an
+average reads its window's values as one slice of one run, with no tags,
+and the NSR audit walks a period's runs beside the 1y runs in one pass.
+Adding observations splices them into the runs they touch and shares the
+rest. Memory grows with the number of observations, not with the span of
+their end years.
 
 CSV layout (one observation per row, header required)::
 
@@ -31,6 +34,7 @@ import itertools
 import math
 import os
 from decimal import ROUND_HALF_UP, Context, Decimal
+from operator import itemgetter
 
 from .exceptions import (
     CsvError,
@@ -90,8 +94,9 @@ class ObservedValue(Record):
 
 def _checked_value(value, provenance: str) -> float:
     """``value`` as a float, once ``provenance`` is a known tag and the value
-    is finite and within the float range; raises :class:`DataError`
-    otherwise."""
+    is a finite number within the float range; raises :class:`DataError`
+    otherwise. A value of a type ``float()`` does not take (``None``, a
+    list) is a programming error and raises its ``TypeError``."""
     if provenance not in (PUBLISHED, IMPUTED):
         raise DataError(
             f"provenance must be {PUBLISHED!r} or {IMPUTED!r}, got {provenance!r}"
@@ -100,6 +105,8 @@ def _checked_value(value, provenance: str) -> float:
         v = float(value)
     except OverflowError:
         raise DataError("value is beyond the float range") from None
+    except ValueError:
+        raise DataError(f"value {value!r} is not a number") from None
     if not math.isfinite(v):
         raise DataError(f"value must be finite, got {value!r}")
     return v
@@ -183,13 +190,22 @@ class MyeSeries:
 
     The series is immutable. Each period is stored as runs of consecutive
     end years: a run is its first end year, a list of values and a parallel
-    list of provenance tags, and a gap between end years ends a run. A
-    lookup bisects the runs' first years, and :meth:`window` returns a
-    stretch of end years as one slice of one run; :meth:`column` walks one
-    period's observations in end-year order. Memory grows with the
-    number of observations, however far apart their end years lie.
-    :class:`ObservedValue` objects are built only when :meth:`items` yields
-    them.
+    list of provenance tags, and a gap between end years ends a run. The
+    runs are canonical: no two runs of a period are adjacent, and periods
+    and runs ascend, so two series of the same observations store equal
+    runs.
+
+    Every lookup bisects the runs' first years once, in one place.
+    :meth:`window` returns a stretch of end years as one slice of one run,
+    values and tags; filters and averages read the values alone, and
+    :meth:`value`, :meth:`has` and ``in`` slice nothing. The NSR audit
+    reads each k-year value with its 1y window in one walk over the runs,
+    and :meth:`column` walks one period's observations in end-year order.
+    :meth:`with_observations` copies only the runs a new observation
+    extends or joins and shares every other run with this series. Memory
+    grows with the number of observations, however far apart their end
+    years lie. :class:`ObservedValue` objects are built only when
+    :meth:`items` yields them.
 
     A key is read as it is stored: both parts must be integers (an ``int``
     subclass other than ``bool`` is accepted). A lookup with a ``bool``, a
@@ -214,10 +230,10 @@ class MyeSeries:
         self._name, self._unit, self._runs, self._len = name, unit, _pack(rows), len(rows)
 
     @classmethod
-    def _from_rows(cls, name: str, unit: str, rows: list[_Row]) -> "MyeSeries":
-        """A series of rows already validated and sorted by key."""
+    def _from_runs(cls, name: str, unit: str, runs: _Runs, length: int) -> "MyeSeries":
+        """A series of canonical runs of ``length`` validated observations."""
         self = cls.__new__(cls)
-        self._name, self._unit, self._runs, self._len = name, unit, _pack(rows), len(rows)
+        self._name, self._unit, self._runs, self._len = name, unit, runs, length
         return self
 
     @property
@@ -234,7 +250,7 @@ class MyeSeries:
     def __contains__(self, key: tuple[int, int]) -> bool:
         try:
             k, t = key
-            return self.window(k, t, 1) is not None
+            return self._find(k, t, 1) is not None
         except (TypeError, ValueError):
             return False
 
@@ -263,14 +279,13 @@ class MyeSeries:
         """Observations in (period, end_year) order."""
         return (((k, t), _stored(v, p)) for k, t, v, p in self._rows())
 
-    def window(
+    def _find(
         self, period: int, end_year: int, length: int
-    ) -> Optional[tuple[list[float], list[str]]]:
-        """The ``length`` observations of ``period`` ending at ``end_year``.
-
-        Returns ``(values, provenances)``, oldest end year first, as new
-        lists sliced from one run; ``None`` if any of the end years is
-        absent. A ``length`` of 0 gives two empty lists.
+    ) -> Optional[tuple[list[float], list[str], int]]:
+        """The run holding the ``length`` end years of ``period`` ending at
+        ``end_year``, as ``(values, provenances, stop)``: the window is
+        ``[stop - length:stop]`` of both lists. ``None`` if any of the end
+        years is absent; a ``length`` of 0 gives two new empty lists.
 
         Every lookup reads through here, so here the key rule holds:
         ``period`` and ``end_year`` must be integers, or a ``ValueError``
@@ -283,37 +298,100 @@ class MyeSeries:
             check_int(end_year, "end_year")
             check_int(length, "length", 0)
         if not length:
-            return [], []
+            return [], [], 0
         runs = self._runs.get(period)
-        if runs is None:
-            return None
-        starts, values, provs = runs
-        i = bisect.bisect_right(starts, end_year) - 1
-        if i >= 0:
-            stop = end_year - starts[i] + 1
-            start = stop - length
-            if start >= 0 and stop <= len(values[i]):
-                return values[i][start:stop], provs[i][start:stop]
+        if runs is not None:
+            starts, values, provs = runs
+            i = bisect.bisect_right(starts, end_year) - 1
+            if i >= 0:
+                vs = values[i]
+                stop = end_year - starts[i] + 1
+                if length <= stop <= len(vs):
+                    return vs, provs[i], stop
         return None
+
+    def window(
+        self, period: int, end_year: int, length: int
+    ) -> Optional[tuple[list[float], list[str]]]:
+        """The ``length`` observations of ``period`` ending at ``end_year``.
+
+        Returns ``(values, provenances)``, oldest end year first, as new
+        lists sliced from one run; ``None`` if any of the end years is
+        absent. A ``length`` of 0 gives two empty lists. A key that breaks
+        the key rule raises ``ValueError`` naming the argument.
+        """
+        found = self._find(period, end_year, length)
+        if found is None:
+            return None
+        values, provs, stop = found
+        return values[stop - length:stop], provs[stop - length:stop]
+
+    def _window_values(self, period: int, end_year: int, length: int) -> Optional[list[float]]:
+        """The values of :meth:`window` without their tags: one slice of one
+        run, or ``None``."""
+        found = self._find(period, end_year, length)
+        if found is None:
+            return None
+        values, _, stop = found
+        return values[stop - length:stop]
+
+    def _base_windows(
+        self, period: int, published_only: bool
+    ) -> Iterator[tuple[int, float, list[float]]]:
+        """Each observation of ``period`` whose 1y window is complete, as
+        ``(end_year, value, base)``, end years ascending: ``base`` holds the
+        1y values of the ``period`` years ending ``end_year``, one slice of
+        one run. With ``published_only``, an observation is skipped if it or
+        a value of its window is imputed.
+
+        One pass: the period's runs and the 1y runs are walked together, so
+        no end year is looked up on its own. A pair of runs shares the end
+        years from the later of the period run's first year and the 1y
+        run's ``period``-th year, to the earlier of their last years.
+        """
+        runs, base = self._runs.get(period), self._runs.get(1)
+        if runs is None or base is None:
+            return
+        starts, values, provs = runs
+        base_starts, base_values, base_provs = base
+        i = j = 0
+        while i < len(starts) and j < len(base_starts):
+            first, vs, ps = starts[i], values[i], provs[i]
+            base_first, xs, xps = base_starts[j], base_values[j], base_provs[j]
+            last = first + len(vs) - 1
+            base_last = base_first + len(xs) - 1
+            for t in range(max(first, base_first + period - 1), min(last, base_last) + 1):
+                stop = t - base_first + 1
+                if published_only and (ps[t - first] == IMPUTED
+                                       or IMPUTED in xps[stop - period:stop]):
+                    continue
+                yield t, vs[t - first], xs[stop - period:stop]
+            # the run that ends first can share no end year with a later run
+            if last <= base_last:
+                i += 1
+            else:
+                j += 1
 
     def _missing(self, period: int, end_year: int) -> MissingDataError:
         return MissingDataError(f"{self._name}: no {period}y observation ending {end_year}")
 
     def has(self, period: int, end_year: int) -> bool:
-        return self.window(period, end_year, 1) is not None
+        return self._find(period, end_year, 1) is not None
 
     def value(self, period: int, end_year: int) -> float:
         """The estimate for (period, end_year); raises if absent."""
-        found = self.window(period, end_year, 1)
+        found = self._find(period, end_year, 1)
         if found is None:
             raise self._missing(period, end_year)
-        return found[0][0]
+        values, _, stop = found
+        return values[stop - 1]
 
     def provenance(self, period: int, end_year: int) -> str:
-        found = self.window(period, end_year, 1)
+        found = self._find(period, end_year, 1)
         if found is None:
             raise self._missing(period, end_year)
-        return found[1][0]
+        _, provs, stop = found
+        return provs[stop - 1]
 
     def periods(self) -> tuple[int, ...]:
         """Distinct window lengths present, ascending."""
@@ -333,13 +411,63 @@ class MyeSeries:
     def with_observations(
         self, extra: Mapping[tuple[int, int], ObservedValue]
     ) -> "MyeSeries":
-        """A new series with ``extra`` added; keys may not collide."""
+        """A new series with ``extra`` added; keys may not collide.
+
+        Each new observation is spliced into its period's runs: a run it
+        extends is copied first, and a fill that closes the gap between two
+        runs joins them. Every other run is shared with this series, which
+        both leave unchanged.
+        """
         clash = [key for key in extra if key in self]
         if clash:
             raise DataError(f"observations already present: {sorted(clash)}")
-        rows = [*self._rows(), *_validated_rows(extra)]
+        rows = _validated_rows(extra)
         rows.sort()
-        return MyeSeries._from_rows(self._name, self._unit, rows)
+        runs = dict(self._runs)
+        for k, group in itertools.groupby(rows, itemgetter(0)):
+            runs[k] = _spliced(runs.get(k, ((), (), ())), group)
+        if len(runs) > len(self._runs):
+            # a new period: keep the periods ascending
+            runs = {k: runs[k] for k in sorted(runs)}
+        return MyeSeries._from_runs(self._name, self._unit, runs, self._len + len(rows))
+
+
+def _spliced(
+    runs: tuple[Sequence[int], Sequence[list[float]], Sequence[list[str]]],
+    rows: Iterable[_Row],
+) -> tuple[list[int], list[list[float]], list[list[str]]]:
+    """One period's runs with ``rows`` spliced in, canonical again.
+
+    ``rows`` are of that period, sorted by end year, and none is present.
+    Each row is a run of one; the old and new runs, in order of first end
+    year, are joined wherever one ends the year before the next begins. A
+    joined old run is copied before it grows, so every old run is either
+    shared as it is or left unchanged.
+    """
+    starts, values, provs = runs
+    pieces = [*zip(starts, values, provs, itertools.repeat(False)),
+              *((t, [v], [p], True) for _, t, v, p in rows)]
+    pieces.sort(key=itemgetter(0))
+    new_starts: list[int] = []
+    new_values: list[list[float]] = []
+    new_provs: list[list[str]] = []
+    owned = False  # whether the last run's lists were made here
+    end = None     # the year after the last run's last end year
+    for first, vs, ps, fresh in pieces:
+        if first == end:
+            if not owned:
+                new_values[-1] = new_values[-1][:]
+                new_provs[-1] = new_provs[-1][:]
+                owned = True
+            new_values[-1] += vs
+            new_provs[-1] += ps
+        else:
+            new_starts.append(first)
+            new_values.append(vs)
+            new_provs.append(ps)
+            owned = fresh
+        end = first + len(vs)
+    return new_starts, new_values, new_provs
 
 
 def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
@@ -444,7 +572,7 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
     if not rows:
         raise CsvError(f"{name}: no observation rows")
     rows.sort()
-    return MyeSeries._from_rows(variable, unit, rows)
+    return MyeSeries._from_runs(variable, unit, _pack(rows), len(rows))
 
 
 def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] = None) -> str:
@@ -515,14 +643,14 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
         If ``period`` is not an integer >= 1 or ``end_year`` is not an integer.
     """
     check_int(period, "period", 1)
-    found = series.window(1, end_year, period)
-    if found is None:
+    xs = series._window_values(1, end_year, period)
+    if xs is None:
         gaps = [t for t in range(end_year - period + 1, end_year + 1) if (1, t) not in series]
         raise MissingDataError(
             f"{series.name}: 1y values missing for years {gaps} "
             f"(window of {period} ending {end_year})"
         )
-    return _base_mean(series.name, found[0], period, end_year)
+    return _base_mean(series.name, xs, period, end_year)
 
 
 def impute_random_walk(

@@ -28,7 +28,7 @@ from myetrends.analysis import (
 from myetrends.datasets import STANDARD_TARGETS, load_sample
 from myetrends.exceptions import DomainError, MissingDataError
 from myetrends.filterdesign import DesignSpec, FilterSet, design_filters
-from myetrends.myeseries import MyeSeries, RegionPair, impute_random_walk, render_value
+from myetrends.myeseries import MyeSeries, RegionPair, impute_random_walk, render_value, sma_of_base
 from myetrends.ratpoly import RatPoly, sma
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
@@ -144,18 +144,19 @@ class TestApplyFilter:
         assert apply_filter(LINEAR.psi[5], s, 5, 2007) == expect
 
     def test_reads_each_window_key_once(self):
-        # the window is one slice read; no key is looked up on its own
+        # the window's values are one slice read, with no tags sliced; no
+        # key is looked up on its own
         reads = []
 
         class Counting(MyeSeries):
-            def window(self, period, end_year, length):
+            def _window_values(self, period, end_year, length):
                 reads.append((period, end_year, length))
-                return super().window(period, end_year, length)
+                return super()._window_values(period, end_year, length)
 
-            def get(self, period, end_year, default=None):
-                raise AssertionError("get() called")
+            def get(self, *args):
+                raise AssertionError("get(), has(), value() or window() called")
 
-            has = value = get
+            has = value = window = get
 
         s = Counting("income", "dollars", dict(full_sample("income").items()))
         assert apply_filter(LINEAR.psi[5], s, 5, 2007) == apply_filter(
@@ -285,17 +286,36 @@ class TestNsr:
         assert nsr(scaled, 3, 2007) == pytest.approx(nsr(s, 3, 2007), abs=1e-12)
 
 
+# Every reader of a series' observations: the shared lookup and each
+# reader built on it or on the runs.
+_READERS = ("_find", "window", "_window_values", "_base_windows", "column")
+
+
 def _unreadable(series):
     """A copy of ``series`` that fails any read of its observations."""
 
-    class Unreadable(MyeSeries):
-        def window(self, period, end_year, length):
-            raise AssertionError("window() called")
+    def refuse(reader):
+        def read(self, *args):
+            raise AssertionError(f"{reader}() called")
+        return read
 
-        def column(self, period):
-            raise AssertionError("column() called")
-
+    Unreadable = type("Unreadable", (MyeSeries,), {r: refuse(r) for r in _READERS})
     return Unreadable(series.name, series.unit, dict(series.items()))
+
+
+@pytest.mark.parametrize("read", [
+    lambda s: s.has(3, 2007), lambda s: (3, 2007) in s, lambda s: s.value(3, 2007),
+    lambda s: s.provenance(3, 2007), lambda s: s.years(3), lambda s: sma_of_base(s, 3, 2007),
+    lambda s: nsr(s, 3, 2007), lambda s: compatibility(s, [3]),
+    lambda s: apply_filter(LINEAR.psi[3], s, 3, 2007),
+], ids=["has", "in", "value", "provenance", "years", "sma_of_base", "nsr", "compatibility",
+        "apply_filter"])
+def test_an_unreadable_series_refuses_every_read(read):
+    # so the "before any read" tests above and below check what they say
+    full = full_sample("income")
+    read(full)
+    with pytest.raises(AssertionError, match=r"\(\) called$"):
+        read(_unreadable(full))
 
 
 class TestCompatibility:
@@ -329,19 +349,19 @@ class TestCompatibility:
         assert without.c(5) < 0.1 * with_imp.c(5)
 
     def test_reads_one_window_per_end_year(self):
-        # each k-year value comes from the period's column; the 1y base is
-        # the only window read
+        # each period's k-year values and their 1y windows come from one
+        # walk over the runs; no end year is looked up on its own
         reads = []
 
         class Counting(MyeSeries):
-            def window(self, period, end_year, length):
-                reads.append((period, end_year, length))
-                return super().window(period, end_year, length)
+            def _base_windows(self, period, published_only):
+                reads.append((period, published_only))
+                return super()._base_windows(period, published_only)
 
-            def get(self, period, end_year, default=None):
-                raise AssertionError("get() called")
+            def get(self, *args):
+                raise AssertionError("a per-year lookup or a column walk")
 
-            has = value = get
+            has = value = window = _window_values = _find = column = get
 
         full = full_sample("divorce")
         s = Counting(full.name, full.unit, dict(full.items()))
@@ -349,7 +369,13 @@ class TestCompatibility:
             reads.clear()
             assert compatibility(s, (5, 1, 3), include_imputed=include) == compatibility(
                 full, (1, 3, 5), include_imputed=include)
-            assert reads == [(1, t, k) for k in (1, 3, 5) for t in full.years(k)]
+            assert reads == [(k, not include) for k in (1, 3, 5)]
+
+    @pytest.mark.parametrize("periods", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+    def test_empty_periods_raise_before_any_read(self, periods):
+        # an empty request returned an empty report, on which every c(k) failed
+        with pytest.raises(ValueError, match=r"^periods must be nonempty$"):
+            compatibility(_unreadable(full_sample("income")), periods)
 
     @pytest.mark.parametrize("period", [0, -3, 3.0, True, "3", None])
     def test_bad_period_named_before_any_read(self, period):

@@ -94,6 +94,20 @@ class TestObservedValue:
         with pytest.raises(DataError, match=r"^value is beyond the float range$"):
             ObservedValue(bad)
 
+    @pytest.mark.parametrize("bad", ["abc", "", b"1x"], ids=["word", "empty", "bytes"])
+    def test_rejects_a_value_that_is_not_a_number(self, bad):
+        # float()'s ValueError escaped bare, as a built-in error
+        with pytest.raises(DataError, match=rf"^value {re.escape(repr(bad))} is not a number$"):
+            ObservedValue(bad)
+
+    @pytest.mark.parametrize("bad", [None, [1.0]], ids=["None", "list"])
+    def test_a_value_of_the_wrong_type_is_a_type_error(self, bad):
+        # a programming error, not input: the built-in error, as documented
+        with pytest.raises(TypeError):
+            ObservedValue(bad)
+        with pytest.raises(TypeError):
+            MyeSeries("x", "c", {(1, 2000): bad})
+
 
 class TestMyeSeries:
     def test_basic_accessors(self):
@@ -137,13 +151,51 @@ class TestMyeSeries:
             MyeSeries(name, unit, obs)
 
     @pytest.mark.parametrize("bad,why", [(10**400, "is beyond the float range"),
-                                         (float("inf"), "must be finite, got inf")],
-                             ids=["1e400", "inf"])
+                                         (float("inf"), "must be finite, got inf"),
+                                         ("abc", "'abc' is not a number")],
+                             ids=["1e400", "inf", "abc"])
     def test_bad_value_names_its_observation(self, bad, why):
         # a bare value is checked where its key is known; an int past the
         # float range escaped as a bare OverflowError
         with pytest.raises(DataError, match=rf"^observation for period 1, end year 2000: value {why}$"):
             MyeSeries("x", "c", {(1, 1999): 1.0, (1, 2000): bad})
+
+    @pytest.mark.parametrize("obs,extra,runs", [
+        ({2000: 1.0, 2002: 3.0}, {2001: 2.0},
+         {3: ([2000], [[1.0, 2.0, 3.0]], [[PUBLISHED, IMPUTED, PUBLISHED]])}),
+        ({2001: 2.0, 2002: 3.0}, {2000: 1.0},
+         {3: ([2000], [[1.0, 2.0, 3.0]], [[IMPUTED, PUBLISHED, PUBLISHED]])}),
+        ({2000: 1.0, 2001: 2.0}, {2002: 3.0, 2004: 5.0},
+         {3: ([2000, 2004], [[1.0, 2.0, 3.0], [5.0]],
+              [[PUBLISHED, PUBLISHED, IMPUTED], [IMPUTED]])}),
+        ({1990: 0.0, 2000: 1.0}, {1995: 5.0, 1996: 6.0, 2010: 7.0},
+         {3: ([1990, 1995, 2000, 2010], [[0.0], [5.0, 6.0], [1.0], [7.0]],
+              [[PUBLISHED], [IMPUTED, IMPUTED], [PUBLISHED], [IMPUTED]])}),
+    ], ids=["joins-two-runs", "precedes-a-run", "extends-a-run", "lone-runs"])
+    def test_with_observations_splices_into_the_runs(self, obs, extra, runs):
+        s = MyeSeries("x", "c", {(3, t): v for t, v in obs.items()})
+        merged = s.with_observations({(3, t): ObservedValue(v, IMPUTED) for t, v in extra.items()})
+        assert merged._runs == runs
+        assert merged._runs == MyeSeries("x", "c", dict(merged.items()))._runs
+        assert len(merged) == len(obs) + len(extra)
+        assert s == MyeSeries("x", "c", {(3, t): v for t, v in obs.items()})
+
+    def test_with_observations_shares_untouched_runs(self):
+        s = MyeSeries("x", "c", {(1, 2000): 1.0, (1, 2001): 2.0, (3, 1990): 0.0, (3, 2000): 1.0,
+                                 (3, 2002): 3.0, (5, 2000): 9.0})
+        merged = s.with_observations({(3, 2001): ObservedValue(2.0, IMPUTED),
+                                      (2, 2000): ObservedValue(4.0, IMPUTED)})
+        # a new period between existing ones keeps the periods ascending
+        assert merged.periods() == (1, 2, 3, 5)
+        assert merged.years(3) == (1990, 2000, 2001, 2002)
+        # untouched periods and runs are the source's own lists
+        assert merged._runs[1] is s._runs[1] and merged._runs[5] is s._runs[5]
+        assert merged._runs[3][1][0] is s._runs[3][1][0]
+        assert merged._runs[3][2][0] is s._runs[3][2][0]
+        # the joined runs were copied: the source reads as before
+        assert s._runs[3] == ([1990, 2000, 2002], [[0.0], [1.0], [3.0]],
+                              [[PUBLISHED], [PUBLISHED], [PUBLISHED]])
+        assert s.periods() == (1, 3, 5) and len(s) == 6 and len(merged) == 8
 
     def test_with_observations_rejects_collisions(self):
         s = tiny_series()
@@ -448,18 +500,19 @@ class TestSmaOfBase:
             sma_of_base(load_sample("income"), 0, 2005)
 
     def test_reads_each_window_year_once(self):
-        # the window is one slice read; no year is looked up on its own
+        # the window's values are one slice read, with no tags sliced; no
+        # year is looked up on its own
         reads = []
 
         class Counting(MyeSeries):
-            def window(self, period, end_year, length):
+            def _window_values(self, period, end_year, length):
                 reads.append((period, end_year, length))
-                return super().window(period, end_year, length)
+                return super()._window_values(period, end_year, length)
 
-            def get(self, period, end_year, default=None):
-                raise AssertionError("get() called")
+            def get(self, *args):
+                raise AssertionError("get(), has(), value() or window() called")
 
-            has = value = get
+            has = value = window = get
 
         s = Counting("income", "dollars", dict(load_sample("income").items()))
         assert sma_of_base(s, 3, 2007) == sma_of_base(load_sample("income"), 3, 2007)

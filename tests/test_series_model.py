@@ -8,6 +8,7 @@ result, bit for bit, or raise the same error with the same text, on random
 sparse, gappy and mixed-provenance series.
 """
 
+import copy
 import io
 import math
 import tracemalloc
@@ -321,6 +322,36 @@ class TestAgainstDictReference:
         # the merged index is rebuilt, and the original's is left as it was
         assert_same_index(s.with_observations(fresh), ref.with_observations(fresh))
         assert_same_index(s, ref)
+
+    @given(observation_maps, observation_maps)
+    # a fill that joins two runs, one that precedes a run, one that extends
+    # a run, and a new period between existing periods
+    @example({(3, 2000): 1.0, (3, 2002): 3.0}, {(3, 2001): 2.0})
+    @example({(3, 2001): 2.0, (3, 2002): 3.0, (3, 1990): 0.0}, {(3, 2000): 1.0})
+    @example({(3, 2000): 1.0, (3, 2001): 2.0, (3, 2010): 0.0}, {(3, 2002): 3.0})
+    @example({(1, 2000): 1.0, (5, 2000): 5.0}, {(3, 2000): 3.0, (3, 2001): 4.0})
+    @MODEL
+    def test_with_observations_splices_into_the_runs(self, obs, other):
+        s = MyeSeries("x", "count", obs)
+        before, runs_before = rows(s), copy.deepcopy(s._runs)
+        fresh = {key: ov if isinstance(ov, ObservedValue) else ObservedValue(ov, IMPUTED)
+                 for key, ov in other.items() if key not in obs}
+        merged = s.with_observations(fresh)
+        rebuilt = MyeSeries("x", "count", {**obs, **fresh})
+        # canonical: the same runs as a series built from the same rows
+        assert merged._runs == rebuilt._runs and merged == rebuilt
+        assert len(merged) == len(rebuilt)
+        assert list(merged.periods()) == sorted(merged.periods())
+        assert_same_index(merged, DictSeries("x", "count", {**obs, **fresh}))
+        # the source reads exactly as before, down to its run lists
+        assert rows(s) == before and len(s) == len(obs)
+        assert s._runs == runs_before
+        # a run that no new observation touches is shared, list for list
+        for k, (starts, values, provs) in s._runs.items():
+            spliced = merged._runs[k]
+            for first, vs, ps in zip(starts, values, provs):
+                if (k, first - 1) not in fresh and (k, first + len(vs)) not in fresh:
+                    assert any(x is vs for x in spliced[1]) and any(x is ps for x in spliced[2])
 
     @given(st.dictionaries(st.one_of(keys, st.just("k"), st.tuples(st.integers(1, 3))), observed,
                            max_size=4),
