@@ -75,7 +75,6 @@ _EXPORTS = {
     "exceptions": (
         "MODES",
         "MyeTrendsError",
-        "DesignInfeasibleError",
         "DataError",
         "CsvError",
         "MissingDataError",

@@ -62,14 +62,6 @@ class MyeTrendsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DesignInfeasibleError(MyeTrendsError):
-    """The filter design constraint system has no solution.
-
-    Design no longer raises it: the constraints have a solution for every
-    period set and degree. The class stays for code that catches it.
-    """
-
-
 class DataError(MyeTrendsError):
     """A series or its source rows violate the data contract."""
 

@@ -22,8 +22,10 @@ CSV layout (one observation per row, header required)::
     income,dollars,3,2005,40404,published
 
 ``provenance`` may be blank or the column omitted entirely; rows then count
-as published. Writing uses shortest round-trip float formatting, so a
-written file loads back to an identical series.
+as published. Writing uses shortest round-trip float formatting and
+reading takes every end year as written, so a written file loads back to
+an identical series for every integer end year; only a name's or unit's
+surrounding whitespace is stripped on reading.
 """
 
 from __future__ import annotations
@@ -476,8 +478,8 @@ def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
     The header must name at least ``variable, unit, period, end_year,
     value``; ``provenance`` is optional and defaults to published. All rows
     must agree on variable and unit, and no ``(period, end_year)`` key may
-    repeat. Two-digit end years are accepted as shorthand and normalized
-    to four digits (00-68 map to 2000-2068, 69-99 to 1969-1999). One
+    repeat. An end year is any integer and is read as written, so ``07``
+    is the year 7. A name or unit loses its surrounding whitespace. One
     leading UTF-8 byte-order mark is skipped, from a path or a stream
     alike. Blank lines are skipped. Parse failures raise
     :class:`CsvError` naming the source and the 1-based line; so does text
@@ -544,9 +546,6 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
                 raise CsvError(
                     f"{name} line {line}: end_year {row[it]!r} is not an integer"
                 )
-            if 0 <= t <= 99:
-                # two-digit shorthand; same century pivot as strptime's %y
-                t += 2000 if t <= 68 else 1900
             try:
                 v = float(row[ix].strip())
             except ValueError:
@@ -580,7 +579,9 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
 
     ``target`` may be a path or an open text stream; with ``None`` the text
     is only returned. Values use shortest round-trip formatting, so
-    ``load_csv`` on the output reproduces the series exactly. The text is
+    ``load_csv`` on the output reproduces the series exactly, for every
+    integer end year; only a name's or unit's surrounding whitespace is
+    lost, as ``load_csv`` strips it. The text is
     the same on every supported Python: byte for byte what Python 3.13's
     ``csv`` writer (``QUOTE_MINIMAL``, line terminator ``"\\n"``) writes
     for the header and one row per observation.
@@ -709,7 +710,8 @@ def impute_random_walk(
         if series.has(k, t) or key in filled:
             prov = filled[key].provenance if key in filled else series.provenance(k, t)
             raise ImputationError(
-                f"{series.name}: target {k}y ending {t} already has a {prov} value"
+                f"{series.name}: target {k}y ending {t} already has "
+                f"{'an' if prov == IMPUTED else 'a'} {prov} value"
             )
         if k not in anchors:
             published = [(yr, v) for yr, v, p in series.column(k) if p == PUBLISHED]

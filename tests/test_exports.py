@@ -39,7 +39,7 @@ def test_public_surface_is_pinned():
         "apply_filter", "trend_estimates", "nsr", "compatibility", "compare",
         "expected_bias", "synthetic_series",
         "SimulationSpec", "SimulationSummary", "simulate_bias",
-        "MODES", "MyeTrendsError", "DesignInfeasibleError", "DataError", "CsvError",
+        "MODES", "MyeTrendsError", "DataError", "CsvError",
         "MissingDataError", "ImputationError", "DomainError",
     }
 

@@ -351,7 +351,7 @@ GOLDEN = {
     "simulate_bias_sided": "165d866e19cd6e95ceb51db6e19fc7c131fd73edda09f132974a459928c3079a",
     "expected_bias": "839a21a7b29979a2653be6a777f14b3dba3df13384ee17afe3bf4ac7cd1aa368",
     "compare": "62638d34bef92784ad127abf24104d5f66a69553fcddfc8068ae7904bc7e04f3",
-    "series_index": "63bb1c0bee1eb877323f7d720bfa2a8e49d4e82afd7794bede1fa451ce11ee89",
+    "series_index": "075bfcded6f1b0a51b9cdabd9f736141aa490dc4a2f5cf1e24be438bb1320505",
 }
 
 PAYLOADS = {

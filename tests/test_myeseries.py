@@ -67,9 +67,8 @@ csv_values = st.one_of(
     st.integers(-(10**20), 10**20).map(float),
     st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
 )
-# end years 0-99 load back as two-digit shorthand, so they are left out
 csv_rows = st.dictionaries(
-    st.tuples(st.integers(1, 10**6), st.integers(-(10**6), 10**6).filter(lambda t: not 0 <= t <= 99)),
+    st.tuples(st.integers(1, 10**6), st.integers(-(10**6), 10**6)),
     st.tuples(csv_values, st.sampled_from([PUBLISHED, IMPUTED])),
     min_size=1, max_size=8,
 )
@@ -255,10 +254,12 @@ class TestLoadCsv:
         text = "variable,unit,period,end_year,value\nx,count,1,2000,5\n"
         assert load_csv(io.StringIO(text)).provenance(1, 2000) == PUBLISHED
 
-    def test_two_digit_years_normalized(self):
+    def test_end_years_load_as_written(self):
+        # no century is guessed: 07 is the year 7
         text = HEADER + "x,count,1,00,5,\nx,count,1,07,6,\nx,count,1,99,7,\n"
         s = load_csv(io.StringIO(text))
-        assert s.years(1) == (1999, 2000, 2007)
+        assert s.years(1) == (0, 7, 99)
+        assert [s.value(1, t) for t in (0, 7, 99)] == [5.0, 6.0, 7.0]
 
     def test_whitespace_around_header_names(self):
         text = " variable, unit,period,end_year,value , provenance\nx,count,1,2000,5,imputed\n"
@@ -409,6 +410,8 @@ class TestWriteCsv:
     @example("bare\rreturn", "count", {(1, 2000): (2.5, PUBLISHED)})
     @example("line\nbreak", "carriage\r\nreturn", {(5, 1999): (3.0, PUBLISHED), (5, 100): (-2.0, IMPUTED)})
     @example("\u00e9\u6f22 \"q\"", "\r\nu", {(1, -7): (1e16, PUBLISHED), (2, 2000): (-1e22, IMPUTED)})
+    # a 3y value ending 5 beside one ending 2005: each loads as written
+    @example("x", "count", {(3, 5): (1.0, PUBLISHED), (3, 2005): (2.0, IMPUTED)})
     @settings(max_examples=200, deadline=None)
     def test_bytes_are_csv_writers(self, name, unit, rows):
         obs = {key: ObservedValue(v, p) for key, (v, p) in rows.items()}
@@ -577,6 +580,17 @@ class TestImputation:
     def test_duplicate_target_in_one_call_rejected(self):
         with pytest.raises(ImputationError):
             impute_random_walk(load_sample("income"), [(3, 2006), (3, 2006)])
+
+    def test_a_target_filled_twice_has_an_imputed_value(self):
+        src = load_sample("income")
+        full = impute_random_walk(src, [(3, 2006)])
+        want = rf"^{re.escape(src.name)}: target 3y ending 2006 already has an imputed value$"
+        with pytest.raises(ImputationError, match=want):
+            impute_random_walk(src, [(3, 2006), (3, 2006)])
+        with pytest.raises(ImputationError, match=want):
+            impute_random_walk(full, [(3, 2006)])
+        with pytest.raises(ImputationError, match=r"ending 2005 already has a published value$"):
+            impute_random_walk(src, [(3, 2005)])
 
     def test_leading_gap_rejected(self):
         with pytest.raises(ImputationError, match="no published"):
