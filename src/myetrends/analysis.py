@@ -269,7 +269,10 @@ def compatibility(
     for k in sorted(ks):
         table: dict[int, float] = {}
         for t, y, xs in series._base_windows(k, not include_imputed):
-            table[t] = _log_ratio(name, k, t, y, _base_mean(name, xs, k, t), log)
+            try:
+                table[t] = log(y) - log(math.fsum(xs) / k)
+            except (OverflowError, ValueError):  # a sum past the float range, or a log of <= 0
+                table[t] = _log_ratio(name, k, t, y, _base_mean(name, xs, k, t), log)
         if not table:
             raise MissingDataError(
                 f"{series.name}: no end year has both a {k}y value and "

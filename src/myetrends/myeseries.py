@@ -22,7 +22,8 @@ CSV layout (one observation per row, header required)::
     income,dollars,3,2005,40404,published
 
 ``provenance`` may be blank or the column omitted entirely; rows then count
-as published. Writing uses shortest round-trip float formatting and
+as published. Rows may come in any order; a repeated key is an error named
+at its own line. Writing uses shortest round-trip float formatting and
 reading takes every end year as written, so a written file loads back to
 an identical series for every integer end year; only a name's or unit's
 surrounding whitespace is stripped on reading.
@@ -140,8 +141,9 @@ def _validated_rows(
             k, t = key
         except (TypeError, ValueError):
             raise DataError(f"observation key must be (period, end_year), got {key!r}")
-        check_int(k, "period", 1, DataError)
-        check_int(t, "end_year", error=DataError)
+        if type(k) is not int or type(t) is not int or k < 1:
+            check_int(k, "period", 1, DataError)
+            check_int(t, "end_year", error=DataError)
         if isinstance(raw, ObservedValue):
             rows.append((k, t, raw.value, raw.provenance))
         else:
@@ -423,7 +425,10 @@ class MyeSeries:
         clash = [key for key in extra if key in self]
         if clash:
             raise DataError(f"observations already present: {sorted(clash)}")
-        rows = _validated_rows(extra)
+        return self._with_rows(_validated_rows(extra))
+
+    def _with_rows(self, rows: list[_Row]) -> "MyeSeries":
+        """A new series with ``rows`` added: valid rows of new, distinct keys."""
         rows.sort()
         runs = dict(self._runs)
         for k, group in itertools.groupby(rows, itemgetter(0)):
@@ -477,9 +482,10 @@ def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
 
     The header must name at least ``variable, unit, period, end_year,
     value``; ``provenance`` is optional and defaults to published. All rows
-    must agree on variable and unit, and no ``(period, end_year)`` key may
-    repeat. An end year is any integer and is read as written, so ``07``
-    is the year 7. A name or unit loses its surrounding whitespace. One
+    must agree on variable and unit. Rows may come in any order, but no
+    ``(period, end_year)`` key may repeat; a repeat is named at its own
+    line. An end year is any integer and is read as written, so ``07`` is
+    the year 7. A name or unit loses its surrounding whitespace. One
     leading UTF-8 byte-order mark is skipped, from a path or a stream
     alike. Blank lines are skipped. Parse failures raise
     :class:`CsvError` naming the source and the 1-based line; so does text
@@ -513,7 +519,9 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
 
         variable = unit = None
         rows: list[_Row] = []
-        seen: set[tuple[int, int]] = set()
+        # a key above the last repeats none (write_csv writes keys in order);
+        # the set of keys read is built on the first row out of order
+        last, seen = (0, 0), None
         for row in reader:
             if not row:
                 continue
@@ -543,26 +551,30 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
             try:
                 t = int(row[it].strip())
             except ValueError:
-                raise CsvError(
-                    f"{name} line {line}: end_year {row[it]!r} is not an integer"
-                )
+                raise CsvError(f"{name} line {line}: end_year {row[it]!r} is not an integer")
             try:
                 v = float(row[ix].strip())
             except ValueError:
                 raise CsvError(f"{name} line {line}: value {row[ix]!r} is not a number")
             prov = (ip is not None and ip < len(row) and row[ip].strip()) or PUBLISHED
             key = (k, t)
-            if key in seen:
-                raise CsvError(
-                    f"{name} line {line}: duplicate observation for period {k}, end year {t}"
-                )
-            seen.add(key)
-            try:
-                v = _checked_value(v, prov)
-            except DataError as exc:
-                raise CsvError(f"{name} line {line}: {exc}") from None
+            if seen is None and key > last:
+                last = key
+            else:
+                seen = seen or {r[:2] for r in rows}  # rows is not empty here
+                if key in seen:
+                    raise CsvError(
+                        f"{name} line {line}: duplicate observation for period {k}, end year {t}"
+                    )
+                seen.add(key)
             # one shared string per tag, not one per row
-            rows.append((k, t, v, IMPUTED if prov == IMPUTED else PUBLISHED))
+            tag = PUBLISHED if prov == PUBLISHED else IMPUTED if prov == IMPUTED else None
+            if tag is None or not math.isfinite(v):
+                try:
+                    _checked_value(v, prov)
+                except DataError as exc:
+                    raise CsvError(f"{name} line {line}: {exc}") from None
+            rows.append((k, t, v, tag))
     except csv.Error as exc:
         raise CsvError(f"{name} line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -586,14 +598,18 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     ``csv`` writer (``QUOTE_MINIMAL``, line terminator ``"\\n"``) writes
     for the header and one row per observation.
     """
-    # the name and unit are quoted once, in the prefix "name,unit," of every
-    # row; as csv does, an int is written as its str (hence !s: an int
-    # subclass such as an IntEnum may format otherwise) and a float as its
-    # repr (the shortest round-trip form), and neither a finite float, an int
-    # nor a tag needs quoting, so the rest of each row is formatted directly
+    # the name and unit are quoted once, and each period formatted once, in
+    # the prefix "name,unit,period," of its rows; as csv does, an int is written
+    # as its str (hence !s: an int subclass such as an IntEnum may format
+    # otherwise) and a float as its repr (the shortest round-trip form), and no
+    # finite float, int or tag needs quoting, so the rest is formatted directly
     prefix = f"{_quoted(series.name)},{_quoted(series.unit)},"
-    text = _HEADER + "".join(
-        [f"{prefix}{k!s},{t!s},{v!r},{p}\n" for k, t, v, p in series._rows()])
+    lines = [_HEADER]
+    for k, (starts, values, provs) in series._runs.items():
+        head = f"{prefix}{k!s},"
+        lines += [f"{head}{t},{v!r},{p}\n" for first, vs, ps in zip(starts, values, provs)
+                  for t, v, p in zip(range(first, first + len(vs)), vs, ps)]
+    text = "".join(lines)
     if target is None:
         pass
     elif hasattr(target, "write"):
@@ -695,7 +711,7 @@ def impute_random_walk(
         If an extrapolated value lies beyond the float range, however far
         its end year; the message names the series and the target.
     """
-    filled: dict[tuple[int, int], ObservedValue] = {}
+    filled: dict[tuple[int, int], _Row] = {}
     # per period, the published end years and their values, read from the
     # provenance lists on the period's first target; values filled by this
     # call never join them
@@ -708,7 +724,7 @@ def impute_random_walk(
         check_int(k, f"target {key!r}: period", 1)
         check_int(t, f"target {key!r}: end year")
         if series.has(k, t) or key in filled:
-            prov = filled[key].provenance if key in filled else series.provenance(k, t)
+            prov = IMPUTED if key in filled else series.provenance(k, t)
             raise ImputationError(
                 f"{series.name}: target {k}y ending {t} already has "
                 f"{'an' if prov == IMPUTED else 'a'} {prov} value"
@@ -742,8 +758,9 @@ def impute_random_walk(
                 f"{series.name}: cannot impute {k}y ending {t}: no published "
                 f"{k}y value precedes it"
             )
-        filled[key] = ObservedValue(value, IMPUTED)
-    return series.with_observations(filled) if filled else series
+        filled[key] = (k, t, value, IMPUTED)
+    # each key is new and each value finite, so the rows need no more checks
+    return series._with_rows(list(filled.values())) if filled else series
 
 
 def render_value(x: float, decimals: int = 0) -> str:

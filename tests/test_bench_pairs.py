@@ -120,6 +120,31 @@ class TestAggregateTraces:
                                              r"runs: \[240, 240, 241\]"):
             bench_pairs.aggregate_traces(runs)
 
+    def test_ratios_cancel_a_uniform_slowdown_of_one_side(self):
+        # the change side's host runs 20% slower on every layer: the raw
+        # ranges fall apart, the ratios to the reference layer do not
+        parent = [(1.00, 2.00, 0.30), (1.05, 2.10, 0.31), (1.10, 2.20, 0.32)]
+        runs = {side: [traced(ref_ms=(r * f, "ms"), a_ms=(a * f, "ms"), b_ms=(b * f, "ms"),
+                              draws=(240, "count"))
+                       for r, a, b in parent]
+                for side, f in (("parent", 1.0), ("change", 1.2))}
+        out = bench_pairs.aggregate_traces(runs, "ref_ms")
+        for name, ratios in (("a_ms", (2.0, 2.0, 2.0)), ("b_ms", (0.3, 0.31 / 1.05, 0.32 / 1.1))):
+            assert out[name]["ranges_overlap"] is False
+            assert out[name]["ratio"]["ranges_overlap"] is True
+            assert out[name]["ratio"]["parent"] == pytest.approx(
+                {"median": sorted(ratios)[1], "min": min(ratios), "max": max(ratios)})
+        # the reference layer and the counts get no ratio
+        assert "ratio" not in out["ref_ms"] and "ratio" not in out["draws"]
+        assert "ratio" not in bench_pairs.aggregate_traces(runs)["a_ms"]
+
+    @pytest.mark.parametrize("layer", ["nope_ms", "draws"])
+    def test_a_reference_layer_that_is_not_a_timing_fails(self, layer):
+        runs = {side: [traced(a_ms=(1.0, "ms"), draws=(240, "count"))] * 3
+                for side in ("parent", "change")}
+        with pytest.raises(SystemExit, match=f"--trace-relative-to {layer}: not a timing"):
+            bench_pairs.aggregate_traces(runs, layer)
+
 
 class TestParseArgs:
     def test_defaults(self):
@@ -141,6 +166,15 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert f"--claim needs at least 10 pairs, got --pairs {pairs}" in capsys.readouterr().err
         assert bench_pairs.parse_args(BASE + ["--pairs", pairs]).pairs == int(pairs)
+
+    def test_relative_timings_need_a_traced_workload(self, capsys):
+        layer = ["--trace-relative-to", "analysis.trend_estimates_ms"]
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_args(BASE + layer)
+        assert exc.value.code == 2
+        assert "--trace-relative-to needs --trace" in capsys.readouterr().err
+        args = bench_pairs.parse_args(BASE + layer + ["--trace", "series_audit"])
+        assert args.trace_relative_to == "analysis.trend_estimates_ms"
 
     @pytest.mark.parametrize("claim", ["series_audit", ":work_per_s", "series_audit:",
                                        "series_audit:work_per_s:x", ""])

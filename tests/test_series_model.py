@@ -9,6 +9,7 @@ sparse, gappy and mixed-provenance series.
 """
 
 import copy
+import csv
 import io
 import math
 import tracemalloc
@@ -23,7 +24,13 @@ from myetrends.analysis import (
     apply_filter,
     compatibility,
 )
-from myetrends.exceptions import DataError, DomainError, ImputationError, MissingDataError
+from myetrends.exceptions import (
+    CsvError,
+    DataError,
+    DomainError,
+    ImputationError,
+    MissingDataError,
+)
 from myetrends.myeseries import (
     IMPUTED,
     PUBLISHED,
@@ -204,6 +211,26 @@ def ref_impute(s, targets):
                 f"{s.name}: cannot impute {k}y ending {t}: no published {k}y value precedes it")
         filled[key] = ObservedValue(value, IMPUTED)
     return s.with_observations(filled) if filled else s
+
+
+def ref_load_csv(text, name="<stream>"):
+    """A written file's rows, every key read so far kept in one set, as
+    ``load_csv`` checked them before it compared each key with the last: a
+    repeated key is named first, then a value or tag that fails."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    obs, seen = {}, set()
+    for row in reader:
+        k, t = int(row[2]), int(row[3])
+        if (k, t) in seen:
+            raise CsvError(f"{name} line {reader.line_num}: "
+                           f"duplicate observation for period {k}, end year {t}")
+        seen.add((k, t))
+        try:
+            obs[(k, t)] = ObservedValue(float(row[4]), row[5])
+        except DataError as exc:
+            raise CsvError(f"{name} line {reader.line_num}: {exc}") from None
+    return MyeSeries(row[0], row[1], obs)
 
 
 def assert_same_index(s, ref):
@@ -418,6 +445,25 @@ class TestAgainstDictReference:
             f"x,count,{k},{t},{ov.value!r},{ov.provenance}"
             for (k, t), ov in DictSeries("x", "count", obs).items()]
         assert load_csv(io.StringIO(text)) == s
+
+    @given(observation_maps, st.data())
+    @MODEL
+    def test_csv_rows_in_any_order(self, obs, data):
+        s = MyeSeries("x", "count", obs)
+        header, *lines = write_csv(s).splitlines(keepends=True)
+        shuffled = data.draw(st.permutations(lines))
+        text = header + "".join(shuffled)
+        assert load_csv(io.StringIO(text)) == s == ref_load_csv(text)
+        # one row again at a drawn position, at times with a bad value or tag
+        again = data.draw(st.sampled_from(lines))
+        bad = data.draw(st.sampled_from([None, None, "inf", "nan", "rumor"]))
+        if bad is not None:
+            cells = again.rstrip("\n").split(",")
+            cells[5 if bad == "rumor" else 4] = bad
+            again = ",".join(cells) + "\n"
+        at = data.draw(st.integers(0, len(shuffled)))
+        text = header + "".join(shuffled[:at] + [again] + shuffled[at:])
+        assert outcome(load_csv, io.StringIO(text)) == outcome(ref_load_csv, text)
 
 
 def test_far_apart_end_years_stay_small():

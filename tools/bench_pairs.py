@@ -23,7 +23,11 @@ more than the parent's quartile spread; a claim needs at least ten pairs.
 seeds ``--seed`` to ``--seed + 2`` in the pairs' alternating order, for the
 per-layer metrics: each timing is written as its median, min and max per side,
 and whether the two sides' min-max ranges overlap, and each exact count once
-per side, failing if one side's runs disagree on it.
+per side, failing if one side's runs disagree on it. ``--trace-relative-to
+LAYER`` also divides each traced run's timings by that run's ``LAYER`` timing
+and writes the ratios' median, min, max and overlap beside each raw entry: a
+host that runs one side's traced runs uniformly slower moves every raw timing
+but no ratio.
 """
 
 from __future__ import annotations
@@ -58,8 +62,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--claim", help="WORKLOAD:METRIC on which a gain is claimed")
     p.add_argument("--trace", action="append", default=[], metavar="WORKLOAD",
                    help=f"also take {TRACED_RUNS} traced runs per side on this workload")
+    p.add_argument("--trace-relative-to", metavar="LAYER",
+                   help="also give each traced timing as a ratio to this per-layer "
+                        "timing of the same run, e.g. analysis.trend_estimates_ms")
     p.add_argument("--note", action="append", default=[], help="free-text note; repeatable")
     args = p.parse_args(argv)
+    if args.trace_relative_to and not args.trace:
+        p.error("--trace-relative-to needs --trace")
     # statistics.quantiles needs two runs a side; every check fails before any export or run
     if args.pairs < 2:
         p.error(f"--pairs must be at least 2, got {args.pairs}")
@@ -122,36 +131,52 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
-def aggregate_traces(runs: dict[str, list[dict]]) -> dict:
+def ranges(values: dict[str, list[float]]) -> dict:
+    """Each side's median, min and max, and whether the sides' min-max ranges
+    overlap."""
+    out = {side: {"median": statistics.median(vs), "min": min(vs), "max": max(vs)}
+           for side, vs in values.items()}
+    p, c = out["parent"], out["change"]
+    out["ranges_overlap"] = p["min"] <= c["max"] and c["min"] <= p["max"]
+    return out
+
+
+def aggregate_traces(runs: dict[str, list[dict]], relative_to: str | None = None) -> dict:
     """Per-layer metrics of several traced runs per side: each timing's median,
     min and max per side, and each exact count once per side. A timing's
     ``ranges_overlap`` is true when the two sides' min-max ranges overlap, so
     a difference of medians within the runs' noise is not read as a change.
 
+    With ``relative_to``, the name of a timing, every other timing also gets
+    ``ratio``: the same summary of each run's timing divided by that run's
+    ``relative_to`` timing, so a drift of host speed that scales a whole run
+    cancels out.
+
     ``runs`` maps each side to its runs' ``metrics`` objects. A metric goes in
     only if every run of both sides reports it. Exits if one side's runs
-    disagree on a count, which would mean the runs did different work.
+    disagree on a count, which would mean the runs did different work, or if
+    ``relative_to`` is not a timing that every run reports.
     """
     names = [name for name in runs["change"][0]
              if all(name in r for rs in runs.values() for r in rs)]
+    if relative_to is not None and (relative_to not in names
+                                    or runs["change"][0][relative_to]["unit"] in EXACT_UNITS):
+        raise SystemExit(f"--trace-relative-to {relative_to}: not a timing every traced run has")
     out = {}
     for name in names:
         unit = runs["change"][0][name]["unit"]
-        entry = {"unit": unit}
-        for side, rs in runs.items():
-            values = [r[name]["value"] for r in rs]
-            if unit in EXACT_UNITS:
-                if len(set(values)) != 1:
-                    raise SystemExit(
-                        f"{name} differs between the {side}'s traced runs: {values}")
-                entry[side] = values[0]
-            else:
-                entry[side] = {"median": statistics.median(values),
-                               "min": min(values), "max": max(values)}
-        if unit not in EXACT_UNITS:
-            p, c = entry["parent"], entry["change"]
-            entry["ranges_overlap"] = p["min"] <= c["max"] and c["min"] <= p["max"]
-        out[name] = entry
+        values = {side: [r[name]["value"] for r in rs] for side, rs in runs.items()}
+        if unit in EXACT_UNITS:
+            for side, vs in values.items():
+                if len(set(vs)) != 1:
+                    raise SystemExit(f"{name} differs between the {side}'s traced runs: {vs}")
+            out[name] = {"unit": unit, **{side: vs[0] for side, vs in values.items()}}
+            continue
+        out[name] = {"unit": unit, **ranges(values)}
+        if relative_to is not None and name != relative_to:
+            out[name]["ratio"] = ranges({
+                side: [r[name]["value"] / r[relative_to]["value"] for r in rs]
+                for side, rs in runs.items()})
     return out
 
 
@@ -245,7 +270,8 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
             "command": f"python3 perfbench/run.py --workload {workload} --seed S "
                        f"--seconds {seconds:g} --trace 1",
             "seeds": seeds,
-            "metrics": aggregate_traces(traced),
+            "ratios_relative_to": args.trace_relative_to,
+            "metrics": aggregate_traces(traced, args.trace_relative_to),
         }
 
     out = {
@@ -259,7 +285,8 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
             "(statistics.quantiles, n=4, inclusive). Per-layer metrics come from "
             f"{TRACED_RUNS} `--trace 1` runs per side on seeds S, S+1 and S+2 in the same "
             "alternating order: timings as median, min and max per side and whether the "
-            "sides' min-max ranges overlap, exact counts once. "
+            "sides' min-max ranges overlap, exact counts once; with ratios_relative_to, each "
+            "timing's ratio to that layer's timing in the same run, summarised the same way. "
             "Written by tools/bench_pairs.py."
         ),
         "claim": None,
