@@ -604,6 +604,23 @@ class TestImputation:
         with pytest.raises(ImputationError, match=r"ending 2005 already has a published value$"):
             impute_random_walk(src, [(3, 2005)])
 
+    @pytest.mark.parametrize("targets,want", [
+        ([(1, 2000)], "target 1y ending 2000 already has a published value"),
+        ([(1, 2001)], "target 1y ending 2001 already has an imputed value"),
+        ([(3, 2002), (3, 2002)], "target 3y ending 2002 already has an imputed value"),
+        ([(3, 1999)], "cannot impute 3y ending 1999: no published 3y value precedes it"),
+        ([(9, 2000)], "cannot impute 9y ending 2000: no published 9y value precedes it"),
+        ([(7, 2012)], "cannot extrapolate 7y ending 2012: only one published 7y value "
+                      "(ending 1990) precedes it"),
+    ], ids=["published", "imputed", "repeated", "early", "absent-period", "lone-anchor"])
+    def test_each_refusal_is_worded_in_full(self, targets, want):
+        s = MyeSeries("long", "count", {
+            (1, 2000): 10.0, (1, 2001): ObservedValue(11.0, IMPUTED),
+            (3, 2001): 5.0, (3, 2003): 7.0,
+            (7, 1990): 80.0, (7, 2000): ObservedValue(81.0, IMPUTED)})
+        with pytest.raises(ImputationError, match=f"^{re.escape(f'long: {want}')}$"):
+            impute_random_walk(s, targets)
+
     def test_leading_gap_rejected(self):
         with pytest.raises(ImputationError, match="no published"):
             impute_random_walk(load_sample("income"), [(5, 2001)])
