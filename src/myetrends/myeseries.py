@@ -561,7 +561,7 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
             if seen is None and key > last:
                 last = key
             else:
-                seen = seen or {r[:2] for r in rows}  # rows is not empty here
+                seen = seen or {r[:2] for r in rows}  # built once: rows is not empty
                 if key in seen:
                     raise CsvError(
                         f"{name} line {line}: duplicate observation for period {k}, end year {t}"
