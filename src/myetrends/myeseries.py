@@ -519,8 +519,7 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
 
         variable = unit = None
         rows: list[_Row] = []
-        # a key above the last repeats none (write_csv writes keys in order);
-        # the set of keys read is built on the first row out of order
+        # a key above the last is new; a set of the keys read is built on the first row out of order
         last, seen = (0, 0), None
         for row in reader:
             if not row:
@@ -721,8 +720,9 @@ def impute_random_walk(
             k, t = key
         except (TypeError, ValueError):
             raise ValueError(f"target {key!r}: must be a (period, end_year) pair") from None
-        check_int(k, f"target {key!r}: period", 1)
-        check_int(t, f"target {key!r}: end year")
+        if type(k) is not int or type(t) is not int or k < 1:
+            check_int(k, f"target {key!r}: period", 1)
+            check_int(t, f"target {key!r}: end year")
         if series.has(k, t) or key in filled:
             prov = IMPUTED if key in filled else series.provenance(k, t)
             raise ImputationError(

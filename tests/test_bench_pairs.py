@@ -125,7 +125,7 @@ class TestAggregateTraces:
         # ranges fall apart, the ratios to the reference layer do not
         parent = [(1.00, 2.00, 0.30), (1.05, 2.10, 0.31), (1.10, 2.20, 0.32)]
         runs = {side: [traced(ref_ms=(r * f, "ms"), a_ms=(a * f, "ms"), b_ms=(b * f, "ms"),
-                              draws=(240, "count"))
+                              draws=(240, "count"), cover_pct=(90.0, "%"))
                        for r, a, b in parent]
                 for side, f in (("parent", 1.0), ("change", 1.2))}
         out = bench_pairs.aggregate_traces(runs, "ref_ms")
@@ -134,8 +134,8 @@ class TestAggregateTraces:
             assert out[name]["ratio"]["ranges_overlap"] is True
             assert out[name]["ratio"]["parent"] == pytest.approx(
                 {"median": sorted(ratios)[1], "min": min(ratios), "max": max(ratios)})
-        # the reference layer and the counts get no ratio
-        assert "ratio" not in out["ref_ms"] and "ratio" not in out["draws"]
+        # the reference layer, the counts and other units get no ratio
+        assert not any("ratio" in out[name] for name in ("ref_ms", "draws", "cover_pct"))
         assert "ratio" not in bench_pairs.aggregate_traces(runs)["a_ms"]
 
     @pytest.mark.parametrize("layer", ["nope_ms", "draws"])

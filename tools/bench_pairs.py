@@ -147,10 +147,10 @@ def aggregate_traces(runs: dict[str, list[dict]], relative_to: str | None = None
     ``ranges_overlap`` is true when the two sides' min-max ranges overlap, so
     a difference of medians within the runs' noise is not read as a change.
 
-    With ``relative_to``, the name of a timing, every other timing also gets
-    ``ratio``: the same summary of each run's timing divided by that run's
-    ``relative_to`` timing, so a drift of host speed that scales a whole run
-    cancels out.
+    With ``relative_to``, the name of a timing, every other timing in the
+    same unit also gets ``ratio``: the same summary of each run's timing
+    divided by that run's ``relative_to`` timing, so a drift of host speed
+    that scales a whole run cancels out.
 
     ``runs`` maps each side to its runs' ``metrics`` objects. A metric goes in
     only if every run of both sides reports it. Exits if one side's runs
@@ -159,8 +159,8 @@ def aggregate_traces(runs: dict[str, list[dict]], relative_to: str | None = None
     """
     names = [name for name in runs["change"][0]
              if all(name in r for rs in runs.values() for r in rs)]
-    if relative_to is not None and (relative_to not in names
-                                    or runs["change"][0][relative_to]["unit"] in EXACT_UNITS):
+    ref_unit = runs["change"][0][relative_to]["unit"] if relative_to in names else None
+    if relative_to is not None and ref_unit in (None, *EXACT_UNITS):
         raise SystemExit(f"--trace-relative-to {relative_to}: not a timing every traced run has")
     out = {}
     for name in names:
@@ -173,7 +173,7 @@ def aggregate_traces(runs: dict[str, list[dict]], relative_to: str | None = None
             out[name] = {"unit": unit, **{side: vs[0] for side, vs in values.items()}}
             continue
         out[name] = {"unit": unit, **ranges(values)}
-        if relative_to is not None and name != relative_to:
+        if unit == ref_unit and name != relative_to:
             out[name]["ratio"] = ranges({
                 side: [r[name]["value"] / r[relative_to]["value"] for r in rs]
                 for side, rs in runs.items()})
