@@ -674,8 +674,11 @@ def impute_random_walk(
 ) -> MyeSeries:
     """Fill missing observations by random-walk forecasting; returns a new series.
 
-    Under a random-walk model the best guess for a gap between two published
-    values is their midpoint. Beyond the last published value, the fill
+    A gap between two published values takes their midpoint. Under a
+    random-walk model that is the conditional mean only for a one-year gap
+    (one missing end year between its anchors); a longer interior gap also
+    gets the midpoint today, where the conditional mean would move along
+    the line between the anchors. Beyond the last published value, the fill
     continues the estimated per-year drift; for a random walk the drift
     estimate from a stretch of observations uses only its endpoints
     (intermediate increments telescope away), so the step is

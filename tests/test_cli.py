@@ -17,7 +17,10 @@ from myetrends.cli import main
 from myetrends.filterdesign import FilterSet
 from myetrends.myeseries import IMPUTED, load_csv, write_csv
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+# the package under test, whether installed or on PYTHONPATH
+SRC = str(Path(cli.__file__).resolve().parents[1])
 INCOME_ARGS = ["--in", "income", "--targets", "3:2006,5:2006,5:2007"]
 ALL_COMMANDS = ("design", "impute", "trends", "compat", "compare", "simulate", "demo")
 
@@ -31,6 +34,16 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv + ["--format", "json"])
     return code, json.loads(out), out
+
+
+def child(*args):
+    """Run ``python -X dev -W error *args`` on the package under test.
+
+    The child's import path is the package's source, then the caller's path.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, *filter(None, sys.path)])}
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args],
+                          capture_output=True, text=True, env=env)
 
 
 class TestDesign:
@@ -76,11 +89,7 @@ class TestDesign:
 
     def test_high_degree_warning_is_one_stderr_line(self):
         # under -W error the design's UserWarning escaped as a traceback
-        argv = ["design", "--degree", "12", "--periods", "1,3,5"]
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "myetrends", *argv],
-            capture_output=True, text=True,
-        )
+        proc = child("-m", "myetrends", "design", "--degree", "12", "--periods", "1,3,5")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == self.HIGH_DEGREE_WARNING
         assert "all checks passed" in proc.stdout
@@ -601,13 +610,31 @@ class TestFormatsAndPlumbing:
             listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
             assert listed == list(ALL_COMMANDS)
 
-    def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "myetrends", "demo"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert "36/36" in proc.stdout
+    @pytest.mark.parametrize("argv, code", [
+        (["demo"], 0),
+        (["trends", "--in", "income", "--t0", "2030"], 1),
+        (["nosuch"], 2),
+    ], ids=["demo", "data-error", "usage-error"])
+    def test_module_entry_point(self, argv, code):
+        # the exit status is main's return value, or argparse's usage code
+        proc = child("-m", "myetrends", *argv)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert "36/36" in proc.stdout
+        elif code == 1:
+            assert proc.stderr.splitlines()[0].startswith("error: ")
+        else:
+            line = proc.stderr.splitlines()[-1]
+            assert line.startswith("myetrends: error: argument COMMAND: invalid choice: 'nosuch'")
+            assert all(name in line for name in ALL_COMMANDS)
+
+    @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_narrative_demo_runs_clean(self, demo):
+        proc = child(str(demo))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_console_script(self):
         # Run the [project.scripts] target from source the way pip's generated
@@ -676,15 +703,7 @@ class TestImportGuard:
 
     def probe(self, body, *argv):
         """Exit code of ``body`` and every module loaded by then."""
-        import myetrends
-
-        src = str(Path(myetrends.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, sys.path)])}
-        proc = subprocess.run(
-            [sys.executable, "-S", "-X", "dev", "-W", "error", "-c", self.PROBE.format(body=body),
-             *argv],
-            capture_output=True, text=True, env=env,
-        )
+        proc = child("-S", "-c", self.PROBE.format(body=body), *argv)
         assert proc.returncode == 0, proc.stderr
         code, modules = json.loads(proc.stdout.splitlines()[-1])
         return code, set(modules)

@@ -304,13 +304,16 @@ class TestLoadCsv:
         "x,count,1,2000,inf,", "x,count,1,2000,nan,", "x,count,1,2000,5,rumor",
     ], ids=["inf", "nan", "tag"])
     @pytest.mark.parametrize("before", [[], ["x,count,1,2001,6,"]], ids=["next", "later"])
-    def test_a_repeated_key_is_named_before_its_value_or_tag(self, repeat, before):
+    def test_a_repeated_key_is_named_before_its_value_or_tag(self, tmp_path, repeat, before):
         # the key is checked first, whether the repeat follows its first row
         # at once or comes after a larger key
         text = HEADER + "\n".join(["x,count,1,2000,5,", *before, repeat]) + "\n"
-        want = f"<stream> line {3 + len(before)}: duplicate observation for period 1, end year 2000"
-        with pytest.raises(CsvError, match=f"^{want}$"):
-            load_csv(io.StringIO(text))
+        path = tmp_path / "repeated.csv"
+        path.write_text(text)
+        want = f"line {3 + len(before)}: duplicate observation for period 1, end year 2000"
+        for source, name in [(io.StringIO(text), "<stream>"), (path, str(path))]:
+            with pytest.raises(CsvError, match=f"^{re.escape(f'{name} {want}')}$"):
+                load_csv(source)
 
     def test_mixed_variables_rejected(self):
         text = HEADER + "x,count,1,2000,5,\ny,count,1,2001,6,\n"

@@ -24,6 +24,7 @@ from myetrends.analysis import (
     apply_filter,
     compatibility,
 )
+from myetrends.cli import main
 from myetrends.exceptions import (
     CsvError,
     DataError,
@@ -466,15 +467,35 @@ class TestAgainstDictReference:
         assert outcome(load_csv, io.StringIO(text)) == outcome(ref_load_csv, text)
 
 
-def test_far_apart_end_years_stay_small():
-    # storage grows with the observations, not with the span of end years
+def traced(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        s = MyeSeries("x", "count", {(3, -10**9): 10.0, (3, 10**9): 20.0})
-        filled = impute_random_walk(s, [(3, 0)])
-        _, peak = tracemalloc.get_traced_memory()
+        return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_far_apart_end_years_stay_small(tmp_path, capsys):
+    # storage grows with the observations, not with the span of end years
+    s = MyeSeries("x", "count", {(3, -10**9): 10.0, (3, 10**9): 20.0})
+    filled, peak = traced(impute_random_walk, s, [(3, 0)])
     assert filled.value(3, 0) == 15.0 and filled.provenance(3, 0) == IMPUTED
     assert filled.years(3) == (-10**9, 0, 10**9)
     assert peak < 1_000_000
+    # the same through the CLI's load, impute and write
+    far, out = tmp_path / "far.csv", tmp_path / "far_out.csv"
+    far.write_text("variable,unit,period,end_year,value\n"
+                   "x,count,3,-1000000000,10\nx,count,3,1000000000,20\n")
+    code, peak = traced(main, ["impute", "--in", str(far), "--targets", "3:0", "--out", str(out)])
+    assert code == 0 and peak < 1_000_000
+    assert "x,count,3,0,15.0,imputed" in out.read_text().splitlines()
+    # the written end year 0 loads back as 0, so a fill at 1 lands beside it
+    assert main(["impute", "--in", str(out), "--targets", "3:1"]) == 0
+    assert capsys.readouterr().out == (
+        "variable,unit,period,end_year,value,provenance\n"
+        "x,count,3,-1000000000,10.0,published\n"
+        "x,count,3,0,15.0,imputed\n"
+        "x,count,3,1,15.0,imputed\n"
+        "x,count,3,1000000000,20.0,published\n"
+    )
