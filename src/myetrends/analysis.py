@@ -89,8 +89,10 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, end_year: int
     """Weighted average of ``series``' ``period``-length values ending at ``end_year``.
 
     The coefficient on ``z**j`` weights the observation ending ``j`` years
-    before ``end_year``. Weights are floated once and the dot product is
-    summed exactly (``math.fsum``) before the final rounding.
+    before ``end_year``, so the window is read newest first. Weights are
+    floated once and the dot product is summed exactly (``math.fsum``)
+    before the final rounding; a one-weight filter's value is its single
+    product, which is rounded once.
 
     Raises
     ------
@@ -109,11 +111,14 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, end_year: int
         raise MissingDataError(
             f"{series.name}: filter window needs missing observations {missing}"
         )
-    try:
-        # the window is oldest first and w_j weights the value j years before end_year
-        total = math.fsum(map(mul, ws, reversed(xs)))
-    except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
-        total = math.inf
+    # fsum of one nonzero product is that product; a zero one still goes to
+    # fsum, which gives a zero sum its sign
+    total = ws[0] * xs[0] if len(ws) == 1 else 0.0
+    if not total:
+        try:
+            total = math.fsum(map(mul, ws, xs))
+        except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
+            total = math.inf
     if not math.isfinite(total):
         raise DomainError(
             f"{series.name}: {period}y filter ending {end_year} overflows the float range")
@@ -145,7 +150,8 @@ def trend_estimates(series: MyeSeries, fs: FilterSet, t0: int) -> TrendEstimates
     comparable. A ``t0`` that is not an integer, or a filter set that lacks
     one of its design's periods, raises ``ValueError``.
     """
-    check_int(t0, "t0")
+    if type(t0) is not int:
+        check_int(t0, "t0")
     psi = fs.psi
     values = {}
     for k in fs.spec.periods:

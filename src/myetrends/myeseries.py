@@ -9,8 +9,8 @@ downstream diagnostics can tell real data from forecast extensions.
 Storage is columnar. Each period's observations are kept as runs of
 consecutive end years, each a first end year with a list of values and a
 parallel list of provenance tags; a missing year ends one run and starts
-the next. One lookup bisects the runs' first years; a filter or an
-average reads its window's values as one slice of one run, with no tags,
+the next. One lookup bisects the runs' first years; a filter reads its
+window's values as one slice of one run, newest first and with no tags,
 and the NSR audit walks a period's runs beside the 1y runs in one pass.
 Adding observations splices them into the runs they touch and shares the
 rest. Memory grows with the number of observations, not with the span of
@@ -201,8 +201,9 @@ class MyeSeries:
 
     Every lookup bisects the runs' first years once, in one place.
     :meth:`window` returns a stretch of end years as one slice of one run,
-    values and tags; filters and averages read the values alone, and
-    :meth:`value`, :meth:`has` and ``in`` slice nothing. The NSR audit
+    values and tags, oldest first; a filter reads the values alone, as one
+    slice taken newest first, the order of its weights, and :meth:`value`,
+    :meth:`has` and ``in`` slice nothing. The NSR audit
     reads each k-year value with its 1y window in one walk over the runs,
     and :meth:`column` walks one period's observations in end-year order.
     :meth:`with_observations` copies only the runs a new observation
@@ -331,13 +332,16 @@ class MyeSeries:
         return values[stop - length:stop], provs[stop - length:stop]
 
     def _window_values(self, period: int, end_year: int, length: int) -> Optional[list[float]]:
-        """The values of :meth:`window` without their tags: one slice of one
-        run, or ``None``."""
+        """The values of :meth:`window` without their tags, newest end year
+        first, the order of a filter's weights: one slice of one run, or
+        ``None``."""
         found = self._find(period, end_year, length)
         if found is None:
             return None
         values, _, stop = found
-        return values[stop - length:stop]
+        # a window that starts its run is sliced down to index 0 by None, as
+        # the index before it, -1, would count from the end
+        return values[stop - 1:stop - length - 1 if stop > length else None:-1]
 
     def _base_windows(
         self, period: int, published_only: bool
@@ -614,8 +618,11 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     elif hasattr(target, "write"):
         target.write(text)
     else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        # encoded before the file is opened, so text that UTF-8 cannot hold
+        # (a lone surrogate) raises with the old file left intact
+        data = text.encode("utf-8")
+        with open(target, "wb") as fh:
+            fh.write(data)
     return text
 
 
@@ -627,7 +634,7 @@ def _quoted(field: str) -> str:
     return field
 
 
-def _base_mean(name: str, xs: Sequence[float], period: int, end_year: int) -> float:
+def _base_mean(name: str, xs: Iterable[float], period: int, end_year: int) -> float:
     """Mean of the 1y values ``xs`` of the window of ``period`` ending
     ``end_year``; raises :class:`DomainError` if their sum overflows."""
     try:
@@ -666,7 +673,9 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
             f"{series.name}: 1y values missing for years {gaps} "
             f"(window of {period} ending {end_year})"
         )
-    return _base_mean(series.name, xs, period, end_year)
+    # summed oldest first, as the audit sums: fsum's partial sums can leave
+    # the float range in one order and not in another
+    return _base_mean(series.name, reversed(xs), period, end_year)
 
 
 def impute_random_walk(
@@ -715,7 +724,7 @@ def impute_random_walk(
     """
     filled: dict[tuple[int, int], _Row] = {}
     # per period, the published end years and their values, read from the
-    # provenance lists on the period's first target; values filled by this
+    # period's runs and tag lists on its first target; values filled by this
     # call never join them
     anchors: dict[int, tuple[list[int], list[float]]] = {}
     for key in targets:
@@ -733,8 +742,11 @@ def impute_random_walk(
                 f"{'an' if prov == IMPUTED else 'a'} {prov} value"
             )
         if k not in anchors:
-            published = [(yr, v) for yr, v, p in series.column(k) if p == PUBLISHED]
-            anchors[k] = [yr for yr, _ in published], [v for _, v in published]
+            years, values = anchors[k] = [], []
+            for first, vs, ps in zip(*series._runs.get(k, ((), (), ()))):
+                published = [p == PUBLISHED for p in ps]
+                years += itertools.compress(range(first, first + len(vs)), published)
+                values += itertools.compress(vs, published)
         years, values = anchors[k]
         # t is absent from the series, so years[:i] < t < years[i:]
         i = bisect.bisect_left(years, t)

@@ -213,6 +213,12 @@ class TestTrendEstimates:
         with pytest.raises(ValueError, match="no period 5"):
             trend_estimates(full_sample("income"), fs, 2007)
 
+    @pytest.mark.parametrize("t0", [True, 2007.0])
+    def test_t0_that_is_not_an_int_is_rejected(self, t0):
+        with pytest.raises(ValueError) as err:
+            trend_estimates(full_sample("income"), LINEAR, t0)
+        assert str(err.value) == f"t0 must be an integer, got {t0!r}"
+
     def test_to_dict(self):
         te = trend_estimates(full_sample("age"), LINEAR, 2007)
         d = te.to_dict()

@@ -1,11 +1,13 @@
 """The pairs tool's statistics and argument checks, without running a benchmark."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
@@ -183,3 +185,36 @@ class TestParseArgs:
             bench_pairs.parse_args(BASE + ["--claim", claim])
         assert exc.value.code == 2
         assert "--claim must be WORKLOAD:METRIC" in capsys.readouterr().err
+
+
+class TestCompareChecksNamesFirst:
+    """A misspelt name fails before the first run, not after the last."""
+
+    @pytest.fixture
+    def trees(self, tmp_path, monkeypatch):
+        def run_once(*args):
+            raise AssertionError(f"a run started: {args}")
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        shutil.copy(_ROOT / "BENCHMARK.json", tmp_path)
+        return {"parent": tmp_path, "change": tmp_path}
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--trace", "series_audti"], "--trace series_audti: not a workload"),
+        (["--trace", "series_audit", "--trace-relative-to", "myeseries.load_csv"],
+         "--trace-relative-to myeseries.load_csv: not a per-layer timing in ms"),
+        # a per-layer entry, but a count, not a timing
+        (["--trace", "series_audit", "--trace-relative-to", "analysis.quantile_draws"],
+         "--trace-relative-to analysis.quantile_draws: not a per-layer timing in ms"),
+    ])
+    def test_a_bad_trace_name_fails_before_any_run(self, trees, extra, message):
+        args = bench_pairs.parse_args(BASE + ["--workload", "series_audit"] + extra)
+        with pytest.raises(SystemExit, match=message):
+            bench_pairs.compare(args, trees)
+
+    def test_good_trace_names_reach_the_first_run(self, trees):
+        args = bench_pairs.parse_args(BASE + [
+            "--workload", "series_audit", "--trace", "series_audit",
+            "--trace-relative-to", "myeseries.load_csv_ms"])
+        with pytest.raises(AssertionError, match="a run started"):
+            bench_pairs.compare(args, trees)

@@ -413,6 +413,16 @@ class TestWriteCsv:
         with open(target, encoding="utf-8", newline="") as fh, pytest.raises(CsvError, match=want):
             load_csv(fh)
 
+    def test_unencodable_text_leaves_the_target_intact(self, tmp_path):
+        # a lone surrogate has no UTF-8 form: the error comes before the
+        # target is opened, so its old bytes stay
+        target = tmp_path / "out.csv"
+        old = write_csv(tiny_series(), target).encode("utf-8")
+        s = MyeSeries("inc\ud800", "dollars", {(1, 2000): 1.0})
+        with pytest.raises(UnicodeEncodeError):
+            write_csv(s, target)
+        assert target.read_bytes() == old
+
     def test_write_to_stream(self):
         buf = io.StringIO()
         text = write_csv(tiny_series(), buf)

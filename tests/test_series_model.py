@@ -396,6 +396,19 @@ class TestAgainstDictReference:
     @given(observation_maps,
            st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), max_size=6),
            st.sampled_from([1, 2, 3, 5, 7]), years)
+    # a one-weight filter is its one product, with a weight other than 1
+    @example({(1, 2000): ObservedValue(3.0)}, [Fraction(-5, 7)], 1, 2000)
+    # ... a product past the float range ...
+    @example({(1, 2000): ObservedValue(1.7e308)}, [Fraction(3)], 1, 2000)
+    # ... and a zero product, which fsum gives as 0.0, never -0.0
+    @example({(1, 2000): ObservedValue(-0.0), (1, 2001): ObservedValue(0.0)},
+             [Fraction(1)], 1, 2000)
+    @example({(1, 2000): ObservedValue(0.0)}, [Fraction(-5, 7)], 1, 2000)
+    # the zero filter reads an empty window
+    @example({(1, 2000): ObservedValue(3.0)}, [], 1, 2000)
+    # summed newest first, this 1y window would not overflow; oldest first it does
+    @example({(1, 1998): ObservedValue(1.7e308), (1, 1999): ObservedValue(1.7e308),
+              (1, 2000): ObservedValue(-1.7e308)}, [Fraction(1, 3)] * 3, 1, 2000)
     @MODEL
     def test_apply_filter_and_sma_of_base(self, obs, coeffs, period, t):
         s, ref = MyeSeries("x", "count", obs), DictSeries("x", "count", obs)
