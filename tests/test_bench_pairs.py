@@ -1,7 +1,6 @@
 """The pairs tool's statistics and argument checks, without running a benchmark."""
 
 import importlib.util
-import shutil
 from pathlib import Path
 
 import pytest
@@ -191,16 +190,17 @@ class TestCompareChecksNamesFirst:
     """A misspelt name fails before the first run, not after the last."""
 
     @pytest.fixture
-    def trees(self, tmp_path, monkeypatch):
+    def trees(self, monkeypatch):
         def run_once(*args):
             raise AssertionError(f"a run started: {args}")
 
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
-        shutil.copy(_ROOT / "BENCHMARK.json", tmp_path)
-        return {"parent": tmp_path, "change": tmp_path}
+        return {"parent": _ROOT, "change": _ROOT}
 
     @pytest.mark.parametrize("extra,message", [
         (["--trace", "series_audti"], "--trace series_audti: not a workload"),
+        # a misspelt second workload used to fail only after the first one's pairs
+        (["--workload", "monte_carol"], "--workload monte_carol: not a workload"),
         (["--trace", "series_audit", "--trace-relative-to", "myeseries.load_csv"],
          "--trace-relative-to myeseries.load_csv: not a per-layer timing in ms"),
         # a per-layer entry, but a count, not a timing

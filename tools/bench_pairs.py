@@ -28,7 +28,8 @@ LAYER`` also divides each traced run's timings by that run's ``LAYER`` timing
 and writes the ratios' median, min, max and overlap beside each raw entry: a
 host that runs one side's traced runs uniformly slower moves every raw timing
 but no ratio. The ``--claim``, ``--trace`` and ``--trace-relative-to`` names
-are checked against the change's ``BENCHMARK.json`` before the first run.
+are checked against the change's ``BENCHMARK.json`` before the first run, as
+are the ``--workload`` names.
 """
 
 from __future__ import annotations
@@ -231,9 +232,10 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
         if claim_workload not in workloads or claim_metric not in metrics:
             raise SystemExit(f"--claim {args.claim}: not a measured workload and metric")
     names = {w["name"] for w in bench["workloads"]}
-    for workload in args.trace:
-        if workload not in names:
-            raise SystemExit(f"--trace {workload}: not a workload in BENCHMARK.json")
+    for flag, given in (("--workload", workloads), ("--trace", args.trace)):
+        for workload in given:
+            if workload not in names:
+                raise SystemExit(f"{flag} {workload}: not a workload in BENCHMARK.json")
     timings = {m["name"] for m in bench["per_layer"] if m["unit"] == "ms"}
     if args.trace_relative_to and args.trace_relative_to not in timings:
         raise SystemExit(f"--trace-relative-to {args.trace_relative_to}: "
