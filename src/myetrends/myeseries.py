@@ -74,6 +74,8 @@ IMPUTED = "imputed"
 
 _CSV_COLUMNS = ("variable", "unit", "period", "end_year", "value", "provenance")
 _HEADER = ",".join(_CSV_COLUMNS) + "\n"
+# A provenance cell as written, to its tag; a blank cell is published.
+_TAGS = {"": PUBLISHED, PUBLISHED: PUBLISHED, IMPUTED: IMPUTED}
 
 # Display precision by unit. Counts and currency print as whole numbers;
 # anything unlisted gets two decimals.
@@ -294,14 +296,13 @@ class MyeSeries:
 
         Every lookup reads through here, so here the key rule holds:
         ``period`` and ``end_year`` must be integers, or a ``ValueError``
-        names the argument (``in`` answers False instead). ``length`` must
-        be an integer >= 0, or a ``ValueError`` names it.
+        names the argument (``in`` answers False instead). ``length`` is
+        taken as an integer >= 0: :meth:`window` checks a caller's, and the
+        other readers pass 1 or a length already checked.
         """
-        if (type(period) is not int or type(end_year) is not int
-                or type(length) is not int or length < 0):
+        if type(period) is not int or type(end_year) is not int:
             check_int(period, "period")
             check_int(end_year, "end_year")
-            check_int(length, "length", 0)
         if not length:
             return [], [], 0
         runs = self._runs.get(period)
@@ -323,8 +324,13 @@ class MyeSeries:
         Returns ``(values, provenances)``, oldest end year first, as new
         lists sliced from one run; ``None`` if any of the end years is
         absent. A ``length`` of 0 gives two empty lists. A key that breaks
-        the key rule raises ``ValueError`` naming the argument.
+        the key rule, or a ``length`` that is not an integer >= 0, raises
+        ``ValueError`` naming the argument, the key's parts first.
         """
+        if type(length) is not int or length < 0:
+            check_int(period, "period")
+            check_int(end_year, "end_year")
+            check_int(length, "length", 0)
         found = self._find(period, end_year, length)
         if found is None:
             return None
@@ -355,23 +361,29 @@ class MyeSeries:
         One pass: the period's runs and the 1y runs are walked together, so
         no end year is looked up on its own. A pair of runs shares the end
         years from the later of the period run's first year and the 1y
-        run's ``period``-th year, to the earlier of their last years.
+        run's ``period``-th year, to the earlier of their last years. With
+        ``published_only``, whether a 1y run holds an imputed value is
+        decided once per run, and only such a run's windows have their
+        tags scanned.
         """
         runs, base = self._runs.get(period), self._runs.get(1)
         if runs is None or base is None:
             return
         starts, values, provs = runs
         base_starts, base_values, base_provs = base
+        if published_only:
+            base_imputed = [IMPUTED in xps for xps in base_provs]
         i = j = 0
         while i < len(starts) and j < len(base_starts):
             first, vs, ps = starts[i], values[i], provs[i]
             base_first, xs, xps = base_starts[j], base_values[j], base_provs[j]
             last = first + len(vs) - 1
             base_last = base_first + len(xs) - 1
+            scan = published_only and base_imputed[j]
             for t in range(max(first, base_first + period - 1), min(last, base_last) + 1):
                 stop = t - base_first + 1
                 if published_only and (ps[t - first] == IMPUTED
-                                       or IMPUTED in xps[stop - period:stop]):
+                                       or scan and IMPUTED in xps[stop - period:stop]):
                     continue
                 yield t, vs[t - first], xs[stop - period:stop]
             # the run that ends first can share no end year with a later run
@@ -521,62 +533,90 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
         ip = column.get("provenance")
         need = max(iv, iu, ik, it, ix) + 1
 
-        variable = unit = None
+        variable = unit = raw_var = raw_unit = None
         rows: list[_Row] = []
-        # a key above the last is new; a set of the keys read is built on the first row out of order
-        last, seen = (0, 0), None
+        # the last key read, as its two parts; a key above it is new, and a
+        # set of the keys read is built on the first row out of order
+        last_k = last_t = 0
+        seen = None
         for row in reader:
             if not row:
                 continue
-            line = reader.line_num
             if len(row) < need:
                 raise CsvError(
-                    f"{name} line {line}: row ends after {len(row)} fields, "
+                    f"{name} line {reader.line_num}: row ends after {len(row)} fields, "
                     f"but the header's required columns need {need}"
                 )
-            var = row[iv].strip()
-            un = row[iu].strip()
-            if var != variable or un != unit:
-                if not var or not un:
-                    raise CsvError(f"{name} line {line}: variable and unit must be nonempty")
-                if variable is not None:
+            # a name and unit as written are stripped and checked only when
+            # they differ from the row before
+            rv, ru = row[iv], row[iu]
+            if rv != raw_var or ru != raw_unit:
+                var, un = rv.strip(), ru.strip()
+                if var != variable or un != unit:
+                    if not var or not un:
+                        raise CsvError(
+                            f"{name} line {reader.line_num}: variable and unit must be nonempty")
+                    if variable is not None:
+                        raise CsvError(
+                            f"{name} line {reader.line_num}: row has variable/unit "
+                            f"{var!r}/{un!r}, expected {variable!r}/{unit!r}"
+                        )
+                    variable, unit = var, un
+                raw_var, raw_unit = rv, ru
+            # int and float give a cell they accept the value of its stripped
+            # form, so only a cell they refuse is stripped and read again:
+            # strip() also removes \x1c-\x1f, which they refuse
+            cell = row[ik]
+            try:
+                k = int(cell)
+            except ValueError:
+                try:
+                    k = int(cell.strip())
+                except ValueError:
                     raise CsvError(
-                        f"{name} line {line}: row has variable/unit {var!r}/{un!r}, "
-                        f"expected {variable!r}/{unit!r}"
-                    )
-                variable, unit = var, un
-            try:
-                k = int(row[ik].strip())
-            except ValueError:
-                raise CsvError(f"{name} line {line}: period {row[ik]!r} is not an integer")
+                        f"{name} line {reader.line_num}: period {cell!r} is not an integer")
             if k < 1:
-                raise CsvError(f"{name} line {line}: period must be >= 1, got {k}")
+                raise CsvError(f"{name} line {reader.line_num}: period must be >= 1, got {k}")
+            cell = row[it]
             try:
-                t = int(row[it].strip())
+                t = int(cell)
             except ValueError:
-                raise CsvError(f"{name} line {line}: end_year {row[it]!r} is not an integer")
+                try:
+                    t = int(cell.strip())
+                except ValueError:
+                    raise CsvError(
+                        f"{name} line {reader.line_num}: end_year {cell!r} is not an integer")
+            cell = row[ix]
             try:
-                v = float(row[ix].strip())
+                v = float(cell)
             except ValueError:
-                raise CsvError(f"{name} line {line}: value {row[ix]!r} is not a number")
-            prov = (ip is not None and ip < len(row) and row[ip].strip()) or PUBLISHED
-            key = (k, t)
-            if seen is None and key > last:
-                last = key
+                try:
+                    v = float(cell.strip())
+                except ValueError:
+                    raise CsvError(
+                        f"{name} line {reader.line_num}: value {cell!r} is not a number")
+            if seen is None and (k > last_k or k == last_k and t > last_t):
+                last_k, last_t = k, t
             else:
                 seen = seen or {r[:2] for r in rows}  # built once: rows is not empty
-                if key in seen:
+                if (k, t) in seen:
                     raise CsvError(
-                        f"{name} line {line}: duplicate observation for period {k}, end year {t}"
+                        f"{name} line {reader.line_num}: duplicate observation for "
+                        f"period {k}, end year {t}"
                     )
-                seen.add(key)
-            # one shared string per tag, not one per row
-            tag = PUBLISHED if prov == PUBLISHED else IMPUTED if prov == IMPUTED else None
+                seen.add((k, t))
+            # one shared string per tag, not one per row; a cell the map
+            # lacks is stripped and looked up again
+            cell = row[ip] if ip is not None and ip < len(row) else ""
+            tag = _TAGS.get(cell)
+            if tag is None:
+                cell = cell.strip()
+                tag = _TAGS.get(cell)
             if tag is None or not math.isfinite(v):
                 try:
-                    _checked_value(v, prov)
+                    _checked_value(v, tag or cell)
                 except DataError as exc:
-                    raise CsvError(f"{name} line {line}: {exc}") from None
+                    raise CsvError(f"{name} line {reader.line_num}: {exc}") from None
             rows.append((k, t, v, tag))
     except csv.Error as exc:
         raise CsvError(f"{name} line {reader.line_num}: {exc}") from None
@@ -585,7 +625,8 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
         raise CsvError(f"{name}: not {exc.encoding} text: {exc.reason} {bad!r}") from None
     if not rows:
         raise CsvError(f"{name}: no observation rows")
-    rows.sort()
+    if seen is not None:  # a row came out of key order
+        rows.sort()
     return MyeSeries._from_runs(variable, unit, _pack(rows), len(rows))
 
 
@@ -600,7 +641,23 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     the same on every supported Python: byte for byte what Python 3.13's
     ``csv`` writer (``QUOTE_MINIMAL``, line terminator ``"\\n"``) writes
     for the header and one row per observation.
+
+    Raises
+    ------
+    DataError
+        Naming the field, before anything is written, if the series' name
+        or unit is one ``load_csv`` could not read back: blank once its
+        surrounding whitespace is stripped, or not encodable as UTF-8 (a
+        lone surrogate).
     """
+    for field, text in (("name", series.name), ("unit", series.unit)):
+        if not text.strip():
+            raise DataError(f"series {field} {text!r} is blank once stripped, "
+                            "so load_csv could not read it back")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(f"series {field} {text!r} is not encodable as UTF-8") from None
     # the name and unit are quoted once, and each period formatted once, in
     # the prefix "name,unit,period," of its rows; as csv does, an int is written
     # as its str (hence !s: an int subclass such as an IntEnum may format
@@ -618,11 +675,8 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     elif hasattr(target, "write"):
         target.write(text)
     else:
-        # encoded before the file is opened, so text that UTF-8 cannot hold
-        # (a lone surrogate) raises with the old file left intact
-        data = text.encode("utf-8")
         with open(target, "wb") as fh:
-            fh.write(data)
+            fh.write(text.encode("utf-8"))
     return text
 
 
@@ -781,13 +835,16 @@ def impute_random_walk(
 def render_value(x: float, decimals: int = 0) -> str:
     """Fixed-point string with half-away-from-zero ties, e.g. 41327.5 -> '41328'.
 
+    An exact ``x`` (an ``int`` or a ``Fraction``) is rounded once to the
+    nearest float first.
+
     Raises
     ------
     DomainError
-        If ``x`` is NaN or infinite.
+        If ``x`` is NaN or infinite, or is exact and beyond the float range.
     """
     check_int(decimals, "decimals", 0)
-    x = float(x)
+    x = _to_float(x, f"cannot render {x!r}: it")
     if not math.isfinite(x):
         raise DomainError(f"cannot render {x!r}: not a finite number")
     d = Decimal(repr(x))

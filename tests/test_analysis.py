@@ -28,7 +28,16 @@ from myetrends.analysis import (
 from myetrends.datasets import STANDARD_TARGETS, load_sample
 from myetrends.exceptions import DomainError, MissingDataError
 from myetrends.filterdesign import DesignSpec, FilterSet, design_filters
-from myetrends.myeseries import MyeSeries, RegionPair, impute_random_walk, render_value, sma_of_base
+from myetrends.myeseries import (
+    IMPUTED,
+    PUBLISHED,
+    MyeSeries,
+    ObservedValue,
+    RegionPair,
+    impute_random_walk,
+    render_value,
+    sma_of_base,
+)
 from myetrends.ratpoly import RatPoly, sma
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
@@ -353,6 +362,22 @@ class TestCompatibility:
         without = compatibility(full, (5,), include_imputed=False)
         assert sorted(without.entries[5].nsr) == [2004, 2005]
         assert without.c(5) < 0.1 * with_imp.c(5)
+
+    def test_exclude_imputed_drops_exactly_the_windows_touching_it(self):
+        # 1y runs 2000-2009 (2004 imputed) and 2012-2020 (all published); a
+        # run with no imputed value has no window dropped
+        obs = {(1, t): ObservedValue(10.0 + t % 7, IMPUTED if t == 2004 else PUBLISHED)
+               for t in [*range(2000, 2010), *range(2012, 2021)]}
+        obs.update({(3, t): 11.0 + t % 5 for t in range(2002, 2021)})
+        obs[(3, 2015)] = ObservedValue(12.0, IMPUTED)
+        s = MyeSeries("x", "count", obs)
+        everything = compatibility(s, (3,)).entries[3].nsr
+        published = compatibility(s, (3,), include_imputed=False).entries[3].nsr
+        assert sorted(everything) == [*range(2002, 2010), *range(2014, 2021)]
+        # the windows ending 2004-2006 hold the imputed 2004; the 3y value
+        # ending 2015 is imputed itself
+        assert published == {t: v for t, v in everything.items()
+                             if t not in (2004, 2005, 2006, 2015)}
 
     def test_reads_one_window_per_end_year(self):
         # each period's k-year values and their 1y windows come from one

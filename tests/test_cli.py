@@ -696,8 +696,8 @@ class TestImportGuard:
         "compat": {"analysis", "cli", "datasets", "exceptions", "myeseries", "ratpoly"},
         "compare": {"analysis", "cli", "datasets", "exceptions", "filterdesign", "myeseries",
                     "ratpoly"},
-        "demo": {"analysis", "cli", "datasets", "exceptions", "filterdesign", "myeseries",
-                 "ratpoly"},
+        "demo": {"analysis", "cli", "datasets", "demo", "exceptions", "filterdesign",
+                 "myeseries", "ratpoly"},
         "simulate": {"analysis", "cli", "exceptions", "myeseries", "ratpoly", "simulation"},
     }
 

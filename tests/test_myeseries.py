@@ -342,6 +342,53 @@ class TestLoadCsv:
         with pytest.raises(CsvError, match=f"<stream> {want}"):
             load_csv(io.StringIO(text))
 
+    def test_padded_cells_load_as_their_stripped_twin(self):
+        # int and float accept surrounding spaces, not \x1c-\x1f, which
+        # strip() removes: a refused cell is read again stripped
+        padded = HEADER + (
+            "x,count, 3,\x1c2005\x1f, 1.5e3 , imputed \n"
+            " x,\x1dcount\t,\x1e1,2004\x1c,\x1f-2\x1c, \n"
+            "x ,count,1 , 2005,\t7 ,\x1cpublished\n"
+        )
+        twin = HEADER + (
+            "x,count,3,2005,1.5e3,imputed\n"
+            "x,count,1,2004,-2,\n"
+            "x,count,1,2005,7,published\n"
+        )
+        s = load_csv(io.StringIO(padded))
+        assert s == load_csv(io.StringIO(twin))
+        assert s == MyeSeries("x", "count", {
+            (3, 2005): ObservedValue(1500.0, IMPUTED), (1, 2004): -2.0, (1, 2005): 7.0})
+
+    @given(st.lists(st.lists(st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+                                                     "\u2028\u3000"), max_size=2),
+                             min_size=12, max_size=12),
+                    min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_any_padding_loads_as_the_stripped_twin(self, pads):
+        # each cell gets its own leading and trailing whitespace
+        rows = [("x", "count", "1", "2004", "-2.5", ""),
+                ("x", "count", "3", "2005", "1e3", "imputed"),
+                ("x", "count", "1", "2003", "7", "published")]
+        padded = HEADER + "".join(
+            ",".join(pad[2 * i] + cell + pad[2 * i + 1] for i, cell in enumerate(row)) + "\n"
+            for row, pad in zip(rows, pads))
+        twin = HEADER + "".join(",".join(row) + "\n" for row in rows)
+        assert load_csv(io.StringIO(padded)) == load_csv(io.StringIO(twin))
+
+    @pytest.mark.parametrize("column,what,tail", [
+        (2, "period", "is not an integer"),
+        (3, "end_year", "is not an integer"),
+        (4, "value", "is not a number"),
+    ])
+    @pytest.mark.parametrize("cell", ["3x", " 3x ", "\x1c3x\x1f", "3 x", ""])
+    def test_a_bad_cell_is_quoted_as_written(self, column, what, tail, cell):
+        row = ["x", "count", "1", "2000", "5", ""]
+        row[column] = cell
+        want = f"<stream> line 2: {what} {cell!r} {tail}"
+        with pytest.raises(CsvError, match=f"^{re.escape(want)}$"):
+            load_csv(io.StringIO(HEADER + ",".join(row) + "\n"))
+
     def test_bare_carriage_return_in_stream_names_the_line(self):
         text = "variable,unit,period,end_year,value\nbare\rreturn,count,1,2000,5\n"
         with pytest.raises(CsvError, match="<stream> line 2: new-line character"):
@@ -419,8 +466,26 @@ class TestWriteCsv:
         target = tmp_path / "out.csv"
         old = write_csv(tiny_series(), target).encode("utf-8")
         s = MyeSeries("inc\ud800", "dollars", {(1, 2000): 1.0})
-        with pytest.raises(UnicodeEncodeError):
+        want = "series name 'inc\\ud800' is not encodable as UTF-8"
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
             write_csv(s, target)
+        assert target.read_bytes() == old
+
+    @pytest.mark.parametrize("name,unit,field,text", [
+        (" ", "count", "name", " "), ("x", "\t\x1c", "unit", "\t\x1c"),
+        ("x", "per\udc80", "unit", "per\udc80"),
+    ], ids=["blank-name", "blank-unit", "unencodable-unit"])
+    def test_a_name_load_csv_cannot_read_is_refused_before_writing(
+            self, tmp_path, name, unit, field, text):
+        # a blank name was written, and only reading it back failed
+        target = tmp_path / "out.csv"
+        old = write_csv(tiny_series(), target).encode("utf-8")
+        s = MyeSeries(name, unit, {(1, 2000): 1.0})
+        buf = io.StringIO()
+        for sink in (None, buf, target):
+            with pytest.raises(DataError, match=f"^series {field} {re.escape(repr(text))} "):
+                write_csv(s, sink)
+        assert buf.getvalue() == ""
         assert target.read_bytes() == old
 
     def test_write_to_stream(self):
@@ -814,6 +879,17 @@ class TestRendering:
         # inf raised decimal.InvalidOperation and nan rendered as "NaN"
         with pytest.raises(DomainError, match=f"cannot render {x!r}: not a finite number"):
             render_value(x)
+
+    @pytest.mark.parametrize("x", [10**400, -F(10**400, 3)], ids=["int", "fraction"])
+    def test_exact_value_past_the_float_range_is_named(self, x):
+        # float(x) raised a bare OverflowError
+        want = f"cannot render {x!r}: it is beyond the float range"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            render_value(x)
+
+    def test_exact_value_is_rounded_once(self):
+        assert render_value(F(1, 3), 3) == "0.333"
+        assert render_value(10**20) == "100000000000000000000"
 
     def test_negative_decimals_rejected(self):
         with pytest.raises(ValueError):
