@@ -20,6 +20,10 @@ can check alone (integers, ``--periods`` distinct and at least 1,
 Each subcommand imports the library modules it runs inside its ``cmd_*``
 function, so a process loads only those, and :func:`main` builds only the
 invoked subcommand's parser.
+:func:`main` is the in-process API and leaves the heap as it is. A
+``myetrends`` or ``python -m myetrends`` process calls it through
+:func:`myetrends.__main__.run`, which freezes the heap so the exit's
+shutdown collections skip it; never call ``run`` in-process.
 """
 
 from __future__ import annotations
@@ -414,7 +418,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         # validation surfaced from library objects built off flag values
         args.parser.error(str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,6 +8,8 @@ the usual built-ins.
 Every integer argument (a period, a degree, an end year, a count) is checked
 by :func:`check_int`, so each boundary rejects a ``bool``, a float or a
 string with the same message, which starts with the argument's name.
+A message shows a rejected value by :func:`_show`, so one too long for
+``repr`` (an ``int`` past Python's digit limit) is still named.
 Every exact value (a ``Fraction`` or an ``int``) becomes a float through
 :func:`_to_float`, rounded once, so one beyond the float range raises
 :class:`DomainError` naming it, never ``OverflowError``.
@@ -91,7 +93,24 @@ def check_int(value, what: str, minimum=None, error=ValueError):
             and (minimum is None or value >= minimum)):
         return value
     bound = "" if minimum is None else f" >= {minimum}"
-    raise error(f"{what} must be an integer{bound}, got {value!r}")
+    raise error(f"{what} must be an integer{bound}, got {_show(value)}")
+
+
+def _show(value) -> str:
+    """``repr(value)``, or, for a number ``repr`` refuses (an ``int`` of more
+    digits than Python converts to text, or a ``Fraction`` holding one), its
+    type, sign and bit length: ``<negative int of 16610 bits>``, or
+    ``<positive Fraction of 16609 bits over 2 bits>`` for a numerator over a
+    denominator."""
+    try:
+        return repr(value)
+    except ValueError:
+        num, den = value.as_integer_ratio()
+        size = f"{abs(num).bit_length()} bits"
+        if den != 1:
+            size += f" over {den.bit_length()} bits"
+        sign = "negative" if num < 0 else "positive"
+        return f"<{sign} {type(value).__name__} of {size}>"
 
 
 def _to_float(x, what: str) -> float:

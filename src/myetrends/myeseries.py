@@ -47,6 +47,7 @@ from .exceptions import (
     MissingDataError,
     Record,
     _set,
+    _show,
     _to_float,
     check_int,
 )
@@ -844,7 +845,7 @@ def render_value(x: float, decimals: int = 0) -> str:
         If ``x`` is NaN or infinite, or is exact and beyond the float range.
     """
     check_int(decimals, "decimals", 0)
-    x = _to_float(x, f"cannot render {x!r}: it")
+    x = _to_float(x, f"cannot render {_show(x)}: it")
     if not math.isfinite(x):
         raise DomainError(f"cannot render {x!r}: not a finite number")
     d = Decimal(repr(x))

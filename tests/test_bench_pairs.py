@@ -218,3 +218,75 @@ class TestCompareChecksNamesFirst:
             "--trace-relative-to", "myeseries.load_csv_ms"])
         with pytest.raises(AssertionError, match="a run started"):
             bench_pairs.compare(args, trees)
+
+
+# canned -X importtime output: the floor loads encodings and site, the
+# command adds argparse (and its submodule), numpy and the package
+FLOOR_IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       187 |        187 |   _io
+import time:       900 |       1087 | encodings
+import time:      1200 |       1200 | site
+"""
+COMMAND_IMPORTTIME = FLOOR_IMPORTTIME + """\
+import time:      1500 |       1500 |     argparse
+import time:       250 |        250 |       email.utils
+import time:      4000 |       4000 |   numpy
+import time:       900 |       2650 | myetrends
+import time:      6800 |       6800 |   myetrends.cli
+import time:      3800 |       3800 |     myetrends.ratpoly
+"""
+
+
+class TestColdProbe:
+    def test_self_times_per_module(self):
+        times = bench_pairs.import_self_us(COMMAND_IMPORTTIME + "a stray warning\n")
+        assert times == {"_io": 187, "encodings": 900, "site": 1200, "argparse": 1500,
+                         "email.utils": 250, "numpy": 4000, "myetrends": 900,
+                         "myetrends.cli": 6800, "myetrends.ratpoly": 3800}
+
+    def test_package_and_extra_standard_library(self):
+        floor = set(bench_pairs.import_self_us(FLOOR_IMPORTTIME))
+        # numpy is neither; _io, encodings and site are in the floor
+        package, stdlib = bench_pairs.import_split(COMMAND_IMPORTTIME, floor)
+        assert package == pytest.approx(11.5)
+        assert stdlib == pytest.approx(1.75)
+
+    def test_exit_stamp(self):
+        stderr = "warning: something\nexit-stamp 1234.5\n"
+        assert bench_pairs.parse_exit_stamp(stderr) == 1234.5
+        with pytest.raises(SystemExit, match="no exit stamp"):
+            bench_pairs.parse_exit_stamp("warning: something\n")
+
+    def test_the_wrapper_stamps_the_exit(self, tmp_path):
+        # a real child: the stamp is written from atexit, before the reap
+        started = bench_pairs.time.perf_counter()
+        ms, reaped, stderr = bench_pairs.timed_child(
+            ["-c", bench_pairs.STAMP_WRAPPER, "--version"], _ROOT, tmp_path)
+        assert started < bench_pairs.parse_exit_stamp(stderr) < reaped
+        assert 0 < ms < 1e3 * (reaped - started)
+
+    def test_probes_report_each_key_as_a_timing(self, monkeypatch, tmp_path):
+        samples = iter([1.0, 2.0, 3.0, 4.0])
+
+        def cold_probe(tree, work, filled):
+            assert filled.parent == work
+            value = next(samples)
+            return {"cold.floor_ms": value, "cold.exit_ms.design": 10 * value if tree == "c"
+                    else value}
+
+        monkeypatch.setattr(bench_pairs, "timed_child", lambda *args: None)
+        monkeypatch.setattr(bench_pairs, "cold_probe", cold_probe)
+        affinity = bench_pairs.os.sched_getaffinity(0)
+        out = bench_pairs.cold_probes({"parent": "p", "change": "c"}, 2, 1)
+        assert bench_pairs.os.sched_getaffinity(0) == affinity
+        # seed 1 runs the change first, seed 2 the parent
+        assert out == {
+            "cold.floor_ms": {"unit": "ms", "parent": {"median": 2.5, "min": 2.0, "max": 3.0},
+                              "change": {"median": 2.5, "min": 1.0, "max": 4.0},
+                              "ranges_overlap": True},
+            "cold.exit_ms.design": {"unit": "ms",
+                                    "parent": {"median": 2.5, "min": 2.0, "max": 3.0},
+                                    "change": {"median": 25.0, "min": 10.0, "max": 40.0},
+                                    "ranges_overlap": False},
+        }

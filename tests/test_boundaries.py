@@ -109,6 +109,18 @@ def test_bad_integer_named(call, name, minimum, error, value):
         call(value)
 
 
+@pytest.mark.parametrize("call, want", [
+    (lambda v: DesignSpec((1,), v), "degree must be an integer >= 0"),
+    (sma, "k must be an integer >= 1"),
+], ids=["DesignSpec.degree", "sma"])
+def test_an_integer_too_long_for_str_is_named(call, want):
+    # formatting the value raised Python's ValueError "Exceeds the limit
+    # (4300 digits) for integer string conversion", which names no argument
+    want += ", got <negative int of 16610 bits>"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call(-10**5000)
+
+
 @pytest.mark.parametrize("key", [(1, 2000.0), (True, 2000), (1, "2000")])
 def test_malformed_key_is_not_in_a_series(key):
     # ``in`` answers False, as a container does, where a lookup raises

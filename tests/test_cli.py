@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from myetrends import __main__ as entry
 from myetrends import cli
 from myetrends.analysis import synthetic_series
 from myetrends.cli import main
@@ -610,17 +612,26 @@ class TestFormatsAndPlumbing:
             listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
             assert listed == list(ALL_COMMANDS)
 
+    SIMULATE = ["simulate", "--trend", "0,1", "--noise", "1:1.0,5:2.0", "--mode", "proper",
+                "--t0", "100", "--other-period", "5", "--replicates", "300", "--seed", "7",
+                "--format", "json"]
+
     @pytest.mark.parametrize("argv, code", [
         (["demo"], 0),
+        (SIMULATE, 0),
         (["trends", "--in", "income", "--t0", "2030"], 1),
         (["nosuch"], 2),
-    ], ids=["demo", "data-error", "usage-error"])
-    def test_module_entry_point(self, argv, code):
-        # the exit status is main's return value, or argparse's usage code
+    ], ids=["demo", "simulate", "data-error", "usage-error"])
+    def test_module_entry_point(self, capsys, argv, code):
+        # the exit status is main's return value, or argparse's usage code;
+        # simulate's child exits with NumPy and SciPy loaded
         proc = child("-m", "myetrends", *argv)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
-        if code == 0:
+        if argv == self.SIMULATE:
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout) == run_json(capsys, argv[:-2])[1]
+        elif code == 0:
             assert "36/36" in proc.stdout
         elif code == 1:
             assert proc.stderr.splitlines()[0].startswith("error: ")
@@ -658,6 +669,52 @@ class TestFormatsAndPlumbing:
             proc = subprocess.run(cmd, capture_output=True, text=True)
             assert proc.returncode == 0, f"{cmd}: {proc.stderr}"
             assert "all checks passed" in proc.stdout
+
+
+class TestRun:
+    """``__main__.run``, the process entry point, freezes the heap; ``cli.main``
+    does not."""
+
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    def test_atexit_handlers_still_run(self, tmp_path):
+        # the exit must stay a normal one: an os._exit would skip this handler
+        # and the flush of stdout
+        stamp = tmp_path / "stamp"
+        wrapper = (
+            "import atexit, runpy\n"
+            f"atexit.register(lambda: open({str(stamp)!r}, 'w').write('ran'))\n"
+            "runpy.run_module('myetrends', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = child("-c", wrapper, "design", "--degree", "1", "--periods", "1,3,5")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("all checks passed\n")
+        assert stamp.read_text() == "ran"
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        code, out, _ = run(capsys, ["design", "--degree", "1", "--periods", "1,3,5"])
+        assert code == 0 and "all checks passed" in out
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [
+        (["design", "--degree", "1", "--periods", "1,3,5"], 0),
+        (["trends", "--in", "income", "--t0", "2030"], 1),
+    ])
+    def test_run_returns_mains_code(self, capsys, monkeypatch, unfreeze, argv, code):
+        monkeypatch.setattr(sys, "argv", ["myetrends", *argv])
+        assert entry.run() == code
+        assert gc.get_freeze_count() > 0
+
+    def test_run_lets_a_usage_error_pass(self, capsys, monkeypatch, unfreeze):
+        monkeypatch.setattr(sys, "argv", ["myetrends", "nosuch"])
+        with pytest.raises(SystemExit) as exc:
+            entry.run()
+        assert exc.value.code == 2
+        assert gc.get_freeze_count() > 0
 
 
 class TestImportGuard:

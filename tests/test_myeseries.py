@@ -887,6 +887,17 @@ class TestRendering:
         with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
             render_value(x)
 
+    @pytest.mark.parametrize("x, shown", [
+        (10**5000, "<positive int of 16610 bits>"),
+        (F(10**5000, 3), "<positive Fraction of 16610 bits over 2 bits>"),
+    ], ids=["int", "fraction"])
+    def test_exact_value_too_long_for_str_is_named(self, x, shown):
+        # repr(x) in the message raised Python's ValueError "Exceeds the
+        # limit (4300 digits) for integer string conversion"
+        want = f"cannot render {shown}: it is beyond the float range"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            render_value(x)
+
     def test_exact_value_is_rounded_once(self):
         assert render_value(F(1, 3), 3) == "0.333"
         assert render_value(10**20) == "100000000000000000000"

@@ -30,6 +30,26 @@ host that runs one side's traced runs uniformly slower moves every raw timing
 but no ratio. The ``--claim``, ``--trace`` and ``--trace-relative-to`` names
 are checked against the change's ``BENCHMARK.json`` before the first run, as
 are the ``--workload`` names.
+
+After the pairs, a cold-start probe runs once per pair on each side, in the
+same alternating order and pinned to one CPU, and writes ``cold`` beside the
+per-layer block; each key gets the median, min, max and ``ranges_overlap``
+of a traced timing:
+
+- ``cold.floor_ms``: a ``python -c pass`` child, spawn to reap;
+- ``cold.site_ms``: the floor less a ``python -S -c pass`` child;
+- ``cold.package_self_ms.CMD`` and ``cold.stdlib_extra_ms.CMD``, for a
+  ``design`` and a ``trends`` child under ``-X importtime``: the self time of
+  the ``myetrends`` modules, and of the standard-library modules that a
+  ``python -c pass`` child does not load;
+- ``cold.exit_ms.CMD``, for a ``design`` and a ``simulate`` child: the time
+  from the child's last atexit handler to its reap. A ``-c`` wrapper
+  registers a handler that writes ``time.perf_counter()`` to stderr, then
+  runs the package as ``python -m myetrends`` would; the parent reads its own
+  ``perf_counter`` at the reap. Both are ``CLOCK_MONOTONIC`` on Linux.
+
+The children inherit the caller's environment, as ``perfbench``'s do, with
+the side's ``src`` first on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -37,11 +57,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 TRACED_RUNS = 3
@@ -182,6 +204,118 @@ def aggregate_traces(runs: dict[str, list[dict]], relative_to: str | None = None
     return out
 
 
+# the cold-start probe's commands
+DESIGN = ["design", "--degree", "1", "--periods", "1,3,5"]
+IMPUTE = ["impute", "--in", "income", "--targets", "3:2006,5:2006,5:2007"]
+SIMULATE = ["simulate", "--trend", "1000,50", "--noise", "1:1.0,5:1.0", "--mode", "proper",
+            "--t0", "2010", "--other-period", "5", "--replicates", "100000", "--seed", "1",
+            "--format", "json"]
+EXIT_STAMP = "exit-stamp "
+# registered before the package loads, so it is the last atexit handler to run
+STAMP_WRAPPER = (
+    "import atexit, runpy, sys, time\n"
+    "atexit.register(lambda: sys.stderr.write(f'exit-stamp {time.perf_counter()!r}\\n'))\n"
+    "runpy.run_module('myetrends', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def import_self_us(stderr: str) -> dict[str, int]:
+    """Self time in microseconds per module, from ``-X importtime`` output."""
+    out = {}
+    for line in stderr.splitlines():
+        fields = line.split("|")
+        if len(fields) != 3 or not line.startswith("import time:"):
+            continue
+        try:
+            us = int(fields[0].removeprefix("import time:"))
+        except ValueError:
+            continue  # the header line
+        out.setdefault(fields[2].strip(), us)
+    return out
+
+
+def import_split(stderr: str, floor: set[str]) -> tuple[float, float]:
+    """Milliseconds of ``-X importtime`` self time in the ``myetrends``
+    modules, and in the standard-library modules not in ``floor``."""
+    package = stdlib = 0
+    for name, us in import_self_us(stderr).items():
+        top = name.partition(".")[0]
+        if top == "myetrends":
+            package += us
+        elif top in sys.stdlib_module_names and name not in floor:
+            stdlib += us
+    return package / 1e3, stdlib / 1e3
+
+
+def parse_exit_stamp(stderr: str) -> float:
+    """The ``perf_counter`` value that the wrapper's atexit handler wrote."""
+    stamps = [line for line in stderr.splitlines() if line.startswith(EXIT_STAMP)]
+    if not stamps:
+        raise SystemExit(f"no exit stamp in the child's stderr:\n{stderr[-2000:]}")
+    return float(stamps[-1][len(EXIT_STAMP):])
+
+
+def timed_child(argv: list[str], tree: Path, cwd: Path) -> tuple[float, float, str]:
+    """Run ``python argv`` on ``tree``'s source in ``cwd``: the milliseconds
+    from spawn to reap, ``perf_counter`` at the reap, and the child's stderr."""
+    old = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src") + (os.pathsep + old if old else "")}
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *argv], stdin=subprocess.DEVNULL,
+                                stdout=out, stderr=err, cwd=cwd, env=env)
+        proc.wait()
+        reaped = time.perf_counter()
+        err.seek(0)
+        text = err.read().decode("utf-8", "replace")
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv[:4])} in {tree} exited {proc.returncode}:\n{text[-2000:]}")
+    return 1e3 * (reaped - t0), reaped, text
+
+
+def cold_probe(tree: Path, work: Path, filled: Path) -> dict[str, float]:
+    """One sample of every ``cold.*`` key on ``tree``, with children run in
+    ``work``; ``filled`` is an imputed CSV for the ``trends`` child."""
+    def child(*argv):
+        return timed_child(list(argv), tree, work)
+
+    floor = child("-c", "pass")[0]
+    out = {"cold.floor_ms": floor, "cold.site_ms": floor - child("-S", "-c", "pass")[0]}
+    floor_modules = set(import_self_us(child("-X", "importtime", "-c", "pass")[2]))
+    trends = ["trends", "--in", str(filled), "--t0", "2007"]
+    for name, args in (("design", DESIGN), ("trends", trends)):
+        stderr = child("-X", "importtime", "-m", "myetrends", *args)[2]
+        out[f"cold.package_self_ms.{name}"], out[f"cold.stdlib_extra_ms.{name}"] = \
+            import_split(stderr, floor_modules)
+    for name, args in (("design", DESIGN), ("simulate", SIMULATE)):
+        _, reaped, stderr = child("-c", STAMP_WRAPPER, *args)
+        out[f"cold.exit_ms.{name}"] = 1e3 * (reaped - parse_exit_stamp(stderr))
+    return out
+
+
+def cold_probes(trees: dict[str, Path], pairs: int, seed: int) -> dict:
+    """``pairs`` cold-start probes per side, one side after the other in the
+    pairs' order, pinned to one CPU; each key's ranges per side."""
+    samples: dict[str, list[dict]] = {"parent": [], "change": []}
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        with tempfile.TemporaryDirectory(prefix="cold_probe_") as tmp:
+            work = Path(tmp)
+            filled = {side: work / f"{side}.csv" for side in trees}
+            for side, tree in trees.items():
+                timed_child(["-m", "myetrends", *IMPUTE, "-o", str(filled[side])], tree, work)
+            for s in range(seed, seed + pairs):
+                for side in ("change", "parent") if s % 2 else ("parent", "change"):
+                    print(f"cold probe {s}: {side}", file=sys.stderr, flush=True)
+                    samples[side].append(cold_probe(trees[side], work, filled[side]))
+    finally:
+        os.sched_setaffinity(0, allowed)
+    return {name: {"unit": "ms", **ranges({side: [r[name] for r in rs]
+                                            for side, rs in samples.items()})}
+            for name in samples["change"][0]}
+
+
 def judge_claim(metric: dict) -> dict:
     wins, pairs = map(int, metric["change_better_pairs"].split("/"))
     gain = metric["change"]["median"] - metric["parent"]["median"]
@@ -269,6 +403,8 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
             },
         }
 
+    cold = cold_probes(trees, args.pairs, args.seed)
+
     per_layer = {}
     for workload in args.trace:
         seeds = [args.seed + i for i in range(TRACED_RUNS)]
@@ -287,7 +423,9 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
 
     out = {
         "host": {"cpus": env.get("nproc"), "cpu": env.get("cpu_model"),
-                 "python": env.get("python"), "numpy": env.get("numpy"), "scipy": env.get("scipy")},
+                 "python": env.get("python"), "numpy": env.get("numpy"), "scipy": env.get("scipy"),
+                 # "1" when no child caches bytecode, so each one compiles the package
+                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "method": (
             "Each side is a git archive of its commit in its own directory. Per pair, "
             f"`python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0` "
@@ -298,12 +436,16 @@ def compare(args: argparse.Namespace, trees: dict[str, Path]) -> dict:
             "alternating order: timings as median, min and max per side and whether the "
             "sides' min-max ranges overlap, exact counts once; with ratios_relative_to, each "
             "timing's ratio to that layer's timing in the same run, summarised the same way. "
+            "The cold.* probe runs once per pair and side, alternating the same way and "
+            "pinned to one CPU, and is summarised as a timing (tools/bench_pairs.py "
+            "docstring). "
             "Written by tools/bench_pairs.py."
         ),
         "claim": None,
         "notes": args.note,
         "workloads": report,
         "per_layer": per_layer,
+        "cold": cold,
     }
     if args.claim:
         out["claim"] = {"workload": claim_workload, "metric": claim_metric, "rule": CLAIM_RULE,
