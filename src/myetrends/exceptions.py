@@ -100,7 +100,7 @@ def _show(value) -> str:
     """``repr(value)``, or, for a number ``repr`` refuses (an ``int`` of more
     digits than Python converts to text, or a ``Fraction`` holding one), its
     type, sign and bit length: ``<negative int of 16610 bits>``, or
-    ``<positive Fraction of 16609 bits over 2 bits>`` for a numerator over a
+    ``<positive Fraction of 16610 bits over 2 bits>`` for a numerator over a
     denominator."""
     try:
         return repr(value)
