@@ -38,7 +38,6 @@ from fractions import Fraction
 from operator import mul
 
 from .exceptions import MODES, DomainError, MissingDataError, Record, _set, _to_float, check_int
-from .myeseries import MyeSeries, RegionPair, _base_mean, render_value, sma_of_base
 from .ratpoly import ONE, RatPoly, sma
 
 TYPE_CHECKING = False
@@ -46,6 +45,7 @@ if TYPE_CHECKING:
     from typing import Callable, Iterable, Optional, Sequence, Union
 
     from .filterdesign import DesignSpec, FilterSet
+    from .myeseries import MyeSeries, RegionPair
 
     TrendCoefficients = Sequence[Union[int, str, float, Fraction]]
 
@@ -190,6 +190,8 @@ def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
     ValueError
         If ``period`` is not an integer >= 1 or ``t`` is not an integer.
     """
+    from .myeseries import sma_of_base
+
     log, _ = _log_for_base(log_base)
     check_int(period, "period", 1)
     check_int(t, "t")
@@ -278,6 +280,8 @@ def compatibility(
             try:
                 table[t] = log(y) - log(math.fsum(xs) / k)
             except (OverflowError, ValueError):  # a sum past the float range, or a log of <= 0
+                from .myeseries import _base_mean
+
                 table[t] = _log_ratio(name, k, t, y, _base_mean(name, xs, k, t), log)
         if not table:
             raise MissingDataError(
@@ -351,6 +355,8 @@ class ComparisonResult(Record):
 
     def percent(self, decimals: int = 1) -> str:
         """Discrepancy as a percentage string, e.g. ``"-13.7"``."""
+        from .myeseries import render_value
+
         return render_value(100.0 * self.discrepancy, decimals)
 
     def to_dict(self) -> dict:
@@ -527,6 +533,8 @@ def synthetic_series(
         If a value lies beyond the float range; the message names its period
         and end year.
     """
+    from .myeseries import MyeSeries
+
     poly = RatPoly(trend)
     ks = sorted({check_int(k, "periods", 1) for k in periods})
     if not ks:

@@ -101,10 +101,17 @@ def _show(value) -> str:
     digits than Python converts to text, or a ``Fraction`` holding one), its
     type, sign and bit length: ``<negative int of 16610 bits>``, or
     ``<positive Fraction of 16610 bits over 2 bits>`` for a numerator over a
-    denominator."""
+    denominator. A tuple or list that holds such a number, such as the key
+    ``(3, 10**5000)``, is shown item by item: ``(3, <positive int of 16610
+    bits>)``."""
     try:
         return repr(value)
     except ValueError:
+        if isinstance(value, (tuple, list)):
+            items = ", ".join(map(_show, value))
+            if isinstance(value, list):
+                return f"[{items}]"
+            return f"({items},)" if len(value) == 1 else f"({items})"
         num, den = value.as_integer_ratio()
         size = f"{abs(num).bit_length()} bits"
         if den != 1:

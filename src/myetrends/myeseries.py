@@ -394,7 +394,8 @@ class MyeSeries:
                 j += 1
 
     def _missing(self, period: int, end_year: int) -> MissingDataError:
-        return MissingDataError(f"{self._name}: no {period}y observation ending {end_year}")
+        return MissingDataError(
+            f"{self._name}: no {_show(period)}y observation ending {_show(end_year)}")
 
     def has(self, period: int, end_year: int) -> bool:
         return self._find(period, end_year, 1) is not None
@@ -786,14 +787,14 @@ def impute_random_walk(
         try:
             k, t = key
         except (TypeError, ValueError):
-            raise ValueError(f"target {key!r}: must be a (period, end_year) pair") from None
+            raise ValueError(f"target {_show(key)}: must be a (period, end_year) pair") from None
         if type(k) is not int or type(t) is not int or k < 1:
-            check_int(k, f"target {key!r}: period", 1)
-            check_int(t, f"target {key!r}: end year")
+            check_int(k, f"target {_show(key)}: period", 1)
+            check_int(t, f"target {_show(key)}: end year")
         if series.has(k, t) or key in filled:
             prov = IMPUTED if key in filled else series.provenance(k, t)
             raise ImputationError(
-                f"{series.name}: target {k}y ending {t} already has "
+                f"{series.name}: target {_show(k)}y ending {_show(t)} already has "
                 f"{'an' if prov == IMPUTED else 'a'} {prov} value"
             )
         if k not in anchors:
@@ -817,16 +818,17 @@ def impute_random_walk(
 
             b, last = Fraction(values[i - 1]), years[i - 1]
             drift = (b - Fraction(values[0])) / (last - years[0])
-            value = _to_float(b + (t - last) * drift, f"{series.name}: imputed {k}y ending {t}")
+            value = _to_float(b + (t - last) * drift,
+                              f"{series.name}: imputed {_show(k)}y ending {_show(t)}")
         elif i == 1:
             raise ImputationError(
-                f"{series.name}: cannot extrapolate {k}y ending {t}: only one "
-                f"published {k}y value (ending {years[0]}) precedes it"
+                f"{series.name}: cannot extrapolate {_show(k)}y ending {_show(t)}: only "
+                f"one published {_show(k)}y value (ending {_show(years[0])}) precedes it"
             )
         else:
             raise ImputationError(
-                f"{series.name}: cannot impute {k}y ending {t}: no published "
-                f"{k}y value precedes it"
+                f"{series.name}: cannot impute {_show(k)}y ending {_show(t)}: no "
+                f"published {_show(k)}y value precedes it"
             )
         filled[key] = (k, t, value, IMPUTED)
     # each key is new and each value finite, so the rows need no more checks

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat, zip_longest
+from operator import mul, sub
 
 from .exceptions import _to_float, check_int
 
@@ -188,7 +189,8 @@ class RatPoly:
             If a period is not a positive integer.
         """
         for k in periods:
-            check_int(k, "k", 1)
+            if type(k) is not int or k < 1:
+                check_int(k, "k", 1)
         # sma(1) is the identity
         ks = [k for k in periods if k != 1]
         if not ks:
@@ -236,7 +238,8 @@ class RatPoly:
         or not, is one shared ``Fraction(0)``, so a passing filter family's
         vanishing derivatives build no Fraction each.
         """
-        check_int(order, "order", 0)
+        if type(order) is not int or order < 0:
+            check_int(order, "order", 0)
         den = self._den
         rest = self._nums[::-1]
         out = []
@@ -260,7 +263,8 @@ class RatPoly:
 
     def squared_norm(self) -> Fraction:
         """Sum of the squared coefficients, exactly."""
-        return Fraction(sum(n * n for n in self._nums), self._den * self._den)
+        nums = self._nums
+        return Fraction(sum(map(mul, nums, nums)), self._den * self._den)
 
     def inverse_near_one(self, degree: int) -> "RatPoly":
         """The polynomial ``phi`` of degree <= ``degree`` with ``phi * self - 1``
@@ -271,7 +275,8 @@ class RatPoly:
         w**i`` has ``a_i = A_i/D`` with ``A_i = (-1)**i sum_j T_j C(j, i)``,
         and ``a_0 = 1``. Its power-series inverse ``sum b_n w**n`` follows
         from ``b_0 = 1`` and ``b_n = -sum_{i=1..n} a_i b_{n-i}``; in integers
-        ``B_n = b_n D**n`` obeys ``B_n = -sum_{i=1..n} A_i B_{n-i} D**(i-1)``.
+        ``B_n = b_n D**n`` obeys ``B_n = -sum_{i=1..n} (A_i D**(i-1)) B_{n-i}``,
+        where the products ``A_i D**(i-1)`` are formed once for every ``n``.
         Cut after ``w**degree``, ``phi``'s numerator over ``D**degree`` is
         ``sum_n B_n D**(degree-n) (1 - z)**n``, expanded by Horner's rule in
         ``1 - z``.
@@ -282,21 +287,22 @@ class RatPoly:
             If ``degree`` is not an integer >= 0 or ``self`` is not 1 at
             ``z = 1``.
         """
-        check_int(degree, "degree", 0)
+        if type(degree) is not int or degree < 0:
+            check_int(degree, "degree", 0)
         t, d = self._nums, self._den
-        a = [(-1) ** i * sum(n * math.comb(j, i) for j, n in enumerate(t[i:], i))
+        a = [(-1) ** i * sum(map(mul, t[i:], map(math.comb, range(i, len(t)), repeat(i))))
              for i in range(degree + 1)]
         if a[0] != d:
             raise ValueError(f"value at z = 1 must be 1, got {Fraction(a[0], d)}")
         dpow = [d**i for i in range(degree + 1)]
+        ad = list(map(mul, a[1:], dpow))
         b = [1]
         for n in range(1, degree + 1):
-            b.append(-sum(a[i] * b[n - i] * dpow[i - 1] for i in range(1, n + 1)))
+            b.append(-sum(map(mul, ad[:n], reversed(b))))
         # Horner's rule in w = 1 - z: times (1 - z) is one shift-and-subtract
         nums = [b[degree]]
         for n in range(degree - 1, -1, -1):
-            nums = ([b[n] * dpow[degree - n] + nums[0]]
-                    + [hi - lo for lo, hi in zip(nums, nums[1:])] + [-nums[-1]])
+            nums = [b[n] * dpow[degree - n] + nums[0], *map(sub, nums[1:], nums), -nums[-1]]
         return RatPoly._from_ints(nums, dpow[degree])
 
     def as_floats(self) -> tuple[float, ...]:
@@ -359,5 +365,6 @@ def sma(k: int) -> RatPoly:
     ValueError
         If ``k`` is not a positive integer.
     """
-    check_int(k, "k", 1)
+    if type(k) is not int or k < 1:
+        check_int(k, "k", 1)
     return RatPoly._from_ints([1] * k, k)

@@ -17,7 +17,7 @@ import math
 import os
 
 from .analysis import ComparisonSpec, _deterministic_sides, _sides
-from .exceptions import Record, _set, _to_float, check_int
+from .exceptions import Record, _set, _show, _to_float, check_int
 from .ratpoly import RatPoly, coefficients
 
 TYPE_CHECKING = False
@@ -86,7 +86,7 @@ class SimulationSpec(Record):
         _set(self, "other_period", other_period)
         check_int(self.replicates, "replicates", 1)
         if check_int(self.seed, "seed", 0) >= 2**64:
-            raise ValueError(f"seed must be an integer < 2**64, got {self.seed!r}")
+            raise ValueError(f"seed must be an integer < 2**64, got {_show(self.seed)}")
 
     def comparison_spec(self) -> ComparisonSpec:
         """The comparison this experiment simulates."""
@@ -155,8 +155,11 @@ def simulate_bias(
     standard deviations zero the reported bias therefore equals
     :func:`expected_bias` down to the last bit.
 
-    ``quantile`` maps uniforms in (0, 1) to draws of a mean-zero,
+    ``quantile`` maps uniforms in (0, 1] to draws of a mean-zero,
     unit-scale distribution (inverse CDF); the default is standard normal.
+    A word's top 53 bits ``w`` give ``(w + 0.5) / 2**53``, which rounds to
+    exactly 1.0 for the top word (``w = 2**53 - 1``, a chance of ``2**-53``
+    per draw), where the default quantile draws +inf.
     Each replicate owns a fixed run of Philox words, one per weight of
     either side, at a counter offset set by its index alone, so any two
     runs with the same spec agree byte for byte regardless of batching or
@@ -260,13 +263,12 @@ def simulate_bias(
         if total < 2:
             return math.nan if math.isnan(s) or math.isnan(ss) else 0.0
         if ss == math.inf and not math.isnan(s):
-            # the squared sums overflowed, where ss - total * sq reads inf - inf
+            # the squared sums overflowed, where the difference below may read
+            # inf - inf
             return math.inf
-        try:
-            sq = (s / total) ** 2
-        except OverflowError:
-            sq = math.inf
-        v = (ss - total * sq) / (total - 1)
+        # with ss finite, (s / total) ** 2 <= ss / total (Cauchy-Schwarz), at
+        # most half the float maximum, so ** cannot overflow
+        v = (ss - total * (s / total) ** 2) / (total - 1)
         # clamp round-off below zero as max(0.0, v) would, but keep a NaN
         return v if v > 0.0 or math.isnan(v) else 0.0
 

@@ -10,6 +10,7 @@ A series is read with the keys it stores, so its lookups, and
 """
 
 import re
+from enum import IntEnum
 
 import pytest
 
@@ -24,7 +25,7 @@ from myetrends.analysis import (
 )
 from myetrends.cli import main
 from myetrends.datasets import load_sample
-from myetrends.exceptions import DataError
+from myetrends.exceptions import DataError, DomainError, MissingDataError
 from myetrends.filterdesign import DesignSpec, FilterSet, design_filters
 from myetrends.myeseries import MyeSeries, impute_random_walk, render_value, sma_of_base
 from myetrends.ratpoly import sma
@@ -109,6 +110,23 @@ def test_bad_integer_named(call, name, minimum, error, value):
         call(value)
 
 
+# the kernels test ``type(x) is int`` inline and call check_int only when
+# that fails, so an int subclass, which check_int accepts, must still pass
+Count = IntEnum("Count", {"ZERO": 0, "ONE": 1, "THREE": 3})
+
+
+@pytest.mark.parametrize("call, minimum", [
+    (sma, Count.ONE),
+    (lambda v: sma(3).averaged(2, v), Count.ONE),
+    (lambda v: sma(3).derivatives_at_one(v), Count.ZERO),
+    (lambda v: sma(3).inverse_near_one(v), Count.ZERO),
+], ids=["sma", "RatPoly.averaged", "RatPoly.derivatives_at_one", "RatPoly.inverse_near_one"])
+@pytest.mark.parametrize("at_minimum", [True, False], ids=["minimum", "three"])
+def test_int_subclass_accepted_as_its_value(call, minimum, at_minimum):
+    value = minimum if at_minimum else Count.THREE
+    assert call(value) == call(int(value))
+
+
 @pytest.mark.parametrize("call, want", [
     (lambda v: DesignSpec((1,), v), "degree must be an integer >= 0"),
     (sma, "k must be an integer >= 1"),
@@ -119,6 +137,28 @@ def test_an_integer_too_long_for_str_is_named(call, want):
     want += ", got <negative int of 16610 bits>"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         call(-10**5000)
+
+
+HUGE = 10**5000
+SHOWN = "<positive int of 16610 bits>"
+
+
+@pytest.mark.parametrize("call, error, want", [
+    (lambda: simulation(seed=HUGE), ValueError,
+     f"seed must be an integer < 2**64, got {SHOWN}"),
+    (lambda: INCOME.value(3, HUGE), MissingDataError,
+     f"income: no 3y observation ending {SHOWN}"),
+    (lambda: impute_random_walk(INCOME, [(3, HUGE)]), DomainError,
+     f"income: imputed 3y ending {SHOWN} is beyond the float range"),
+    (lambda: impute_random_walk(INCOME, [(0, HUGE)]), ValueError,
+     f"target (0, {SHOWN}): period must be an integer >= 1, got 0"),
+], ids=["SimulationSpec.seed", "MyeSeries.value", "impute_random_walk",
+        "impute_random_walk.target"])
+def test_a_value_too_long_for_str_is_named_in_its_message(call, error, want):
+    # formatting the value raised Python's ValueError "Exceeds the limit
+    # (4300 digits) for integer string conversion" in place of this error
+    with pytest.raises(error, match=f"^{re.escape(want)}$"):
+        call()
 
 
 @pytest.mark.parametrize("key", [(1, 2000.0), (True, 2000), (1, "2000")])

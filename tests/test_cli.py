@@ -755,7 +755,7 @@ class TestImportGuard:
                     "ratpoly"},
         "demo": {"analysis", "cli", "datasets", "demo", "exceptions", "filterdesign",
                  "myeseries", "ratpoly"},
-        "simulate": {"analysis", "cli", "exceptions", "myeseries", "ratpoly", "simulation"},
+        "simulate": {"analysis", "cli", "exceptions", "ratpoly", "simulation"},
     }
 
     def probe(self, body, *argv):
@@ -833,3 +833,13 @@ class TestImportGuard:
         assert code == 0
         assert self.package(modules) == self.LOADS["simulate"]
         assert {"numpy", "scipy.special"} <= modules
+
+    def test_simulate_loads_no_csv_of_its_own(self):
+        # scipy.special loads csv (through importlib.metadata), so the
+        # command's own imports are probed up to simulate_bias's NumPy import
+        code, modules = self.probe("from myetrends.analysis import expected_bias\n"
+                                   "from myetrends.simulation import SimulationSpec, simulate_bias\n"
+                                   "code = 0")
+        assert self.package(modules) == self.LOADS["simulate"] - {"cli"}
+        assert not self.heavy(modules)
+        assert "csv" not in modules

@@ -22,7 +22,7 @@ from myetrends.analysis import (
 from myetrends.exceptions import DomainError
 from myetrends.filterdesign import DesignSpec, design_filters
 from myetrends.ratpoly import RatPoly
-from myetrends.simulation import _BATCH, _CHUNK
+from myetrends.simulation import _BATCH, _CHUNK, _gaussian_quantile, _side_noise
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
 QUADRATIC = design_filters(DesignSpec((1, 3, 5), 2))
@@ -331,6 +331,16 @@ class TestQuantileInput:
         assert getattr(s, f"mean_{silent}") == float(det[silent])
         noisy = "a" if silent == "b" else "b"
         assert math.isnan(getattr(s, f"var_{noisy}")) == nan
+
+
+@pytest.mark.xfail(strict=True, reason="the top Philox word maps to u = 1.0, where ndtri "
+                   "is +inf (ROADMAP Known defects)")
+def test_top_word_draws_a_finite_value():
+    # a word keeps its top 53 bits; (2**53 - 1) + 0.5 ties to even at 2**53
+    words = np.array([[2**53 - 1]], dtype=np.uint64)
+    out = np.empty(1)
+    _side_noise(words, np.ones(1), 1.0, out, _gaussian_quantile)
+    assert np.isfinite(out[0])
 
 
 class TestRowBlocks:
