@@ -395,7 +395,7 @@ class MyeSeries:
 
     def _missing(self, period: int, end_year: int) -> MissingDataError:
         return MissingDataError(
-            f"{self._name}: no {_show(period)}y observation ending {_show(end_year)}")
+            f"{self._name}: no {_show(int(period))}y observation ending {_show(int(end_year))}")
 
     def has(self, period: int, end_year: int) -> bool:
         return self._find(period, end_year, 1) is not None
@@ -794,7 +794,7 @@ def impute_random_walk(
         if series.has(k, t) or key in filled:
             prov = IMPUTED if key in filled else series.provenance(k, t)
             raise ImputationError(
-                f"{series.name}: target {_show(k)}y ending {_show(t)} already has "
+                f"{series.name}: target {_show(int(k))}y ending {_show(int(t))} already has "
                 f"{'an' if prov == IMPUTED else 'a'} {prov} value"
             )
         if k not in anchors:
@@ -819,16 +819,16 @@ def impute_random_walk(
             b, last = Fraction(values[i - 1]), years[i - 1]
             drift = (b - Fraction(values[0])) / (last - years[0])
             value = _to_float(b + (t - last) * drift,
-                              f"{series.name}: imputed {_show(k)}y ending {_show(t)}")
+                              f"{series.name}: imputed {_show(int(k))}y ending {_show(int(t))}")
         elif i == 1:
             raise ImputationError(
-                f"{series.name}: cannot extrapolate {_show(k)}y ending {_show(t)}: only "
-                f"one published {_show(k)}y value (ending {_show(years[0])}) precedes it"
+                f"{series.name}: cannot extrapolate {_show(int(k))}y ending {_show(int(t))}: only "
+                f"one published {_show(int(k))}y value (ending {_show(years[0])}) precedes it"
             )
         else:
             raise ImputationError(
-                f"{series.name}: cannot impute {_show(k)}y ending {_show(t)}: no "
-                f"published {_show(k)}y value precedes it"
+                f"{series.name}: cannot impute {_show(int(k))}y ending {_show(int(t))}: no "
+                f"published {_show(int(k))}y value precedes it"
             )
         filled[key] = (k, t, value, IMPUTED)
     # each key is new and each value finite, so the rows need no more checks

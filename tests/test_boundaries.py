@@ -25,7 +25,7 @@ from myetrends.analysis import (
 )
 from myetrends.cli import main
 from myetrends.datasets import load_sample
-from myetrends.exceptions import DataError, DomainError, MissingDataError
+from myetrends.exceptions import DataError, DomainError, ImputationError, MissingDataError
 from myetrends.filterdesign import DesignSpec, FilterSet, design_filters
 from myetrends.myeseries import MyeSeries, impute_random_walk, render_value, sma_of_base
 from myetrends.ratpoly import sma
@@ -157,6 +157,19 @@ SHOWN = "<positive int of 16610 bits>"
 def test_a_value_too_long_for_str_is_named_in_its_message(call, error, want):
     # formatting the value raised Python's ValueError "Exceeds the limit
     # (4300 digits) for integer string conversion" in place of this error
+    with pytest.raises(error, match=f"^{re.escape(want)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, want", [
+    (lambda: INCOME.value(Count.THREE, 2099), MissingDataError,
+     "income: no 3y observation ending 2099"),
+    (lambda: impute_random_walk(INCOME, [(Count.THREE, 1990)]), ImputationError,
+     "income: cannot impute 3y ending 1990: no published 3y value precedes it"),
+], ids=["MyeSeries.value", "impute_random_walk"])
+def test_int_subclass_key_is_named_as_its_value(call, error, want):
+    # _show gives an IntEnum's repr, <Count.THREE: 3>; these messages show
+    # the key's int value
     with pytest.raises(error, match=f"^{re.escape(want)}$"):
         call()
 
