@@ -333,8 +333,9 @@ class TestQuantileInput:
         assert math.isnan(getattr(s, f"var_{noisy}")) == nan
 
 
-@pytest.mark.xfail(strict=True, reason="the top Philox word maps to u = 1.0, where ndtri "
-                   "is +inf (ROADMAP Known defects)")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the top Philox word maps to u = 1.0, where ndtri is +inf "
+                          "(ROADMAP Known defects)")
 def test_top_word_draws_a_finite_value():
     # a word keeps its top 53 bits; (2**53 - 1) + 0.5 ties to even at 2**53
     words = np.array([[2**53 - 1]], dtype=np.uint64)
