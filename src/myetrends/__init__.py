@@ -50,7 +50,6 @@ _EXPORTS = {
         "load_csv",
         "write_csv",
         "impute_random_walk",
-        "sma_of_base",
         "display_decimals",
         "render_value",
     ),
@@ -64,6 +63,7 @@ _EXPORTS = {
         "ComparisonResult",
         "apply_filter",
         "trend_estimates",
+        "sma_of_base",
         "nsr",
         "compatibility",
         "compare",

@@ -19,16 +19,9 @@ lengths:
     all.
 
 Also here: the noise-to-signal ratio (NSR) diagnostic comparing a k-year
-estimate against the k-year average of single-year estimates, its summary
-``C`` (the max absolute NSR over time), and analytic expected comparison bias
-under a polynomial trend.
-
-The seeded Monte Carlo that measures bias and noise inflation empirically
-(:class:`SimulationSpec`, :class:`SimulationSummary`, :func:`simulate_bias`)
-lives in :mod:`myetrends.simulation`, the only module that uses NumPy and
-SciPy. This module still serves those three names, but loads
-:mod:`myetrends.simulation` only when one of them is first read, so trends,
-audits and comparisons never compile or import it.
+estimate against the k-year average of single-year estimates
+(:func:`sma_of_base`), its summary ``C`` (the max absolute NSR over time),
+and analytic expected comparison bias under a polynomial trend.
 """
 
 from __future__ import annotations
@@ -37,7 +30,16 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .exceptions import MODES, DomainError, MissingDataError, Record, _set, _to_float, check_int
+from .exceptions import (
+    MODES,
+    DomainError,
+    MissingDataError,
+    Record,
+    _set,
+    _show,
+    _to_float,
+    check_int,
+)
 from .ratpoly import ONE, RatPoly, sma
 
 TYPE_CHECKING = False
@@ -50,35 +52,20 @@ if TYPE_CHECKING:
     TrendCoefficients = Sequence[Union[int, str, float, Fraction]]
 
 __all__ = [
-    "MODES",
     "TrendEstimates",
     "CompatibilityEntry",
     "CompatibilityReport",
     "ComparisonSpec",
     "ComparisonResult",
-    "SimulationSpec",
-    "SimulationSummary",
     "apply_filter",
     "trend_estimates",
+    "sma_of_base",
     "nsr",
     "compatibility",
     "compare",
     "expected_bias",
-    "simulate_bias",
     "synthetic_series",
 ]
-
-_SIMULATION_NAMES = ("SimulationSpec", "SimulationSummary", "simulate_bias")
-
-
-def __getattr__(name: str):
-    """Load :mod:`myetrends.simulation` the first time one of its names is read."""
-    if name not in _SIMULATION_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import simulation
-
-    value = globals()[name] = getattr(simulation, name)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +96,7 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, end_year: int
         missing = [(period, end_year - j) for j in range(len(ws))
                    if (period, end_year - j) not in series]
         raise MissingDataError(
-            f"{series.name}: filter window needs missing observations {missing}"
+            f"{series.name}: filter window needs missing observations {_show(missing)}"
         )
     # fsum of one nonzero product is that product; a zero one still goes to
     # fsum, which gives a zero sum its sign
@@ -121,7 +108,8 @@ def apply_filter(weights: RatPoly, series: MyeSeries, period: int, end_year: int
             total = math.inf
     if not math.isfinite(total):
         raise DomainError(
-            f"{series.name}: {period}y filter ending {end_year} overflows the float range")
+            f"{series.name}: {_show(int(period))}y filter ending {_show(int(end_year))} "
+            "overflows the float range")
     return total
 
 
@@ -171,7 +159,51 @@ def _log_for_base(log_base) -> tuple[Callable[[float], float], str]:
         return math.log10, "10"
     if log_base in ("e", math.e):
         return math.log, "e"
-    raise ValueError(f"log_base must be 10 or 'e', got {log_base!r}")
+    raise ValueError(f"log_base must be 10 or 'e', got {_show(log_base)}")
+
+
+def _base_mean(name: str, xs: Iterable[float], period: int, end_year: int) -> float:
+    """Mean of the 1y values ``xs`` of the window of ``period`` ending
+    ``end_year``; raises :class:`DomainError` if their sum overflows."""
+    try:
+        total = math.fsum(xs)
+    except (OverflowError, ValueError):  # a partial sum past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(
+            f"{name}: sum of the 1y values in the window of {_show(int(period))} "
+            f"ending {_show(int(end_year))} overflows the float range"
+        )
+    return total / period
+
+
+def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
+    """Equal-weight mean of the 1y values over one window.
+
+    Averages the single-year observations ending ``end_year`` back through
+    ``end_year - period + 1``. This is what a ``period``-length estimate
+    would be if it aggregated the published single-year data exactly.
+
+    Raises
+    ------
+    MissingDataError
+        Listing the years whose 1y values are absent.
+    DomainError
+        If the window's sum leaves the float range.
+    ValueError
+        If ``period`` is not an integer >= 1 or ``end_year`` is not an integer.
+    """
+    check_int(period, "period", 1)
+    xs = series._window_values(1, end_year, period)
+    if xs is None:
+        gaps = [t for t in range(end_year - period + 1, end_year + 1) if (1, t) not in series]
+        raise MissingDataError(
+            f"{series.name}: 1y values missing for years {_show(gaps)} "
+            f"(window of {_show(int(period))} ending {_show(int(end_year))})"
+        )
+    # summed oldest first, as the audit sums: fsum's partial sums can leave
+    # the float range in one order and not in another
+    return _base_mean(series.name, reversed(xs), period, end_year)
 
 
 def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
@@ -190,8 +222,6 @@ def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
     ValueError
         If ``period`` is not an integer >= 1 or ``t`` is not an integer.
     """
-    from .myeseries import sma_of_base
-
     log, _ = _log_for_base(log_base)
     check_int(period, "period", 1)
     check_int(t, "t")
@@ -203,9 +233,11 @@ def _log_ratio(name: str, period: int, t: int, y: float, base_mean: float,
                log: Callable[[float], float]) -> float:
     """``log(y) - log(base_mean)``, once both are known to be positive."""
     if y <= 0:
-        raise DomainError(f"{name}: {period}y value ending {t} is {y}, not positive")
+        raise DomainError(
+            f"{name}: {_show(int(period))}y value ending {_show(int(t))} is {y}, not positive")
     if base_mean <= 0:
-        raise DomainError(f"{name}: 1y window mean ending {t} is {base_mean}, not positive")
+        raise DomainError(
+            f"{name}: 1y window mean ending {_show(int(t))} is {base_mean}, not positive")
     return log(y) - log(base_mean)
 
 
@@ -280,12 +312,10 @@ def compatibility(
             try:
                 table[t] = log(y) - log(math.fsum(xs) / k)
             except (OverflowError, ValueError):  # a sum past the float range, or a log of <= 0
-                from .myeseries import _base_mean
-
                 table[t] = _log_ratio(name, k, t, y, _base_mean(name, xs, k, t), log)
         if not table:
             raise MissingDataError(
-                f"{series.name}: no end year has both a {k}y value and "
+                f"{series.name}: no end year has both a {_show(int(k))}y value and "
                 f"a complete 1y window"
             )
         entries[k] = CompatibilityEntry(
@@ -322,7 +352,7 @@ class ComparisonSpec(Record):
         _set(self, "reference_period", reference_period)
         _set(self, "other_period", other_period)
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {MODES}, got {_show(self.mode)}")
         check_int(self.reference_period, "reference_period", 1)
         check_int(self.other_period, "other_period", 1)
         check_int(self.t0, "t0")
@@ -335,7 +365,8 @@ class ComparisonSpec(Record):
             if self.reference_period != self.other_period:
                 raise ValueError(
                     "untimely comparisons use the same period on both sides; "
-                    f"got {self.reference_period} and {self.other_period}"
+                    f"got {_show(int(self.reference_period))} and "
+                    f"{_show(int(self.other_period))}"
                 )
             if self.other_period == 1:
                 raise ValueError("untimely comparisons need periods > 1")
@@ -430,13 +461,13 @@ def compare(
     vb = apply_filter(wb, pair.b, kb, t0)
     if va == 0:
         raise DomainError(
-            f"reference value for {pair.a.name} at {t0} is zero; "
+            f"reference value for {pair.a.name} at {_show(int(t0))} is zero; "
             "relative discrepancy is undefined"
         )
     discrepancy = vb / va - 1.0
     if not math.isfinite(discrepancy):
         raise DomainError(
-            f"discrepancy of {vb!r} against {va!r} at {t0} is {discrepancy}, "
+            f"discrepancy of {vb!r} against {va!r} at {_show(int(t0))} is {discrepancy}, "
             "not a finite number"
         )
     return ComparisonResult(spec, va, vb, discrepancy, ka, kb)
@@ -497,8 +528,8 @@ def expected_bias(
     a, b = _deterministic_sides(poly, spec.t0, _sides(spec, fs))
     return _to_float(
         a - b,
-        f"expected {spec.mode} bias of {spec.reference_period}y against "
-        f"{spec.other_period}y at {spec.t0}",
+        f"expected {spec.mode} bias of {_show(int(spec.reference_period))}y against "
+        f"{_show(int(spec.other_period))}y at {_show(int(spec.t0))}",
     )
 
 
@@ -542,12 +573,13 @@ def synthetic_series(
     check_int(start_year, "start_year")
     check_int(end_year, "end_year")
     if end_year < start_year:
-        raise ValueError(f"end_year {end_year} precedes start_year {start_year}")
+        raise ValueError(f"end_year {_show(int(end_year))} precedes "
+                         f"start_year {_show(int(start_year))}")
     pad = max(ks) - 1
     obs: dict[tuple[int, int], float] = {}
     for k in sorted({1, *ks}):
         w = sma(k)
+        what = f"{name}: the {_show(int(k))}y value ending "
         for t in range(start_year - (pad if k == 1 else 0), end_year + 1):
-            obs[(k, t)] = _to_float(_weighted_trend(poly, w, t),
-                                    f"{name}: the {k}y value ending {t}")
+            obs[(k, t)] = _to_float(_weighted_trend(poly, w, t), what + _show(t))
     return MyeSeries(name, unit, obs)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .exceptions import Record, _set, check_int
+from .exceptions import Record, _set, _show, check_int
 from .ratpoly import ONE, RatPoly, sma
 
 TYPE_CHECKING = False
@@ -75,7 +75,7 @@ class DesignSpec(Record):
         if not ps:
             raise ValueError("period set must be nonempty")
         if len(set(ps)) != len(ps):
-            raise ValueError(f"periods must be distinct, got {ps}")
+            raise ValueError(f"periods must be distinct, got {_show(ps)}")
         check_int(degree, "degree", 0)
         _set(self, "periods", tuple(sorted(ps)))
         _set(self, "degree", degree)

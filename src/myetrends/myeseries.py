@@ -54,7 +54,7 @@ from .exceptions import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import IO, Iterable, Iterator, Mapping, Optional, Sequence, Union
+    from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "PUBLISHED",
@@ -64,7 +64,6 @@ __all__ = [
     "RegionPair",
     "load_csv",
     "write_csv",
-    "sma_of_base",
     "impute_random_walk",
     "render_value",
     "display_decimals",
@@ -143,7 +142,7 @@ def _validated_rows(
         try:
             k, t = key
         except (TypeError, ValueError):
-            raise DataError(f"observation key must be (period, end_year), got {key!r}")
+            raise DataError(f"observation key must be (period, end_year), got {_show(key)}")
         if type(k) is not int or type(t) is not int or k < 1:
             check_int(k, "period", 1, DataError)
             check_int(t, "end_year", error=DataError)
@@ -515,6 +514,19 @@ def load_csv(source: Union[str, os.PathLike, IO[str]]) -> MyeSeries:
         return _load_csv_stream(fh, name=str(source))
 
 
+def _reread(read: Callable[[str], float], cell: str, field: str, name: str, line: int) -> float:
+    """``read`` (``int`` or ``float``) of ``cell`` stripped, once it has
+    refused ``cell`` as written; raises :class:`CsvError` naming ``field``
+    if that fails too. Both give a cell they accept the value of its
+    stripped form, so only a refused cell is stripped: ``strip()`` also
+    removes \\x1c-\\x1f, which they refuse."""
+    try:
+        return read(cell.strip())
+    except ValueError:
+        kind = "an integer" if read is int else "a number"
+        raise CsvError(f"{name} line {line}: {field} {cell!r} is not {kind}") from None
+
+
 def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
     # the one BOM rule: drop one BOM before csv reads the header, so a
     # quoted first name still parses as quoted
@@ -565,38 +577,20 @@ def _load_csv_stream(fh: IO[str], name: str) -> MyeSeries:
                         )
                     variable, unit = var, un
                 raw_var, raw_unit = rv, ru
-            # int and float give a cell they accept the value of its stripped
-            # form, so only a cell they refuse is stripped and read again:
-            # strip() also removes \x1c-\x1f, which they refuse
-            cell = row[ik]
             try:
-                k = int(cell)
+                k = int(row[ik])
             except ValueError:
-                try:
-                    k = int(cell.strip())
-                except ValueError:
-                    raise CsvError(
-                        f"{name} line {reader.line_num}: period {cell!r} is not an integer")
+                k = _reread(int, row[ik], "period", name, reader.line_num)
             if k < 1:
                 raise CsvError(f"{name} line {reader.line_num}: period must be >= 1, got {k}")
-            cell = row[it]
             try:
-                t = int(cell)
+                t = int(row[it])
             except ValueError:
-                try:
-                    t = int(cell.strip())
-                except ValueError:
-                    raise CsvError(
-                        f"{name} line {reader.line_num}: end_year {cell!r} is not an integer")
-            cell = row[ix]
+                t = _reread(int, row[it], "end_year", name, reader.line_num)
             try:
-                v = float(cell)
+                v = float(row[ix])
             except ValueError:
-                try:
-                    v = float(cell.strip())
-                except ValueError:
-                    raise CsvError(
-                        f"{name} line {reader.line_num}: value {cell!r} is not a number")
+                v = _reread(float, row[ix], "value", name, reader.line_num)
             if seen is None and (k > last_k or k == last_k and t > last_t):
                 last_k, last_t = k, t
             else:
@@ -688,50 +682,6 @@ def _quoted(field: str) -> str:
     if any(c in field for c in ',"\r\n'):
         return '"' + field.replace('"', '""') + '"'
     return field
-
-
-def _base_mean(name: str, xs: Iterable[float], period: int, end_year: int) -> float:
-    """Mean of the 1y values ``xs`` of the window of ``period`` ending
-    ``end_year``; raises :class:`DomainError` if their sum overflows."""
-    try:
-        total = math.fsum(xs)
-    except (OverflowError, ValueError):  # a partial sum past the float range
-        total = math.inf
-    if not math.isfinite(total):
-        raise DomainError(
-            f"{name}: sum of the 1y values in the window of {period} "
-            f"ending {end_year} overflows the float range"
-        )
-    return total / period
-
-
-def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
-    """Equal-weight mean of the 1y values over one window.
-
-    Averages the single-year observations ending ``end_year`` back through
-    ``end_year - period + 1``. This is what a ``period``-length estimate
-    would be if it aggregated the published single-year data exactly.
-
-    Raises
-    ------
-    MissingDataError
-        Listing the years whose 1y values are absent.
-    DomainError
-        If the window's sum leaves the float range.
-    ValueError
-        If ``period`` is not an integer >= 1 or ``end_year`` is not an integer.
-    """
-    check_int(period, "period", 1)
-    xs = series._window_values(1, end_year, period)
-    if xs is None:
-        gaps = [t for t in range(end_year - period + 1, end_year + 1) if (1, t) not in series]
-        raise MissingDataError(
-            f"{series.name}: 1y values missing for years {gaps} "
-            f"(window of {period} ending {end_year})"
-        )
-    # summed oldest first, as the audit sums: fsum's partial sums can leave
-    # the float range in one order and not in another
-    return _base_mean(series.name, reversed(xs), period, end_year)
 
 
 def impute_random_walk(

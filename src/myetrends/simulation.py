@@ -199,10 +199,11 @@ def simulate_bias(
     wb = np.array(pb.as_floats())
 
     det_a, det_b = _deterministic_sides(RatPoly(spec.trend), t0, sides)
-    det_a_f = _to_float(det_a, f"region A's noise-free {ka}y value at {t0}")
-    det_b_f = _to_float(det_b, f"region B's noise-free {kb}y value at {t0}")
+    a, b, at = _show(int(ka)), _show(int(kb)), _show(int(t0))
+    det_a_f = _to_float(det_a, f"region A's noise-free {a}y value at {at}")
+    det_b_f = _to_float(det_b, f"region B's noise-free {b}y value at {at}")
     det_diff_f = _to_float(
-        det_a - det_b, f"the difference of the noise-free {ka}y and {kb}y values at {t0}"
+        det_a - det_b, f"the difference of the noise-free {a}y and {b}y values at {at}"
     )
 
     sds = dict(spec.noise_sd)

@@ -19,12 +19,10 @@ import pytest
 
 from myetrends.analysis import (
     ComparisonSpec,
-    SimulationSpec,
     apply_filter,
     compare,
     compatibility,
     expected_bias,
-    simulate_bias,
     synthetic_series,
     trend_estimates,
 )
@@ -37,6 +35,7 @@ from myetrends.filterdesign import (
 )
 from myetrends.myeseries import RegionPair, impute_random_walk, render_value
 from myetrends.ratpoly import RatPoly, sma
+from myetrends.simulation import SimulationSpec, simulate_bias
 
 
 def _report(capfd, criterion: str, passed: bool, detail: str) -> None:

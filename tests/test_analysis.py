@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from myetrends.analysis import (
     ComparisonResult,
     ComparisonSpec,
-    SimulationSpec,
     apply_filter,
     compare,
     compatibility,
     expected_bias,
     nsr,
+    sma_of_base,
     synthetic_series,
     trend_estimates,
 )
@@ -36,9 +36,9 @@ from myetrends.myeseries import (
     RegionPair,
     impute_random_walk,
     render_value,
-    sma_of_base,
 )
 from myetrends.ratpoly import RatPoly, sma
+from myetrends.simulation import SimulationSpec
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
 QUADRATIC = design_filters(DesignSpec((1, 3, 5), 2))

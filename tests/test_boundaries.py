@@ -16,10 +16,12 @@ import pytest
 
 from myetrends.analysis import (
     ComparisonSpec,
-    SimulationSpec,
     apply_filter,
+    compare,
     compatibility,
+    expected_bias,
     nsr,
+    sma_of_base,
     synthetic_series,
     trend_estimates,
 )
@@ -27,8 +29,9 @@ from myetrends.cli import main
 from myetrends.datasets import load_sample
 from myetrends.exceptions import DataError, DomainError, ImputationError, MissingDataError
 from myetrends.filterdesign import DesignSpec, FilterSet, design_filters
-from myetrends.myeseries import MyeSeries, impute_random_walk, render_value, sma_of_base
-from myetrends.ratpoly import sma
+from myetrends.myeseries import MyeSeries, RegionPair, impute_random_walk, render_value
+from myetrends.ratpoly import RatPoly, sma
+from myetrends.simulation import SimulationSpec, simulate_bias
 
 INCOME = load_sample("income")
 FAMILY = design_filters(DesignSpec((1, 3, 5), 1))
@@ -141,6 +144,15 @@ def test_an_integer_too_long_for_str_is_named(call, want):
 
 HUGE = 10**5000
 SHOWN = "<positive int of 16610 bits>"
+# series keyed at HUGE: a 2y value of -1 over a 1y window of 1s, 1y windows
+# whose sum overflows or whose mean is negative, and a reference value of
+# zero or so small that the discrepancy overflows
+AT_HUGE = MyeSeries("x", "count", {(1, HUGE - 1): 1.0, (1, HUGE): 1.0, (2, HUGE): -1.0})
+OVER = MyeSeries("x", "count", {(1, HUGE - 1): 1e308, (1, HUGE): 1e308})
+NEGATIVE = MyeSeries("x", "count", {(1, HUGE - 1): -1.0, (1, HUGE): -1.0, (2, HUGE): 1.0})
+ZERO = MyeSeries("x", "count", {(1, HUGE): 0.0})
+TINY = MyeSeries("x", "count", {(1, HUGE): 1e-300})
+LARGE = MyeSeries("x", "count", {(3, HUGE): 1e300})
 
 
 @pytest.mark.parametrize("call, error, want", [
@@ -152,13 +164,67 @@ SHOWN = "<positive int of 16610 bits>"
      f"income: imputed 3y ending {SHOWN} is beyond the float range"),
     (lambda: impute_random_walk(INCOME, [(0, HUGE)]), ValueError,
      f"target (0, {SHOWN}): period must be an integer >= 1, got 0"),
+    (lambda: MyeSeries("x", "u", {(1, HUGE, 3): 1.0}), DataError,
+     f"observation key must be (period, end_year), got (1, {SHOWN}, 3)"),
+    (lambda: ComparisonSpec(HUGE, 2000), ValueError,
+     f"mode must be one of ('inapt', 'untimely', 'proper'), got {SHOWN}"),
+    (lambda: DesignSpec((HUGE, HUGE), 1), ValueError,
+     f"periods must be distinct, got ({SHOWN}, {SHOWN})"),
+    (lambda: ComparisonSpec("untimely", 2000, HUGE, 3), ValueError,
+     f"untimely comparisons use the same period on both sides; got {SHOWN} and 3"),
+    (lambda: apply_filter(RatPoly([1, 1]), INCOME, 3, HUGE), MissingDataError,
+     f"income: filter window needs missing observations [(3, {SHOWN}), (3, {SHOWN})]"),
+    (lambda: trend_estimates(INCOME, design_filters(DesignSpec((1,), 0)), HUGE),
+     MissingDataError, f"income: filter window needs missing observations [(1, {SHOWN})]"),
+    (lambda: compare(RegionPair(INCOME, INCOME), ComparisonSpec("inapt", HUGE)),
+     MissingDataError, f"income: filter window needs missing observations [(1, {SHOWN})]"),
+    (lambda: apply_filter(RatPoly([1, 1]), OVER, 1, HUGE), DomainError,
+     f"x: 1y filter ending {SHOWN} overflows the float range"),
+    (lambda: sma_of_base(INCOME, 3, HUGE), MissingDataError,
+     f"income: 1y values missing for years [{SHOWN}, {SHOWN}, {SHOWN}] "
+     f"(window of 3 ending {SHOWN})"),
+    (lambda: sma_of_base(OVER, 2, HUGE), DomainError,
+     f"x: sum of the 1y values in the window of 2 ending {SHOWN} overflows the float range"),
+    (lambda: nsr(AT_HUGE, 2, HUGE), DomainError,
+     f"x: 2y value ending {SHOWN} is -1.0, not positive"),
+    (lambda: nsr(NEGATIVE, 2, HUGE), DomainError,
+     f"x: 1y window mean ending {SHOWN} is -1.0, not positive"),
+    (lambda: nsr(INCOME, 3, 2007, log_base=HUGE), ValueError,
+     f"log_base must be 10 or 'e', got {SHOWN}"),
+    (lambda: compatibility(INCOME, [HUGE]), MissingDataError,
+     f"income: no end year has both a {SHOWN}y value and a complete 1y window"),
+    (lambda: compare(RegionPair(ZERO, LARGE), ComparisonSpec("inapt", HUGE)), DomainError,
+     f"reference value for x at {SHOWN} is zero; relative discrepancy is undefined"),
+    (lambda: compare(RegionPair(TINY, LARGE), ComparisonSpec("inapt", HUGE)), DomainError,
+     f"discrepancy of 1e+300 against 1e-300 at {SHOWN} is inf, not a finite number"),
+    (lambda: expected_bias([0, 10**400], ComparisonSpec("inapt", HUGE)), DomainError,
+     f"expected inapt bias of 1y against 3y at {SHOWN} is beyond the float range"),
+    (lambda: synthetic_series([5], [1], 2000, -HUGE), ValueError,
+     "end_year <negative int of 16610 bits> precedes start_year 2000"),
+    (lambda: synthetic_series([10**400], [1], HUGE, HUGE), DomainError,
+     f"synthetic: the 1y value ending {SHOWN} is beyond the float range"),
+    (lambda: simulate_bias(SimulationSpec([10**400], {}, "inapt", HUGE, 1, 0)), DomainError,
+     f"region A's noise-free 1y value at {SHOWN} is beyond the float range"),
 ], ids=["SimulationSpec.seed", "MyeSeries.value", "impute_random_walk",
-        "impute_random_walk.target"])
+        "impute_random_walk.target", "MyeSeries.key", "ComparisonSpec.mode", "DesignSpec.periods",
+        "ComparisonSpec.untimely", "apply_filter", "trend_estimates", "compare",
+        "apply_filter.overflow", "sma_of_base", "sma_of_base.overflow", "nsr.value",
+        "nsr.window_mean", "nsr.log_base", "compatibility", "compare.zero", "compare.overflow",
+        "expected_bias", "synthetic_series.end_year", "synthetic_series.value",
+        "simulate_bias"])
 def test_a_value_too_long_for_str_is_named_in_its_message(call, error, want):
     # formatting the value raised Python's ValueError "Exceeds the limit
     # (4300 digits) for integer string conversion" in place of this error
     with pytest.raises(error, match=f"^{re.escape(want)}$"):
         call()
+
+
+def test_a_long_int_in_a_valid_input_is_not_formatted_before_an_error():
+    # these messages were formatted before the value they name was known to
+    # be out of range, so valid input raised Python's "Exceeds the limit"
+    assert expected_bias([5], ComparisonSpec("inapt", HUGE, 1, 3)) == 0.0
+    assert synthetic_series([5], [1], HUGE, HUGE).value(1, HUGE) == 5.0
+    assert simulate_bias(SimulationSpec([5], {}, "inapt", HUGE, 1, 0)).bias == 0.0
 
 
 @pytest.mark.parametrize("call, error, want", [

@@ -58,11 +58,21 @@ def test_star_import_binds_every_name():
 def test_each_name_is_its_defining_module_object():
     import myetrends.analysis
     import myetrends.exceptions
-    import myetrends.simulation
 
-    assert myetrends.analysis.simulate_bias is myetrends.simulation.simulate_bias
-    assert myetrends.analysis.SimulationSpec is myetrends.SimulationSpec
     assert myetrends.analysis.MODES is myetrends.MODES is myetrends.exceptions.MODES
+
+
+def test_each_public_name_is_listed_by_its_home_only():
+    # a submodule's __all__ lists only the names it defines, so no module
+    # serves another's names and the simulator builds on analysis, not back
+    strays = []
+    for module in myetrends._EXPORTS:
+        mod = importlib.import_module(f"myetrends.{module}")
+        strays += [f"{module}.{name}" for name in getattr(mod, "__all__", ())
+                   if myetrends._SOURCE.get(name, module) != module]
+    assert not strays, strays
+    with pytest.raises(AttributeError):
+        importlib.import_module("myetrends.analysis").simulate_bias
 
 
 @pytest.mark.parametrize("module", ["myetrends", "myetrends.analysis"])

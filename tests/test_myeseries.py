@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from myetrends.analysis import sma_of_base
 from myetrends.datasets import STANDARD_TARGETS, load_sample, sample_names
 from myetrends.exceptions import (
     CsvError,
@@ -30,7 +31,6 @@ from myetrends.myeseries import (
     impute_random_walk,
     load_csv,
     render_value,
-    sma_of_base,
     write_csv,
 )
 

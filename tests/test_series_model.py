@@ -23,6 +23,7 @@ from myetrends.analysis import (
     CompatibilityReport,
     apply_filter,
     compatibility,
+    sma_of_base,
 )
 from myetrends.cli import main
 from myetrends.exceptions import (
@@ -39,7 +40,6 @@ from myetrends.myeseries import (
     ObservedValue,
     impute_random_walk,
     load_csv,
-    sma_of_base,
     write_csv,
 )
 from myetrends.ratpoly import RatPoly

@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from myetrends.analysis import (
-    ComparisonSpec,
-    SimulationSpec,
-    SimulationSummary,
-    expected_bias,
-    simulate_bias,
-)
+from myetrends.analysis import ComparisonSpec, expected_bias
 from myetrends.exceptions import DomainError
 from myetrends.filterdesign import DesignSpec, design_filters
 from myetrends.ratpoly import RatPoly
-from myetrends.simulation import _BATCH, _CHUNK, _gaussian_quantile, _side_noise
+from myetrends.simulation import (
+    _BATCH,
+    _CHUNK,
+    SimulationSpec,
+    SimulationSummary,
+    _gaussian_quantile,
+    _side_noise,
+    simulate_bias,
+)
 
 LINEAR = design_filters(DesignSpec((1, 3, 5), 1))
 QUADRATIC = design_filters(DesignSpec((1, 3, 5), 2))
