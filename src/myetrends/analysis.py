@@ -144,7 +144,7 @@ def trend_estimates(series: MyeSeries, fs: FilterSet, t0: int) -> TrendEstimates
     values = {}
     for k in fs.spec.periods:
         if k not in psi:
-            raise ValueError(f"filter set {fs.spec} has no period {k}")
+            raise ValueError(f"filter set {fs.spec} has no period {_show(int(k))}")
         values[k] = apply_filter(psi[k], series, k, t0)
     return TrendEstimates(t0, values, fs.spec)
 
@@ -162,21 +162,6 @@ def _log_for_base(log_base) -> tuple[Callable[[float], float], str]:
     raise ValueError(f"log_base must be 10 or 'e', got {_show(log_base)}")
 
 
-def _base_mean(name: str, xs: Iterable[float], period: int, end_year: int) -> float:
-    """Mean of the 1y values ``xs`` of the window of ``period`` ending
-    ``end_year``; raises :class:`DomainError` if their sum overflows."""
-    try:
-        total = math.fsum(xs)
-    except (OverflowError, ValueError):  # a partial sum past the float range
-        total = math.inf
-    if not math.isfinite(total):
-        raise DomainError(
-            f"{name}: sum of the 1y values in the window of {_show(int(period))} "
-            f"ending {_show(int(end_year))} overflows the float range"
-        )
-    return total / period
-
-
 def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     """Equal-weight mean of the 1y values over one window.
 
@@ -187,7 +172,10 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     Raises
     ------
     MissingDataError
-        Listing the years whose 1y values are absent.
+        Listing the years whose 1y values are absent. A stretch of more than
+        ten absent years in a row is named by its first and last year, as
+        ``1990 to 1999``, so the message grows with the series' 1y
+        observations, not with ``period``.
     DomainError
         If the window's sum leaves the float range.
     ValueError
@@ -196,14 +184,30 @@ def sma_of_base(series: MyeSeries, period: int, end_year: int) -> float:
     check_int(period, "period", 1)
     xs = series._window_values(1, end_year, period)
     if xs is None:
-        gaps = [t for t in range(end_year - period + 1, end_year + 1) if (1, t) not in series]
+        first = end_year - period + 1
+        gaps, start = [], first
+        for t in [*(t for t in series.years(1) if first <= t <= end_year), end_year + 1]:
+            if t - start > 10:
+                gaps.append(f"{_show(start)} to {_show(t - 1)}")
+            else:
+                gaps += map(_show, range(start, t))
+            start = t + 1
         raise MissingDataError(
-            f"{series.name}: 1y values missing for years {_show(gaps)} "
+            f"{series.name}: 1y values missing for years [{', '.join(gaps)}] "
             f"(window of {_show(int(period))} ending {_show(int(end_year))})"
         )
     # summed oldest first, as the audit sums: fsum's partial sums can leave
     # the float range in one order and not in another
-    return _base_mean(series.name, reversed(xs), period, end_year)
+    try:
+        total = math.fsum(reversed(xs))
+    except (OverflowError, ValueError):  # a partial sum past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(
+            f"{series.name}: sum of the 1y values in the window of {_show(int(period))} "
+            f"ending {_show(int(end_year))} overflows the float range"
+        )
+    return total / period
 
 
 def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
@@ -226,18 +230,14 @@ def nsr(series: MyeSeries, period: int, t: int, log_base=10) -> float:
     check_int(period, "period", 1)
     check_int(t, "t")
     y = series.value(period, t)
-    return _log_ratio(series.name, period, t, y, sma_of_base(series, period, t), log)
-
-
-def _log_ratio(name: str, period: int, t: int, y: float, base_mean: float,
-               log: Callable[[float], float]) -> float:
-    """``log(y) - log(base_mean)``, once both are known to be positive."""
+    base_mean = sma_of_base(series, period, t)
     if y <= 0:
         raise DomainError(
-            f"{name}: {_show(int(period))}y value ending {_show(int(t))} is {y}, not positive")
+            f"{series.name}: {_show(int(period))}y value ending {_show(int(t))} is {y}, "
+            "not positive")
     if base_mean <= 0:
         raise DomainError(
-            f"{name}: 1y window mean ending {_show(int(t))} is {base_mean}, not positive")
+            f"{series.name}: 1y window mean ending {_show(int(t))} is {base_mean}, not positive")
     return log(y) - log(base_mean)
 
 
@@ -304,7 +304,6 @@ def compatibility(
     ks = {check_int(k, "period", 1) for k in periods}
     if not ks:
         raise ValueError("periods must be nonempty")
-    name = series.name
     entries: dict[int, CompatibilityEntry] = {}
     for k in sorted(ks):
         table: dict[int, float] = {}
@@ -312,7 +311,8 @@ def compatibility(
             try:
                 table[t] = log(y) - log(math.fsum(xs) / k)
             except (OverflowError, ValueError):  # a sum past the float range, or a log of <= 0
-                table[t] = _log_ratio(name, k, t, y, _base_mean(name, xs, k, t), log)
+                # nsr sums the same window, oldest first, and raises the error
+                table[t] = nsr(series, k, t, log_base)
         if not table:
             raise MissingDataError(
                 f"{series.name}: no end year has both a {_show(int(k))}y value and "
@@ -431,7 +431,7 @@ def _sides(
                 )
     for k in (ka, kb):
         if k not in fs.psi:
-            raise ValueError(f"filter set {fs.spec} has no period {k}")
+            raise ValueError(f"filter set {fs.spec} has no period {_show(int(k))}")
     return (ka, fs.psi[ka]), (kb, fs.psi[kb])
 
 

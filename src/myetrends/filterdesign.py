@@ -81,7 +81,8 @@ class DesignSpec(Record):
         _set(self, "degree", degree)
 
     def __str__(self) -> str:
-        return f"periods={{{', '.join(map(str, self.periods))}}}, degree={self.degree}"
+        periods = ", ".join(_show(int(k)) for k in self.periods)
+        return f"periods={{{periods}}}, degree={_show(int(self.degree))}"
 
 
 class FilterSet(Record):
@@ -245,5 +246,13 @@ def variance_inflation(p: RatPoly) -> Fraction:
     For independent same-variance inputs, a weighted average's variance is
     the input variance times this factor. The identity filter gives 1;
     values above 1 mean the filter amplifies noise.
+
+    That is the independent-noise model: each k-year estimate carries its
+    own noise. ACS k-year estimates ending in neighbouring years share
+    sample instead. If a k-year estimate's error is the mean of k
+    independent annual errors of variance s**2, then ``psi[k]`` applied to
+    the k-year series has error ``psi[k] * sma(k) = common`` applied to the
+    annual errors, so its variance is ``s**2 * variance_inflation(common)``
+    for every period of the family.
     """
     return p.squared_norm()

@@ -207,7 +207,8 @@ class MyeSeries:
     slice taken newest first, the order of its weights, and :meth:`value`,
     :meth:`has` and ``in`` slice nothing. The NSR audit
     reads each k-year value with its 1y window in one walk over the runs,
-    and :meth:`column` walks one period's observations in end-year order.
+    and :meth:`column` walks one period's observations in end-year order,
+    for :meth:`items` and :func:`write_csv` too.
     :meth:`with_observations` copies only the runs a new observation
     extends or joins and shares every other run with this series. Memory
     grows with the number of observations, however far apart their end
@@ -274,17 +275,9 @@ class MyeSeries:
         ks = ", ".join(f"{k}y:{sum(map(len, values))}" for k, (_, values, _) in self._runs.items())
         return f"<MyeSeries {self._name!r} [{self._unit}] {ks}>"
 
-    def _rows(self) -> Iterator[_Row]:
-        """Every observation as a row, in (period, end_year) order."""
-        return itertools.chain.from_iterable(
-            zip(itertools.repeat(k), range(first, first + len(vs)), vs, ps)
-            for k, (starts, values, provs) in self._runs.items()
-            for first, vs, ps in zip(starts, values, provs)
-        )
-
     def items(self) -> Iterable[tuple[tuple[int, int], ObservedValue]]:
         """Observations in (period, end_year) order."""
-        return (((k, t), _stored(v, p)) for k, t, v, p in self._rows())
+        return (((k, t), _stored(v, p)) for k in self._runs for t, v, p in self.column(k))
 
     def _find(
         self, period: int, end_year: int, length: int
@@ -422,8 +415,8 @@ class MyeSeries:
         """Every observation of one window length as ``(end_year, value,
         provenance)``, end years ascending; empty if the period is absent."""
         starts, values, provs = self._runs.get(period, ((), (), ()))
-        return itertools.chain.from_iterable(
-            zip(itertools.count(first), vs, ps) for first, vs, ps in zip(starts, values, provs))
+        return itertools.chain.from_iterable(zip(range(first, first + len(vs)), vs, ps)
+                                             for first, vs, ps in zip(starts, values, provs))
 
     def years(self, period: int) -> tuple[int, ...]:
         """End years available for one window length, ascending."""
@@ -661,10 +654,9 @@ def write_csv(series: MyeSeries, target: Union[str, os.PathLike, IO[str], None] 
     # finite float, int or tag needs quoting, so the rest is formatted directly
     prefix = f"{_quoted(series.name)},{_quoted(series.unit)},"
     lines = [_HEADER]
-    for k, (starts, values, provs) in series._runs.items():
+    for k in series.periods():
         head = f"{prefix}{k!s},"
-        lines += [f"{head}{t},{v!r},{p}\n" for first, vs, ps in zip(starts, values, provs)
-                  for t, v, p in zip(range(first, first + len(vs)), vs, ps)]
+        lines += [f"{head}{t},{v!r},{p}\n" for t, v, p in series.column(k)]
     text = "".join(lines)
     if target is None:
         pass

@@ -7,8 +7,9 @@ each side. :class:`SimulationSpec` fixes an experiment and its seed,
 :class:`SimulationSummary` holds its results.
 
 This is the only module that uses NumPy and SciPy, and it imports them when
-a simulation runs. :mod:`myetrends.analysis` serves its three public names on
-first use, so the other analyses never load this module.
+a simulation runs. It builds on :mod:`myetrends.analysis`, never the
+reverse, and the package loads it only when one of its three public names is
+first read, so the other analyses never load it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ class SimulationSpec(Record):
     noise``, with independent mean-zero noise scaled by ``noise_sd[k]``
     (periods absent from the map are noise-free). Both regions share the
     trend, so any systematic ``value_a - value_b`` is comparison bias.
+
+    The noise model is the independent one: every ``(period, end year)``
+    value draws its own noise, uncorrelated with every other value's. ACS
+    k-year estimates ending in neighbouring years share k - 1 years of
+    sample, so their errors are correlated, which this model leaves out.
+    Each side's variance is ``noise_sd[k]**2`` times the
+    :func:`~myetrends.filterdesign.variance_inflation` of its weights.
 
     ``seed`` fixes the stream completely: replicate ``r`` draws from a
     counter-derived substream at offset ``r``, so results do not depend on

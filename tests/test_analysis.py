@@ -10,7 +10,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from myetrends.analysis import (
@@ -568,6 +568,63 @@ class TestCompare:
         assert d["mode"] == "inapt"
         assert d["percent"] == "-13.7"
         assert d["value_a"] == 21844.0
+
+
+U = 2.0**-53  # the unit roundoff of a float
+
+
+def overlapping_sample_series(xs, start):
+    """A series whose 1y values are ``xs`` from ``start`` on and whose 3y and
+    5y values are the exact means of their 1y windows, each rounded once."""
+    obs = {(1, start + i): x for i, x in enumerate(xs)}
+    for k in (3, 5):
+        for i in range(k - 1, len(xs)):
+            obs[(k, start + i)] = float(sum(map(F, xs[i - k + 1:i + 1])) / k)
+    return MyeSeries("x", "count", obs)
+
+
+def absolute_products(weights, series, period, t0):
+    """The sum of ``|w_j * x_j|`` over one side's window."""
+    xs, _ = series.window(period, t0, len(weights.coeffs))
+    return math.fsum(abs(w * x) for w, x in zip(weights.as_floats(), reversed(xs)))
+
+
+class TestOverlappingSamples:
+    """A region compared with itself under the overlapping-sample model.
+
+    If each k-year value is the mean of its k annual values, ``psi[k]``
+    applied to the k-year series is ``psi[k] * sma(k) = common`` applied to
+    the annual series, the same for every k. So a proper comparison of a
+    region with itself is exactly zero, and only rounding moves it.
+
+    The stated bound, with u = 2**-53: each weight, each k-year value and
+    each product is rounded once, and ``math.fsum`` rounds the exact sum
+    once. So side A, read from the 1y values, lies within about 3u * S_a of
+    the common exact value, and side B, read from rounded means, within
+    about 4u * S_b, where S is the sum of ``|w_j * x_j|`` over the side's
+    window. The quotient and the subtraction of 1 add about 2u. The test
+    allows ``8u * (S_a + S_b) / |v_a| + 2u``. Values are 0 or at least 1e-3
+    in magnitude, so no product or mean is subnormal and every rounding is
+    relative.
+    """
+
+    @given(st.integers(0, 6), st.sampled_from([3, 5]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_proper_self_comparison_is_zero_within_rounding(self, degree, other, data):
+        fs = design_filters(DesignSpec((1, 3, 5), degree))
+        value = st.one_of(st.just(0.0), st.floats(1e-3, 1e6), st.floats(-1e6, -1e-3))
+        # psi[1] reads degree + 7 1y values; psi[5] reads 5y values whose
+        # windows reach as far back
+        xs = data.draw(st.lists(value, min_size=degree + 7, max_size=degree + 12))
+        s = overlapping_sample_series(xs, 2000)
+        t0 = 2000 + len(xs) - 1
+        va = apply_filter(fs.psi[1], s, 1, t0)
+        assume(va != 0)
+        result = compare(RegionPair(s, s), ComparisonSpec("proper", t0, 1, other), fs)
+        assert (result.reference_period_used, result.value_a) == (1, va)
+        spread = (absolute_products(fs.psi[1], s, 1, t0)
+                  + absolute_products(fs.psi[other], s, other, t0))
+        assert abs(result.discrepancy) <= 8 * U * spread / abs(va) + 2 * U
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The pairs tool's statistics and argument checks, without running a benchmark."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -290,3 +291,39 @@ class TestColdProbe:
                                     "change": {"median": 25.0, "min": 10.0, "max": 40.0},
                                     "ranges_overlap": False},
         }
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("extra,name", [
+        ([], "BENCH_8.json"),
+        (["--workload", "series_audit"], "BENCH_8_series_audit.json"),
+        (["--workload", "cli_cold", "--workload", "series_audit"],
+         "BENCH_8_cli_cold-series_audit.json"),
+    ])
+    def test_named_by_pr_and_workloads(self, extra, name, tmp_path):
+        args = bench_pairs.parse_args(BASE + extra)
+        assert bench_pairs.output_path(tmp_path, args) == tmp_path / name
+
+    @pytest.mark.parametrize("extra,name", [
+        ([], "BENCH_8.json"),
+        (["--workload", "monte_carlo"], "BENCH_8_monte_carlo.json"),
+    ])
+    def test_an_existing_file_stops_the_tool_before_any_export(self, extra, name, tmp_path,
+                                                               monkeypatch):
+        # a second run for the same PR used to overwrite the first one's file
+        def git(*args, cwd):
+            return str(tmp_path) if args[:1] == ("rev-parse",) else "subject"
+
+        def export(*args):
+            raise AssertionError(f"an export started: {args}")
+
+        monkeypatch.setattr(bench_pairs, "git", git)
+        monkeypatch.setattr(bench_pairs, "export", export)
+        (tmp_path / name).write_text("{}\n")
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(tmp_path / name))} already exists"):
+            bench_pairs.main(BASE + extra)
+        assert (tmp_path / name).read_text() == "{}\n"
+        # the other name is free, so that run reaches its first export
+        other = [] if extra else ["--workload", "monte_carlo"]
+        with pytest.raises(AssertionError, match="an export started"):
+            bench_pairs.main(BASE + other)

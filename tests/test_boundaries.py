@@ -30,7 +30,7 @@ from myetrends.datasets import load_sample
 from myetrends.exceptions import DataError, DomainError, ImputationError, MissingDataError
 from myetrends.filterdesign import DesignSpec, FilterSet, design_filters
 from myetrends.myeseries import MyeSeries, RegionPair, impute_random_walk, render_value
-from myetrends.ratpoly import RatPoly, sma
+from myetrends.ratpoly import ONE, RatPoly, sma
 from myetrends.simulation import SimulationSpec, simulate_bias
 
 INCOME = load_sample("income")
@@ -199,6 +199,10 @@ LARGE = MyeSeries("x", "count", {(3, HUGE): 1e300})
      f"discrepancy of 1e+300 against 1e-300 at {SHOWN} is inf, not a finite number"),
     (lambda: expected_bias([0, 10**400], ComparisonSpec("inapt", HUGE)), DomainError,
      f"expected inapt bias of 1y against 3y at {SHOWN} is beyond the float range"),
+    (lambda: compare(RegionPair(INCOME, INCOME), ComparisonSpec("proper", 2007, 1, HUGE), FAMILY),
+     ValueError, f"filter set periods={{1, 3, 5}}, degree=1 has no period {SHOWN}"),
+    (lambda: trend_estimates(INCOME, FilterSet(DesignSpec((1, HUGE), 0), ONE, {1: ONE}, ONE), 2007),
+     ValueError, f"filter set periods={{1, {SHOWN}}}, degree=0 has no period {SHOWN}"),
     (lambda: synthetic_series([5], [1], 2000, -HUGE), ValueError,
      "end_year <negative int of 16610 bits> precedes start_year 2000"),
     (lambda: synthetic_series([10**400], [1], HUGE, HUGE), DomainError,
@@ -210,7 +214,8 @@ LARGE = MyeSeries("x", "count", {(3, HUGE): 1e300})
         "ComparisonSpec.untimely", "apply_filter", "trend_estimates", "compare",
         "apply_filter.overflow", "sma_of_base", "sma_of_base.overflow", "nsr.value",
         "nsr.window_mean", "nsr.log_base", "compatibility", "compare.zero", "compare.overflow",
-        "expected_bias", "synthetic_series.end_year", "synthetic_series.value",
+        "expected_bias", "compare.no_period", "trend_estimates.no_period",
+        "synthetic_series.end_year", "synthetic_series.value",
         "simulate_bias"])
 def test_a_value_too_long_for_str_is_named_in_its_message(call, error, want):
     # formatting the value raised Python's ValueError "Exceeds the limit
@@ -225,6 +230,26 @@ def test_a_long_int_in_a_valid_input_is_not_formatted_before_an_error():
     assert expected_bias([5], ComparisonSpec("inapt", HUGE, 1, 3)) == 0.0
     assert synthetic_series([5], [1], HUGE, HUGE).value(1, HUGE) == 5.0
     assert simulate_bias(SimulationSpec([5], {}, "inapt", HUGE, 1, 0)).bias == 0.0
+    assert str(DesignSpec((1, HUGE), HUGE)) == f"periods={{1, {SHOWN}}}, degree={SHOWN}"
+
+
+@pytest.mark.parametrize("period, first", [(10**6, "-997992"),
+                                           (HUGE, "<negative int of 16610 bits>")],
+                         ids=["1e6", "1e5000"])
+def test_a_long_window_names_its_missing_years_by_stretch(period, first):
+    # every year of the window was looked up and listed, so the time and the
+    # message grew with the period: 10**6 took 0.4 s and gave 8.9 M
+    # characters, and 10**5000 never returned
+    class NoLookups(MyeSeries):
+        def __contains__(self, key):
+            raise AssertionError(f"{key} looked up on its own")
+
+    s = NoLookups("income", "dollars", dict(INCOME.items()))
+    with pytest.raises(MissingDataError) as err:
+        sma_of_base(s, period, 2007)
+    shown = "1000000" if period == 10**6 else SHOWN
+    assert str(err.value) == (f"income: 1y values missing for years [{first} to 1999] "
+                              f"(window of {shown} ending 2007)")
 
 
 @pytest.mark.parametrize("call, error, want", [

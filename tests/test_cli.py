@@ -780,6 +780,21 @@ class TestImportGuard:
         assert not self.heavy(modules)
         assert not self.UNUSED & modules
 
+    def test_submodule_read_as_a_package_attribute(self):
+        # ``myetrends.analysis`` with no import of it first: the package's
+        # __getattr__ imports the submodule and keeps it, and loads only it
+        # and what it imports
+        code, modules = self.probe(
+            "import myetrends\n"
+            "assert 'myetrends.analysis' not in sys.modules\n"
+            "mod = myetrends.analysis\n"
+            "assert mod is sys.modules['myetrends.analysis'] is vars(myetrends)['analysis']\n"
+            "assert mod.nsr is myetrends.nsr\n"
+            "code = 0")
+        assert code == 0
+        assert self.package(modules) == {"analysis", "exceptions", "ratpoly"}
+        assert not self.heavy(modules)
+
     @pytest.mark.parametrize(
         "command", ["design", "impute", "trends", "compat", "compare", "demo"]
     )

@@ -215,6 +215,20 @@ class TestMyeSeries:
         assert (1, 2007) in s
         assert s.value(1, 2007) == s.window(1, 2007, 1)[0][0]
 
+    def test_window_is_none_unless_every_year_is_present(self):
+        # the income sample's 3y values end 2001-2005 and 2007
+        s = load_sample("income")
+        assert s.window(3, 2005, 3) == ([37373.0, 38739.0, 40404.0], [PUBLISHED] * 3)
+        assert s.window(3, 2005, 5) == ([35956.0, 36780.0, 37373.0, 38739.0, 40404.0],
+                                        [PUBLISHED] * 5)
+        assert s.window(3, 2005, 0) == ([], [])
+        # a window past its run's first year, one across the gap at 2006,
+        # one ending in it, one before every 3y value and one of an absent
+        # period
+        for period, end_year, length in [(3, 2005, 6), (3, 2007, 2), (3, 2006, 1),
+                                         (3, 2000, 1), (2, 2005, 1)]:
+            assert s.window(period, end_year, length) is None
+
 
 class TestLoadCsv:
     def test_samples_load(self):
@@ -587,6 +601,15 @@ class TestSmaOfBase:
         s = load_sample("income")
         with pytest.raises(MissingDataError, match=r"\[1998, 1999\]"):
             sma_of_base(s, 3, 2000)
+
+    def test_a_stretch_of_more_than_ten_missing_years_is_named_by_its_ends(self):
+        s = MyeSeries("x", "count", {(1, 2000): 1.0, (1, 2011): 1.0, (1, 2023): 1.0})
+        with pytest.raises(MissingDataError) as err:
+            sma_of_base(s, 30, 2025)
+        ten = ", ".join(map(str, range(2001, 2011)))
+        assert str(err.value) == (
+            f"x: 1y values missing for years [1996, 1997, 1998, 1999, {ten}, 2012 to 2022, "
+            "2024, 2025] (window of 30 ending 2025)")
 
     def test_bad_period(self):
         with pytest.raises(ValueError):

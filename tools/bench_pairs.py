@@ -13,7 +13,10 @@ committed. For every workload and pair ``i``, ``perfbench/run.py --workload W
 with ``S = --seed + i`` and ``T`` the ``run_seconds`` of the change's
 ``BENCHMARK.json``; the change runs first on odd seeds and the parent on even
 ones. Metric names, units, directions and bounds come from the same file. The
-result goes to ``BENCH_<pr>.json`` at the root of the repository.
+result goes to ``BENCH_<pr>.json`` at the root of the repository, or, when
+``--workload`` picks the workloads, to ``BENCH_<pr>_<workloads>.json`` with
+their names joined by ``-``. The tool exits before any export or run if that
+file already exists, so it never overwrites an earlier result.
 
 A gain is claimed only for ``--claim WORKLOAD:METRIC``: the change must be
 better in at least nine tenths of the pairs (ties count for neither side),
@@ -78,7 +81,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--parent", required=True, help="commit measured as the baseline")
     p.add_argument("--change", default="HEAD", help="commit measured against it (default HEAD)")
-    p.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    p.add_argument("--pr", type=int, required=True,
+                   help="writes BENCH_<pr>.json, or BENCH_<pr>_<workloads>.json with --workload")
     p.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     p.add_argument("--seed", type=int, default=841, help="seed of the first pair (default 841)")
     p.add_argument("--workload", action="append", dest="workloads",
@@ -104,6 +108,13 @@ def parse_args(argv=None) -> argparse.Namespace:
         if args.pairs < 10:
             p.error(f"--claim needs at least 10 pairs, got --pairs {args.pairs}")
     return args
+
+
+def output_path(repo: Path, args: argparse.Namespace) -> Path:
+    """The file the results go to: ``BENCH_<pr>.json``, or with ``--workload``
+    ``BENCH_<pr>_<workloads>.json``, the names joined by ``-``."""
+    suffix = "_" + "-".join(args.workloads) if args.workloads else ""
+    return repo / f"BENCH_{args.pr}{suffix}.json"
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -332,6 +343,9 @@ def judge_claim(metric: dict) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
+    path = output_path(repo, args)
+    if path.exists():
+        raise SystemExit(f"{path} already exists; move it away first")
     commits = {side: git("rev-parse", rev, cwd=repo)
                for side, rev in (("parent", args.parent), ("change", args.change))}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
@@ -346,7 +360,6 @@ def main(argv=None) -> int:
         "change_commit": commits["change"],
         **results,
     }
-    path = repo / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     if out["claim"]:
